@@ -6,6 +6,8 @@ U_p / V_p / Atkin-Lehner / trace operator stack, and Weierstrass gap data
 at the cusp at infinity, all over exact rationals.
 """
 
+__version__ = "0.1.0"
+
 from .gaps import GapData, gap_data
 from .heckeops import apply_Up, apply_Vp, build_operator_stack, coefficient_valuation, normalize_p
 from .invariants import (
@@ -27,8 +29,6 @@ from .invariants import (
 from .msengine import SpaceBasis, build_presentation, qexpansion_basis
 from .oracles import EtaProduct, delta_expansion, eisenstein_E, eta_expand, tau, victor_miller_basis
 from .qexp import QExpansion
-
-__version__ = "0.1.0"
 
 __all__ = [
     "EtaProduct",

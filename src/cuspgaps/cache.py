@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from . import __version__
 from .errors import EngineError
 from .invariants import sturm_bound
 from .msengine import SpaceBasis
@@ -22,7 +23,7 @@ from .qexp import QExpansion
 
 MAGIC = "MFBASIS"
 FORMAT_VERSION = "v1"
-ENGINE_VERSION = "0.1.0"
+ENGINE_VERSION = __version__
 
 
 def cache_filename(level: int, weight: int, precision: int) -> str:

@@ -50,9 +50,7 @@ def cmd_dim(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    config = ScanConfig(
-        kmin=args.kmin, kmax=args.kmax, nmax=args.nmax, pmax=args.pmax, threads=args.threads
-    ).validate()
+    config = ScanConfig(kmin=args.kmin, kmax=args.kmax, nmax=args.nmax, pmax=args.pmax).validate()
     total = 0
     violations = []
     if args.csv:
@@ -144,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact invariants, q-expansion bases, operators and gap data "
         "for cusp form spaces on Gamma_0(N).",
     )
-    parser.add_argument("--threads", type=int, default=1, help="parallelism cap (scan only)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("invariants", help="index, elliptic counts, cusps and genus as JSON")

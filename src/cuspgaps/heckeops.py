@@ -1,14 +1,23 @@
 """The operator stack on q-expansions of S_k(Gamma_0(pN)).
 
-U_p and V_p act coefficientwise.  The Atkin-Lehner involution W_p is
-assembled blockwise from the old/new decomposition: on an old pair
-(g, V_p g) coming from level N it swaps the two (with factors p^(k/2) and
-p^(-k/2)), and on the p-new block it is -p^(1-k/2) U_p.  A q-expansion at
-infinity does not determine the slash action of the defining matrix
-directly, so this assembly is the computational route; the exact identity
-W_p^2 = 1 is verified and failure aborts.  The trace map to level N is
-Tr(f) = f + p^(1-k/2) (f|W_p)|U_p, and S is the kernel of
-f -> f|W_p + p^(1-k/2) f|U_p.
+U_p and V_p act coefficientwise; U_p is computed once per stack, as a
+matrix on the ambient echelon basis.  The old/new split reads the p-new
+block off that matrix: on p-new forms U_p = -p^(k/2-1) w_p, so
+U_p^2 = p^(k-2) there, while on an old pair {g, V_p g} the roots of U_p
+have absolute value p^((k-1)/2) by Deligne's bound, so U_p^2 - p^(k-2) is
+invertible on the old span.  The p-new block is therefore exactly
+ker(U_p^2 - p^(k-2)).  The split certifies that the oldform vectors are
+independent, that the kernel has dimension dim S_k(pN) - 2 dim S_k(N), and
+that old + new is a direct sum spanning S_k(pN).
+
+The Atkin-Lehner involution W_p is assembled blockwise from the split: on
+an old pair (g, V_p g) coming from level N it swaps the two (with factors
+p^(k/2) and p^(-k/2)), and on the p-new block it is -p^(1-k/2) U_p.  A
+q-expansion at infinity does not determine the slash action of the
+defining matrix directly, so this assembly is the computational route; it
+checks that U_p does not mix old and new and that W_p^2 = 1, and failure
+aborts.  The trace map to level N is Tr(f) = f + p^(1-k/2) (f|W_p)|U_p,
+and S is the kernel of f -> f|W_p + p^(1-k/2) f|U_p.
 """
 
 from __future__ import annotations
@@ -18,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import primes_up_to
 from .errors import AssemblyError, EngineError
 from .invariants import (
     check_level,
@@ -29,15 +37,12 @@ from .invariants import (
 )
 from .linalg import (
     Echelonizer,
-    charpoly,
     identity,
     kernel_basis,
     mat_inverse,
     mat_mul,
     mat_vec,
-    poly_eval_matrix,
     rank,
-    solve,
 )
 from .msengine import SpaceBasis, qexpansion_basis
 from .qexp import QExpansion
@@ -155,7 +160,8 @@ def hecke_matrix_on_basis(basis: SpaceBasis, ell: int) -> OperatorMatrix:
 @dataclass(frozen=True)
 class OldNewSplit:
     """Coordinates (in the ambient echelon basis of S_k(pN)) of the oldform
-    span {g_i, V_p g_i} and of the p-new complement."""
+    span {g_i, V_p g_i} and of the p-new complement, with U_p on the
+    ambient basis."""
 
     level: int  # lower level N
     weight: int
@@ -164,6 +170,7 @@ class OldNewSplit:
     lower: SpaceBasis
     old_pairs: tuple  # ((coords g_i, coords V_p g_i), ...)
     new_vectors: tuple
+    up: OperatorMatrix
 
     @property
     def old_dimension(self) -> int:
@@ -174,30 +181,17 @@ class OldNewSplit:
         return len(self.new_vectors)
 
 
-def _charpoly_factors(matrix):
-    """Irreducible factors over Q of the characteristic polynomial, as
-    (descending coefficient lists, multiplicity)."""
-    from sympy import Poly, Rational, symbols
-
-    cp = charpoly(matrix)
-    x = symbols("x")
-    poly = Poly([Rational(c.numerator, c.denominator) for c in cp], x)
-    out = []
-    for factor, mult in poly.factor_list()[1]:
-        coeffs = [Fraction(int(c.p), int(c.q)) for c in factor.all_coeffs()]
-        out.append((coeffs, mult))
-    return out
-
-
 def old_new_split(level: int, weight: int, p: int, ambient: SpaceBasis,
                   lower: SpaceBasis | None = None) -> OldNewSplit:
-    """Split S_k(pN) into the old span {g, V_p g} and the p-new complement.
+    """Split S_k(pN) into the old span {g, V_p g} and the p-new block
+    ker(U_p^2 - p^(k-2)).
 
-    The new part is accumulated as the sum of rational generalized
-    T_ell-isotypic components (ell running over primes coprime to pN, in
-    increasing order) that meet the old space trivially; components lying
-    inside the old space are old, and by strong multiplicity one no
-    component may straddle both.  A straddling component raises EngineError.
+    On p-new forms U_p = -p^(k/2-1) w_p, so U_p^2 = p^(k-2) there.  On each
+    old pair {g, V_p g} the roots of U_p have absolute value p^((k-1)/2)
+    (Deligne), so U_p^2 - p^(k-2) is invertible on the old span.  The
+    certificates are checked here and raise EngineError: the oldform
+    vectors are independent, the kernel has dimension dim S_k(pN) -
+    2 dim S_k(N), and old + new is a direct sum spanning the ambient space.
     """
     check_level(level)
     check_weight(weight)
@@ -208,120 +202,47 @@ def old_new_split(level: int, weight: int, p: int, ambient: SpaceBasis,
     c_max = big.pivots[-1] if big.pivots else 0
     if lower is None:
         lower = qexpansion_basis(level, weight, max(sturm_bound(level, weight), c_max + 1))
-    dim_n = lower.dimension
     dim_pn = big.dimension
 
     old_pairs = []
-    old_ech = Echelonizer(dim_pn)
+    whole = Echelonizer(dim_pn)
     for g in lower.rows:
         cg = big.coordinates(g)
         cvg = big.coordinates(apply_Vp(g, p))
         old_pairs.append((tuple(cg), tuple(cvg)))
-        if old_ech.add(list(cg)) is None or old_ech.add(list(cvg)) is None:
+        if whole.add(list(cg)) is None or whole.add(list(cvg)) is None:
             raise EngineError("oldform vectors are dependent")
 
-    if dim_pn == 0:
-        return OldNewSplit(level, weight, p, big, lower, tuple(old_pairs), ())
-
-    full = [[Fraction(i == j) for j in range(dim_pn)] for i in range(dim_pn)]
-    components = [full]  # list of lists of coordinate vectors
-    new_vectors: list = []
-    old_rank = old_ech.rank
-
-    def old_overlap(vectors) -> tuple[int, bool]:
-        """(dim of intersection with old, contained in old?)"""
-        ech = Echelonizer(dim_pn)
-        for pair in old_pairs:
-            ech.add(list(pair[0]))
-            ech.add(list(pair[1]))
-        added = 0
-        for v in vectors:
-            if ech.add(list(v)) is not None:
-                added += 1
-        inter = len(vectors) - added
-        return inter, added == 0
-
-    max_ell = min(sturm_bound(p * level, weight), big.precision // max(c_max, 1))
-    separating_primes = [ell for ell in primes_up_to(max_ell) if (p * level) % ell != 0]
-    for ell in separating_primes:
-        if not components:
-            break
-        t_op = hecke_matrix_on_basis(big, ell)
-        next_components = []
-        for comp in components:
-            # restrict T_ell to the component
-            basis_cols = [[v[i] for v in comp] for i in range(dim_pn)]  # dim_pn x c
-            restricted_cols = []
-            for v in comp:
-                image = t_op.apply(v)
-                sol = solve(basis_cols, image)
-                if sol is None:
-                    raise EngineError("isotypic component is not Hecke stable")
-                restricted_cols.append(sol)
-            c = len(comp)
-            restricted = [[restricted_cols[j][i] for j in range(c)] for i in range(c)]
-            for coeffs, mult in _charpoly_factors(restricted):
-                powered = [Fraction(1)]
-                for _ in range(mult):
-                    powered = _poly_mul_local(powered, coeffs)
-                op = poly_eval_matrix(powered, restricted)
-                piece_local = kernel_basis(op, width=c)
-                piece = [
-                    tuple(sum(w[j] * comp[j][i] for j in range(c)) for i in range(dim_pn))
-                    for w in piece_local
-                ]
-                inter, contained = old_overlap(piece)
-                if inter == 0:
-                    new_vectors.extend(piece)
-                elif contained:
-                    pass  # old component, already spanned by old_pairs
-                else:
-                    next_components.append(piece)
-        components = next_components
-    if components:
+    up = up_matrix(big, p)
+    u = [list(r) for r in up.matrix]
+    u2 = mat_mul(u, u)
+    shift = p ** (weight - 2)
+    for i in range(dim_pn):
+        u2[i][i] -= shift
+    new_vectors = tuple(tuple(v) for v in kernel_basis(u2, width=dim_pn))
+    if len(new_vectors) != dim_pn - 2 * lower.dimension:
         raise EngineError(
-            f"old/new separation failed at ({level}, {weight}, {p}): a T-isotypic "
-            "component meets the old space properly"
+            f"new space dimension {len(new_vectors)} != {dim_pn} - 2*{lower.dimension}"
         )
-    if len(new_vectors) != dim_pn - 2 * dim_n:
-        raise EngineError(
-            f"new space dimension {len(new_vectors)} != {dim_pn} - 2*{dim_n}"
-        )
-    whole = Echelonizer(dim_pn)
-    for pair in old_pairs:
-        whole.add(list(pair[0]))
-        whole.add(list(pair[1]))
     for v in new_vectors:
         if whole.add(list(v)) is None:
             raise EngineError("old + new is not a direct sum")
     if whole.rank != dim_pn:
         raise EngineError("old + new does not span the ambient space")
-    return OldNewSplit(level, weight, p, big, lower, tuple(old_pairs), tuple(new_vectors))
-
-
-def _poly_mul_local(p_coeffs, q_coeffs):
-    out = [Fraction(0)] * (len(p_coeffs) + len(q_coeffs) - 1)
-    for i, a in enumerate(p_coeffs):
-        if a:
-            for j, b in enumerate(q_coeffs):
-                out[i + j] += a * b
-    return out
+    return OldNewSplit(level, weight, p, big, lower, tuple(old_pairs), new_vectors, up)
 
 
 # -- Atkin-Lehner, trace, and the subspace S ----------------------------------
 
-def atkin_lehner(split: OldNewSplit, up: OperatorMatrix | None = None) -> OperatorMatrix:
+def atkin_lehner(split: OldNewSplit) -> OperatorMatrix:
     """W_p on ambient coordinates, assembled blockwise from the split.
 
-    Aborts with AssemblyError("Atkin-Lehner assembly failed") if the result
-    is not an exact involution (which would signal a wrong split or a
-    failure of U_p^2 = p^(k-2) on the new block).
+    Aborts with AssemblyError("Atkin-Lehner assembly failed") if U_p mixes
+    the old and new blocks or the result is not an exact involution; either
+    would signal a wrong split.
     """
     k, p = split.weight, split.prime
-    big = split.ambient
-    if up is None:
-        up = up_matrix(big, p)
-    d = big.dimension
+    d = split.ambient.dimension
     if d == 0:
         return OperatorMatrix(f"W_{p}", ())
     half = p ** (k // 2)
@@ -333,7 +254,7 @@ def atkin_lehner(split: OldNewSplit, up: OperatorMatrix | None = None) -> Operat
     cob = [[cob_cols[j][i] for j in range(d)] for i in range(d)]  # columns -> matrix
     cob_inv = mat_inverse(cob)
 
-    u_in_block = mat_mul(cob_inv, mat_mul([list(r) for r in up.matrix], cob))
+    u_in_block = mat_mul(cob_inv, mat_mul([list(r) for r in split.up.matrix], cob))
     old_dim = split.old_dimension
     # U_p must be block diagonal with respect to old/new
     for i in range(d):
@@ -357,24 +278,24 @@ def atkin_lehner(split: OldNewSplit, up: OperatorMatrix | None = None) -> Operat
     return OperatorMatrix(f"W_{p}", tuple(tuple(row) for row in w))
 
 
-def trace_matrix(split: OldNewSplit, w: OperatorMatrix, up: OperatorMatrix) -> OperatorMatrix:
+def trace_matrix(split: OldNewSplit, w: OperatorMatrix) -> OperatorMatrix:
     """Tr = 1 + p^(1-k/2) U_p W_p on ambient coordinates."""
     k, p = split.weight, split.prime
     scale = Fraction(p, p ** (k // 2))
-    uw = mat_mul([list(r) for r in up.matrix], [list(r) for r in w.matrix])
+    uw = mat_mul([list(r) for r in split.up.matrix], [list(r) for r in w.matrix])
     d = split.ambient.dimension
     mat = [[(Fraction(i == j) + scale * uw[i][j]) for j in range(d)] for i in range(d)]
     return OperatorMatrix(f"Tr^{p * split.level}_{split.level}", tuple(tuple(r) for r in mat))
 
 
-def subspace_s_basis(split: OldNewSplit, w: OperatorMatrix, up: OperatorMatrix) -> tuple:
+def subspace_s_basis(split: OldNewSplit, w: OperatorMatrix) -> tuple:
     """Exact kernel basis of f -> f|W_p + p^(1-k/2) f|U_p in ambient
     coordinates; its dimension must be dim S_k(pN) - dim S_k(N)."""
     k, p = split.weight, split.prime
     scale = Fraction(p, p ** (k // 2))
     d = split.ambient.dimension
     mat = [
-        [w.matrix[i][j] + scale * up.matrix[i][j] for j in range(d)]
+        [w.matrix[i][j] + scale * split.up.matrix[i][j] for j in range(d)]
         for i in range(d)
     ]
     kernel = kernel_basis(mat, width=d)
@@ -430,10 +351,9 @@ def build_operator_stack(level: int, weight: int, p: int) -> OperatorStack:
     b_low = max(sturm_bound(level, weight) + 10, c_max + 1)
     lower = qexpansion_basis(level, weight, b_low)
     split = old_new_split(level, weight, p, ambient, lower)
-    up = up_matrix(ambient, p) if ambient.dimension else OperatorMatrix(f"U_{p}", ())
-    w = atkin_lehner(split, up)
-    tr = trace_matrix(split, w, up)
-    s_vecs = subspace_s_basis(split, w, up)
+    w = atkin_lehner(split)
+    tr = trace_matrix(split, w)
+    s_vecs = subspace_s_basis(split, w)
 
     # exact sanity identities
     d = ambient.dimension
@@ -448,4 +368,4 @@ def build_operator_stack(level: int, weight: int, p: int) -> OperatorStack:
                 raise EngineError("Tr does not act by p+1 on level-N forms")
         if rank([list(r) for r in tr.matrix]) != lower.dimension:
             raise EngineError("trace map is not surjective onto S_k(N)")
-    return OperatorStack(level, weight, p, ambient, lower, split, up, w, tr, s_vecs)
+    return OperatorStack(level, weight, p, ambient, lower, split, split.up, w, tr, s_vecs)

@@ -8,6 +8,7 @@ positive ints and weights are plain positive even ints; ``check_level`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -96,13 +97,7 @@ def eps3(level: int) -> int:
 def eps_inf(level: int) -> int:
     """Number of cusps of X_0(N): sum over d|N of phi(gcd(d, N/d))."""
     check_level(level)
-    return sum(euler_phi(_gcd(d, level // d)) for d in divisors(level))
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    return sum(euler_phi(math.gcd(d, level // d)) for d in divisors(level))
 
 
 @lru_cache(maxsize=None)
@@ -416,15 +411,12 @@ class ScanConfig:
     kmax: int = 24
     nmax: int = 300
     pmax: int = 199
-    threads: int = 1
 
     def validate(self) -> "ScanConfig":
         if self.kmin % 2 or self.kmax % 2 or self.kmin < 4 or self.kmax < self.kmin:
             raise ValueError("scan requires even 4 <= kmin <= kmax")
         if self.nmax < 1 or self.pmax < 5:
             raise ValueError("scan requires nmax >= 1 and pmax >= 5")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         return self
 
 
@@ -440,11 +432,5 @@ def scan_triples(config: ScanConfig) -> Iterator[CaseReport]:
         for p in primes
         if p >= max(5, k + 1) and n % p != 0
     ]
-    if config.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            yield from pool.map(lambda t: classify_triple(t[1], t[0], t[2]), triples, chunksize=512)
-    else:
-        for k, n, p in triples:
-            yield classify_triple(n, k, p)
+    for k, n, p in triples:
+        yield classify_triple(n, k, p)

@@ -171,92 +171,3 @@ def mat_inverse(a) -> list[list[Fraction]]:
                 factor = work[r][col]
                 work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
     return [row[n:] for row in work]
-
-
-def solve(a, b) -> list[Fraction] | None:
-    """One solution x of A x = b, or None if inconsistent (A need not be square)."""
-    if not a:
-        return None
-    n = len(a[0])
-    ech = Echelonizer(n + 1)
-    for row, rhs in zip(a, b):
-        ech.add(list(row) + [rhs])
-    cols = ech.pivots()
-    if n in cols:
-        return None  # pivot in the rhs column: inconsistent
-    rows = ech.reduced_rows()
-    x = [Fraction(0)] * n
-    for row, pc in zip(rows, cols):
-        x[pc] = row[n]
-    # verify (guards against under-determined systems giving a wrong witness)
-    for row, rhs in zip(a, b):
-        if sum(Fraction(c) * v for c, v in zip(row, x)) != rhs:
-            return None
-    return x
-
-
-def charpoly(a) -> list[Fraction]:
-    """Characteristic polynomial det(xI - A), coefficients by descending
-    degree, computed by Hessenberg reduction over Q (O(n^3))."""
-    n = len(a)
-    h = [[Fraction(x) for x in row] for row in a]
-    for col in range(n - 2):
-        pivot_row = next((r for r in range(col + 1, n) if h[r][col] != 0), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != col + 1:
-            h[col + 1], h[pivot_row] = h[pivot_row], h[col + 1]
-            for row in h:
-                row[col + 1], row[pivot_row] = row[pivot_row], row[col + 1]
-        inv = 1 / h[col + 1][col]
-        for r in range(col + 2, n):
-            factor = h[r][col] * inv
-            if factor != 0:
-                h[r] = [x - factor * y for x, y in zip(h[r], h[col + 1])]
-                for row in h:
-                    row[col + 1] += factor * row[r]
-    # charpoly of the Hessenberg matrix by the standard recurrence:
-    # p_0 = 1, p_m = (x - h[m-1][m-1]) p_{m-1}
-    #               - sum_{i} h[m-1-i..] products of subdiagonal entries
-    polys = [[Fraction(1)]]  # p_0
-    for m in range(1, n + 1):
-        term = _poly_mul(polys[m - 1], [Fraction(1), -h[m - 1][m - 1]])
-        prod_sub = Fraction(1)
-        for i in range(1, m):
-            prod_sub *= h[m - i][m - i - 1]
-            coeff = h[m - 1 - i][m - 1] * prod_sub
-            if coeff != 0:
-                term = _poly_sub(term, _poly_scale(polys[m - 1 - i], coeff))
-        polys.append(term)
-    return polys[n]
-
-
-def _poly_mul(p, q):
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
-def _poly_scale(p, c):
-    return [c * x for x in p]
-
-
-def _poly_sub(p, q):
-    n = max(len(p), len(q))
-    p = [Fraction(0)] * (n - len(p)) + list(p)
-    q = [Fraction(0)] * (n - len(q)) + list(q)
-    return [a - b for a, b in zip(p, q)]
-
-
-def poly_eval_matrix(coeffs, a) -> list[list[Fraction]]:
-    """Evaluate a polynomial (descending coefficients) at a square matrix."""
-    n = len(a)
-    out = [[Fraction(0)] * n for _ in range(n)]
-    for c in coeffs:
-        out = mat_mul(out, a)
-        for i in range(n):
-            out[i][i] += c
-    return out

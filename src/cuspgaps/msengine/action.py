@@ -15,6 +15,7 @@ every expansion is a single monomial substitution with integer output.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
@@ -102,7 +103,7 @@ def act_path(
             continue  # {inf, inf} contributes nothing
         if den < 0:
             num, den = -num, -den
-        g = _gcd(abs(num), den)
+        g = math.gcd(abs(num), den)
         if g > 1:
             num, den = num // g, den // g
         for m in unimodular_path_matrices(num, den):
@@ -113,9 +114,3 @@ def act_path(
                 if coeff:
                     terms.append((deg_x, bottom, outer_sign * coeff))
     return terms
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a

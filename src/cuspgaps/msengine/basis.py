@@ -25,7 +25,7 @@ from functools import lru_cache
 from ..arith import smallest_prime_not_dividing
 from ..errors import EngineError, NotInSpanError
 from ..invariants import sturm_bound, valence_bound
-from ..linalg import Echelonizer, make_primitive, mat_mul
+from ..linalg import Echelonizer, make_primitive, mat_mul, rank
 from ..qexp import QExpansion
 from .presentation import MSPresentation, build_presentation, hecke_cosets
 
@@ -114,14 +114,14 @@ def cuspidal_functionals(pres: MSPresentation) -> list[list[int]]:
     power = h
     for _ in range(r - 1):
         power = mat_mul(power, h)
-    if _matrix_rank(power) != d:
+    if rank(power) != d:
         # fold in the -(1 + l^(k-1)) eigenvalue (quadratic-character Eisenstein
         # series, only possible when the level has a square factor)
         h = mat_mul(shifted(-1), shifted(1))
         power = h
         for _ in range(r - 1):
             power = mat_mul(power, h)
-        if _matrix_rank(power) != d:
+        if rank(power) != d:
             raise EngineError(
                 f"cannot isolate the cuspidal dual at ({pres.level}, {pres.weight}): "
                 "unsupported Eisenstein eigenvalue structure"
@@ -136,20 +136,11 @@ def cuspidal_functionals(pres: MSPresentation) -> list[list[int]]:
                 break
     # the functionals must restrict to a basis of the cuspidal subspace's dual
     gram = [[sum(f * c for f, c in zip(func, cvec)) for cvec in pres.cuspidal_basis] for func in funcs]
-    if _matrix_rank(gram) != d:
+    if rank(gram) != d:
         raise EngineError(
             f"cuspidal functionals are degenerate at ({pres.level}, {pres.weight})"
         )
     return funcs
-
-
-def _matrix_rank(matrix) -> int:
-    if not matrix:
-        return 0
-    ech = Echelonizer(len(matrix[0]))
-    for row in matrix:
-        ech.add(row)
-    return ech.rank
 
 
 def _series_block(pres: MSPresentation, t: int, precision: int, functionals) -> list[list]:

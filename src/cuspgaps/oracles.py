@@ -9,6 +9,7 @@ is a genuine cross-check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -125,17 +126,11 @@ def eta_expand(product: EtaProduct, prec: int) -> QExpansion:
         tail = series_mul(tail, series_pow(list(_euler_product(scale, prec)), r, prec + 1), prec + 1)
     level = 1
     for scale, _ in product.factors:
-        level = level * scale // _gcd(level, scale)
+        level = level * scale // math.gcd(level, scale)
     coeffs = [0] * prec
     for n in range(max(lead, 1), prec + 1):
         coeffs[n - 1] = tail[n - lead]
     return QExpansion(tuple(coeffs), int(weight), level)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @lru_cache(maxsize=None)
@@ -180,11 +175,11 @@ def victor_miller_basis(weight: int, prec: int) -> list[QExpansion]:
     for row in reduced:
         den = 1
         for x in row:
-            den = den * x.denominator // _gcd(den, x.denominator)
+            den = den * x.denominator // math.gcd(den, x.denominator)
         ints = [int(x * den) for x in row]
         g = 0
         for x in ints:
-            g = _gcd(g, abs(x))
+            g = math.gcd(g, abs(x))
         if g > 1:
             ints = [x // g for x in ints]
         basis.append(QExpansion(tuple(ints), weight, 1))

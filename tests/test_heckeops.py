@@ -1,12 +1,17 @@
 """U_p, V_p, old/new splits, Atkin-Lehner, trace, the subspace S, and v_p."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cuspgaps
 from cuspgaps.heckeops import (
     apply_Up,
     apply_Vp,
@@ -211,6 +216,32 @@ def test_stack_2_4_7():
     assert mat_mul(u, u) == [[49 * x for x in row] for row in identity(4)]
     w = [list(r) for r in stack.atkin_lehner.matrix]
     assert mat_mul(w, w) == identity(4)
+
+
+def test_split_galois_conjugate_old_pair():
+    """At (1, 24, 5) the old space comes from the two Galois-conjugate
+    eigenforms of level 1, weight 24."""
+    stack = build_operator_stack(1, 24, 5)
+    split = stack.split
+    assert split.old_dimension == 4
+    assert split.new_dimension == 7
+    u = [list(r) for r in split.up.matrix]
+    u2 = mat_mul(u, u)
+    for v in split.new_vectors:
+        image = [sum(u2[i][j] * v[j] for j in range(len(v))) for i in range(len(v))]
+        assert image == [5**22 * x for x in v]
+
+
+def test_stack_does_not_import_sympy():
+    code = (
+        "import sys\n"
+        "from cuspgaps.heckeops import build_operator_stack\n"
+        "build_operator_stack(1, 12, 5)\n"
+        "print('sympy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cuspgaps.__file__).parent.parent)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_old_new_split_requires_matching_ambient():

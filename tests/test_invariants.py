@@ -274,12 +274,6 @@ def test_classify_total_and_exact_on_box():
 
 # -- vanishing levels -----------------------------------------------------------
 
-def test_scan_thread_count_does_not_change_output():
-    config1 = inv.ScanConfig(kmin=4, kmax=6, nmax=12, pmax=20, threads=1)
-    config2 = inv.ScanConfig(kmin=4, kmax=6, nmax=12, pmax=20, threads=3)
-    assert list(inv.scan_triples(config1)) == list(inv.scan_triples(config2))
-
-
 def test_vanishing_levels():
     assert inv.vanishing_levels(4) == (1, 2, 3, 4)
     assert inv.vanishing_levels(6) == (1, 2)

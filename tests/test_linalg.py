@@ -1,4 +1,4 @@
-"""Exact linear algebra: echelon, kernel, solve, charpoly."""
+"""Exact linear algebra: echelon, rank, kernel, inverse."""
 
 from fractions import Fraction
 
@@ -7,17 +7,14 @@ from hypothesis import strategies as st
 
 from cuspgaps.linalg import (
     Echelonizer,
-    charpoly,
     identity,
     kernel_basis,
     make_primitive,
     mat_inverse,
     mat_mul,
     mat_vec,
-    poly_eval_matrix,
     rank,
     rref,
-    solve,
 )
 
 small_matrix = st.integers(min_value=1, max_value=5).flatmap(
@@ -59,13 +56,6 @@ def test_rref_idempotent(m):
     assert rows == rows2
 
 
-def test_solve_consistency():
-    a = [[1, 2], [3, 4], [4, 6]]
-    x = solve(a, [5, 11, 16])
-    assert x == [Fraction(1), Fraction(2)]
-    assert solve([[1, 1], [1, 1]], [1, 2]) is None
-
-
 def test_inverse():
     a = [[2, 1], [1, 1]]
     inv = mat_inverse(a)
@@ -79,27 +69,6 @@ def test_echelonizer_contains():
     assert ech.contains([1, 3, 4])
     assert not ech.contains([0, 0, 1])
     assert ech.rank == 2
-
-
-def test_charpoly_companion():
-    # companion matrix of x^3 - 2x - 5
-    a = [[0, 0, 5], [1, 0, 2], [0, 1, 0]]
-    cp = charpoly(a)
-    assert cp == [Fraction(1), Fraction(0), Fraction(-2), Fraction(-5)]
-    # Cayley-Hamilton
-    z = poly_eval_matrix(cp, a)
-    assert all(all(x == 0 for x in row) for row in z)
-
-
-@given(st.lists(st.lists(st.integers(min_value=-6, max_value=6), min_size=4, max_size=4), min_size=4, max_size=4))
-@settings(max_examples=50, deadline=None)
-def test_charpoly_cayley_hamilton(a):
-    cp = charpoly(a)
-    assert len(cp) == 5 and cp[0] == 1
-    z = poly_eval_matrix(cp, a)
-    assert all(all(x == 0 for x in row) for row in z)
-    # trace and determinant consistency
-    assert cp[1] == -sum(a[i][i] for i in range(4))
 
 
 def test_mat_vec():
