@@ -103,11 +103,3 @@ def kronecker_minus3(p: int) -> int:
         return 0
     return 1 if p % 3 == 1 else -1
 
-
-def smallest_prime_not_dividing(n: int) -> int:
-    p = 2
-    while n % p == 0:
-        p += 1
-        while not is_prime(p):
-            p += 1
-    return p

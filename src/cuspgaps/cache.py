@@ -8,11 +8,15 @@ Format (one file per basis):
     <row dim>
 
 with metadata {engineVersion, sturmBound, pivots} in <file>.meta.json.
+Each file is written to a temporary file beside it and moved into place
+with os.replace, so a reader never sees a partly written file.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import secrets
 from pathlib import Path
 
 from . import __version__
@@ -30,6 +34,18 @@ def cache_filename(level: int, weight: int, precision: int) -> str:
     return f"basis_N{level}_k{weight}_B{precision}.mfb"
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text to path through a temporary file in the same directory
+    and os.replace, so a failed write leaves any earlier file intact."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "x") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_basis(basis: SpaceBasis, directory: str | Path) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -37,13 +53,13 @@ def write_basis(basis: SpaceBasis, directory: str | Path) -> Path:
     lines = [f"{MAGIC} {FORMAT_VERSION} {basis.level} {basis.weight} {basis.precision} {basis.dimension}"]
     for row in basis.rows:
         lines.append(" ".join(str(int(c)) for c in row.coeffs))
-    path.write_text("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
     meta = {
         "engineVersion": ENGINE_VERSION,
         "sturmBound": sturm_bound(basis.level, basis.weight),
         "pivots": list(basis.pivots),
     }
-    Path(str(path) + ".meta.json").write_text(json.dumps(meta, sort_keys=True) + "\n")
+    _write_atomic(Path(str(path) + ".meta.json"), json.dumps(meta, sort_keys=True) + "\n")
     return path
 
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure (a JSON witness is printed),
-2 usage or precondition error.  All output is deterministic for fixed
+2 usage or precondition error, 3 engine error (an internal certificate
+failed or a cache file is corrupt).  All output is deterministic for fixed
 inputs; the MFCACHE environment variable overrides --cache.
 """
 
@@ -206,7 +207,7 @@ def main(argv=None) -> int:
         return 2
     except EngineError as exc:
         print(f"engine error: {exc}", file=sys.stderr)
-        return 1
+        return 3
 
 
 if __name__ == "__main__":

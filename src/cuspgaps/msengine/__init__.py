@@ -3,7 +3,6 @@ Gamma_0(N) and integral echelon q-expansion bases of S_k(Gamma_0(N))."""
 
 from .basis import (
     SpaceBasis,
-    ambient_hecke_matrix,
     hecke_operator_cuspidal,
     hecke_stability_certificate,
     qexpansion_basis,
@@ -15,7 +14,6 @@ __all__ = [
     "P1",
     "MSPresentation",
     "SpaceBasis",
-    "ambient_hecke_matrix",
     "build_presentation",
     "hecke_cosets",
     "hecke_operator_cuspidal",

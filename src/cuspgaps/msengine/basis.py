@@ -1,19 +1,15 @@
 """Integral echelon q-expansion bases of S_k(Gamma_0(N)) from modular symbols.
 
-The coefficient sequences n -> L(T_n x) over Manin-symbol generators x and
-functionals L that kill the Eisenstein part of the quotient are exactly the
-q-expansions of rational cusp forms; accumulating them until their rank
-equals dim S_k and echelonizing yields the canonical integral basis with
-strictly increasing pivots.
-
-The Eisenstein-killing functionals are the rows of (T_l - (1 + l^(k-1)))^r
-on the quotient, where l is the smallest prime not dividing N and r is the
-dimension of the Eisenstein part: on Gamma_0(N) with trivial character the
-Eisenstein T_l-eigenvalues are +-(1 + l^(k-1)), and no cuspidal eigenvalue
-can collide with them (Deligne's bound is strictly smaller), so this power
-annihilates exactly the Eisenstein part.  Rank certificates guard the
-construction at run time and fail loudly on levels whose Eisenstein systems
-are more exotic.
+If x lies in the cuspidal subspace of the plus quotient, T -> (T x)_i is a
+functional on the cuspidal Hecke algebra for every coordinate i, and the
+dual of that algebra is S_k(Q) via T -> a_1(T f) (Merel, "Universal Fourier
+expansions of modular forms"; Stein, GSM 79, ch. 8-9).  So each series
+n -> (T_n x)_i is the q-expansion of a rational cusp form, and these
+functionals span the dual as x runs over the cuspidal subspace and i over d
+coordinates that determine a cuspidal vector.  Accumulating the series
+until their rank equals d = dim S_k and echelonizing yields the canonical
+integral basis with strictly increasing pivots; a rank certificate, the
+pivot/valence check and a Hecke stability certificate guard the result.
 """
 
 from __future__ import annotations
@@ -22,10 +18,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from ..arith import smallest_prime_not_dividing
 from ..errors import EngineError, NotInSpanError
 from ..invariants import sturm_bound, valence_bound
-from ..linalg import Echelonizer, make_primitive, mat_mul, rank
+from ..linalg import Echelonizer, make_primitive
 from ..qexp import QExpansion
 from .presentation import MSPresentation, build_presentation, hecke_cosets
 
@@ -74,84 +69,54 @@ class SpaceBasis:
         return QExpansion(tuple(out), self.weight, self.level)
 
 
-def _hecke_image_quotient(pres: MSPresentation, t: int, n: int) -> list[Fraction]:
-    """T_n applied to the Manin symbol t, in generator coordinates."""
-    raw: dict[int, int] = {}
+def _hecke_image_quotient(pres: MSPresentation, x: dict, n: int) -> list[Fraction]:
+    """T_n applied to the combination x = {Manin symbol: coefficient}, in
+    generator coordinates: the coset images are summed as raw symbols and
+    reduced into the quotient once."""
+    raw: dict = {}
     for a, b, d in hecke_cosets(n, pres.level):
-        for col, cf in pres.act_symbol_raw(t, ((a, b), (0, d))).items():
-            raw[col] = raw.get(col, 0) + cf
+        for t, c in x.items():
+            for col, cf in pres.act_symbol_raw(t, ((a, b), (0, d))).items():
+                raw[col] = raw.get(col, 0) + c * cf
     return pres.raw_to_quotient(raw)
 
 
-def ambient_hecke_matrix(pres: MSPresentation, n: int) -> list[list[Fraction]]:
-    """Matrix of T_n on the full plus quotient (columns are images of the
-    generators)."""
-    m = pres.dimension
-    cols = [_hecke_image_quotient(pres, pres.generators[j], n) for j in range(m)]
-    return [[cols[j][i] for j in range(m)] for i in range(m)]
+def _combination(pres: MSPresentation, vec) -> dict:
+    """A vector in generator coordinates as {Manin symbol: coefficient}."""
+    return {t: c for t, c in zip(pres.generators, vec) if c}
 
 
-def cuspidal_functionals(pres: MSPresentation) -> list[list[int]]:
-    """Integer-scaled functionals on the quotient killing the Eisenstein
-    part and restricting to a basis of the cuspidal dual."""
-    m, d = pres.dimension, pres.cuspidal_dimension
-    if d == 0:
-        return []
-    if m == d:
-        return [[int(i == j) for j in range(m)] for i in range(d)]
-    ell = smallest_prime_not_dividing(pres.level)
-    lam = 1 + ell ** (pres.weight - 1)
-    a = ambient_hecke_matrix(pres, ell)
-    r = m - d
-
-    def shifted(sign: int) -> list[list[Fraction]]:
-        return [
-            [x + (sign * lam if i == j else 0) for j, x in enumerate(row)]
-            for i, row in enumerate(a)
-        ]
-
-    h = shifted(-1)
-    power = h
-    for _ in range(r - 1):
-        power = mat_mul(power, h)
-    if rank(power) != d:
-        # fold in the -(1 + l^(k-1)) eigenvalue (quadratic-character Eisenstein
-        # series, only possible when the level has a square factor)
-        h = mat_mul(shifted(-1), shifted(1))
-        power = h
-        for _ in range(r - 1):
-            power = mat_mul(power, h)
-        if rank(power) != d:
-            raise EngineError(
-                f"cannot isolate the cuspidal dual at ({pres.level}, {pres.weight}): "
-                "unsupported Eisenstein eigenvalue structure"
-            )
-    # pick d independent rows, deterministically
-    ech = Echelonizer(m)
-    funcs = []
-    for row in power:
-        if ech.add(row) is not None:
-            funcs.append(make_primitive(row))
-            if len(funcs) == d:
-                break
-    # the functionals must restrict to a basis of the cuspidal subspace's dual
-    gram = [[sum(f * c for f, c in zip(func, cvec)) for cvec in pres.cuspidal_basis] for func in funcs]
-    if rank(gram) != d:
-        raise EngineError(
-            f"cuspidal functionals are degenerate at ({pres.level}, {pres.weight})"
-        )
-    return funcs
+def cuspidal_functionals(pres: MSPresentation) -> list[int]:
+    """Indices of d generator coordinates on which the cuspidal basis is
+    independent (d = dim S_k): a cuspidal vector is determined by them."""
+    d = pres.cuspidal_dimension
+    ech = Echelonizer(d)
+    chosen: list[int] = []
+    for i in range(pres.dimension):
+        if len(chosen) == d:
+            break
+        if ech.add([v[i] for v in pres.cuspidal_basis]) is not None:
+            chosen.append(i)
+    return chosen
 
 
-def _series_block(pres: MSPresentation, t: int, precision: int, functionals) -> list[list]:
-    """All functional series n -> L_i(T_n x_t) for n = 1..precision, sharing
-    one Hecke-image computation per n."""
-    rows = [[0] * precision for _ in functionals]
-    for n in range(1, precision + 1):
-        vec = _hecke_image_quotient(pres, t, n)
-        for i, func in enumerate(functionals):
-            rows[i][n - 1] = sum(l * v for l, v in zip(func, vec) if l and v)
-    return rows
+def _cuspidal_elements(pres: MSPresentation):
+    """Cuspidal elements as symbol combinations.  First Merel's symbols
+    X^i Y^(k-2-i) {0, oo} for even 0 < i < k-2: their boundary vanishes and
+    each coset needs one continued fraction (odd i vanish in the plus
+    quotient).  Then the cuspidal kernel basis, which k = 2 and 4 need."""
+    origin = pres.p1.index(0, 1)
+    for i in range(2, pres.degree, 2):
+        yield {i * pres.n_p1 + origin: 1}
+    for vec in pres.cuspidal_basis:
+        yield _combination(pres, make_primitive(vec))
+
+
+def _series_block(pres: MSPresentation, x: dict, precision: int, coords) -> list[list]:
+    """The series n -> (T_n x)_i for n = 1..precision, one per coordinate i,
+    sharing one Hecke image per n."""
+    images = [_hecke_image_quotient(pres, x, n) for n in range(1, precision + 1)]
+    return [[img[i] for img in images] for i in coords]
 
 
 @lru_cache(maxsize=64)
@@ -165,12 +130,11 @@ def qexpansion_basis(level: int, weight: int, precision: int) -> SpaceBasis:
     d = pres.cuspidal_dimension
     if d == 0:
         return SpaceBasis(level, weight, precision, (), ())
-    functionals = cuspidal_functionals(pres)
+    coords = cuspidal_functionals(pres)
     ech = Echelonizer(precision)
-    for t in pres.generators:
-        block = _series_block(pres, t, precision, functionals)
-        for row in block:
-            ech.add(row)
+    series = (row for x in _cuspidal_elements(pres) for row in _series_block(pres, x, precision, coords))
+    for row in series:
+        ech.add(row)
         if ech.rank == d:
             break
     if ech.rank != d:
@@ -235,7 +199,7 @@ def hecke_operator_cuspidal(level: int, weight: int, n: int) -> list[list[Fracti
     the presentation's cuspidal kernel vectors)."""
     pres = build_presentation(level, weight)
     solver = _cuspidal_solver(level, weight)
-    cols = [solver(pres.hecke_vector(v, n)) for v in pres.cuspidal_basis]
+    cols = [solver(_hecke_image_quotient(pres, _combination(pres, v), n)) for v in pres.cuspidal_basis]
     d = pres.cuspidal_dimension
     return [[cols[j][i] for j in range(d)] for i in range(d)]
 
@@ -249,18 +213,11 @@ def _cuspidal_solver(level: int, weight: int):
     pres = build_presentation(level, weight)
     d = pres.cuspidal_dimension
     basis = pres.cuspidal_basis
-    ech = Echelonizer(pres.dimension)
-    chosen_rows: list[int] = []
-    for i in range(pres.dimension):
-        if ech.add([basis[j][i] for j in range(d)] + [0] * (pres.dimension - d)) is not None:
-            chosen_rows.append(i)
-            if len(chosen_rows) == d:
-                break
-    square = [[basis[j][i] for j in range(d)] for i in chosen_rows]
-    inv = mat_inverse(square)
+    chosen = cuspidal_functionals(pres)
+    inv = mat_inverse([[basis[j][i] for j in range(d)] for i in chosen])
 
     def solve(w) -> list[Fraction]:
-        y = [sum(inv[i][j] * w[chosen_rows[j]] for j in range(d)) for i in range(d)]
+        y = [sum(inv[i][j] * w[chosen[j]] for j in range(d)) for i in range(d)]
         # consistency: w must equal C y everywhere
         for i in range(pres.dimension):
             if sum(basis[j][i] * y[j] for j in range(d)) != w[i]:

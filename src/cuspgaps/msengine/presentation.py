@@ -297,16 +297,6 @@ class MSPresentation:
                         out[gj] += val * x
         return out
 
-    def hecke_vector(self, vec, n: int) -> list[Fraction]:
-        """T_n applied to a vector in generator coordinates."""
-        out = [Fraction(0)] * self.dimension
-        for a, bb, dd in hecke_cosets(n, self.level):
-            img = self.act_vector(vec, ((a, bb), (0, dd)))
-            for gj, x in enumerate(img):
-                if x:
-                    out[gj] += x
-        return out
-
 
 def hecke_cosets(n: int, level: int) -> list[tuple[int, int, int]]:
     """Upper-triangular coset data (a, b, d) with ad = n, 0 <= b < d and

@@ -11,7 +11,6 @@ from cuspgaps.arith import (
     factorize,
     is_prime,
     primes_up_to,
-    smallest_prime_not_dividing,
     xgcd,
 )
 
@@ -45,8 +44,3 @@ def test_divisors_and_phi():
     assert euler_phi(12) == 4
     assert sum(euler_phi(d) for d in divisors(360)) == 360
 
-
-def test_smallest_prime_not_dividing():
-    assert smallest_prime_not_dividing(1) == 2
-    assert smallest_prime_not_dividing(2) == 3
-    assert smallest_prime_not_dividing(30) == 7

@@ -1,7 +1,10 @@
 """CLI surface, exit codes, and the basis cache file format."""
 
+import dataclasses
 import json
 import os
+
+import pytest
 
 from cuspgaps.cache import find_cached, read_basis, write_basis
 from cuspgaps.cli import main
@@ -77,6 +80,37 @@ def test_basis_roundtrip(tmp_path):
     meta = json.loads((tmp_path / (path.name + ".meta.json")).read_text())
     assert meta["pivots"] == [1]
     assert meta["sturmBound"] == 2
+
+
+def test_failed_cache_write_keeps_earlier_file(tmp_path, monkeypatch):
+    from cuspgaps import cache
+
+    basis = qexpansion_basis(1, 12, 25)
+    path = write_basis(basis, tmp_path)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    doubled = tuple(dataclasses.replace(r, coeffs=tuple(2 * c for c in r.coeffs)) for r in basis.rows)
+
+    def fail(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cache.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        write_basis(dataclasses.replace(basis, rows=doubled), tmp_path)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert read_basis(path) == basis
+
+
+def test_engine_error_exits_3(capsys, monkeypatch):
+    import cuspgaps.cli
+    from cuspgaps.errors import EngineError
+
+    def broken(*args):
+        raise EngineError("series rank stalled")
+
+    monkeypatch.setattr(cuspgaps.cli, "qexpansion_basis", broken)
+    code, out, err = run_cli(capsys, "basis", "11", "2")
+    assert code == 3 and out == ""
+    assert "engine error: series rank stalled" in err
 
 
 def test_find_cached_truncates(tmp_path):

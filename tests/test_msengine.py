@@ -179,13 +179,35 @@ def test_basis_level11_weight2_is_eta_product():
     assert b.rows[0].coeffs == f.coeffs
 
 
+def test_basis_level49_weight2_is_49a():
+    """49a has CM by Q(sqrt(-7)): a_p = 0 for p = 3, 5, 6 mod 7.  Level 49
+    has Eisenstein series with quadratic character on the T_l side."""
+    b = qexpansion_basis(49, 2, 30)
+    assert b.rows[0].coeffs == (
+        1, 1, 0, -1, 0, 0, 0, -3, -3, 0, 4, 0, 0, 0, 0, -1, 0, -3, 0, 0, 0, 4, 8, 0, -5, 0, 0, 0, 2, 0,
+    )
+
+
+@pytest.mark.parametrize("level,weight,ell", [(49, 2, 2), (49, 2, 3), (49, 2, 5), (98, 2, 3), (19, 16, 2)])
+def test_symbol_hecke_trace_matches_coefficient_side(level, weight, ell):
+    """T_ell on cuspidal modular symbols and T_ell on q-expansions are the
+    same operator, so their traces agree."""
+    from cuspgaps.heckeops import hecke_matrix_on_basis
+
+    symbols = hecke_operator_cuspidal(level, weight, ell)
+    coefficients = hecke_matrix_on_basis(qexpansion_basis(level, weight, 60), ell).matrix
+    assert sum(symbols[i][i] for i in range(len(symbols))) == sum(
+        coefficients[i][i] for i in range(len(coefficients))
+    )
+
+
 def test_basis_rejects_low_precision():
     with pytest.raises(ValueError):
         qexpansion_basis(11, 2, 2)  # sturm bound is 3
 
 
 def test_basis_pivots_within_valence_bound():
-    for level, weight in [(1, 12), (5, 12), (11, 2), (14, 4), (17, 14)]:
+    for level, weight in [(1, 12), (5, 12), (11, 2), (14, 4), (17, 14), (49, 4), (98, 2)]:
         b = qexpansion_basis(level, weight, sturm_bound(level, weight) + 10)
         assert b.dimension == cusp_dim(level, weight)
         assert list(b.pivots) == sorted(set(b.pivots))
