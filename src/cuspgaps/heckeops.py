@@ -1,23 +1,32 @@
 """The operator stack on q-expansions of S_k(Gamma_0(pN)).
 
-U_p and V_p act coefficientwise; U_p is computed once per stack, as a
-matrix on the ambient echelon basis.  The old/new split reads the p-new
-block off that matrix: on p-new forms U_p = -p^(k/2-1) w_p, so
-U_p^2 = p^(k-2) there, while on an old pair {g, V_p g} the roots of U_p
-have absolute value p^((k-1)/2) by Deligne's bound, so U_p^2 - p^(k-2) is
-invertible on the old span.  The p-new block is therefore exactly
-ker(U_p^2 - p^(k-2)).  The split certifies that the oldform vectors are
-independent, that the kernel has dimension dim S_k(pN) - 2 dim S_k(N), and
-that old + new is a direct sum spanning S_k(pN).
+V_p acts coefficientwise.  U_p is computed once per stack, as a matrix on
+the ambient echelon basis, and it is read off the modular symbols: at
+level pN, T_p is U_p, and the series map of msengine.basis carries it to
+the echelon basis (hecke_matrix_from_symbols).  So the ambient basis is
+needed only to the Sturm bound of S_k(pN), which by Sturm's theorem also
+fixes every pivot and p-adic valuation the stack reports; U_p is
+cross-checked against a_n(U_p f) = a_(pn)(f) on the coefficients that are
+known.
+
+The old/new split reads the p-new block off U_p: on p-new forms
+U_p = -p^(k/2-1) w_p, so U_p^2 = p^(k-2) there, while on an old pair
+{g, V_p g} the roots of U_p have absolute value p^((k-1)/2) by Deligne's
+bound, so U_p^2 - p^(k-2) is invertible on the old span.  The p-new block
+is therefore exactly ker(U_p^2 - p^(k-2)).  The split certifies that the
+oldform vectors are independent, that the kernel has dimension
+dim S_k(pN) - 2 dim S_k(N), and that old + new is a direct sum spanning
+S_k(pN).
 
 The Atkin-Lehner involution W_p is assembled blockwise from the split: on
 an old pair (g, V_p g) coming from level N it swaps the two (with factors
 p^(k/2) and p^(-k/2)), and on the p-new block it is -p^(1-k/2) U_p.  A
 q-expansion at infinity does not determine the slash action of the
 defining matrix directly, so this assembly is the computational route; it
-checks that U_p does not mix old and new and that W_p^2 = 1, and failure
-aborts.  The trace map to level N is Tr(f) = f + p^(1-k/2) (f|W_p)|U_p,
-and S is the kernel of f -> f|W_p + p^(1-k/2) f|U_p.
+checks that U_p does not mix old and new and that W_p commutes with T_ell
+for the least prime ell not dividing pN, and failure aborts.  The trace
+map to level N is Tr(f) = f + p^(1-k/2) (f|W_p)|U_p, and S is the kernel
+of f -> f|W_p + p^(1-k/2) f|U_p.
 """
 
 from __future__ import annotations
@@ -26,25 +35,25 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count
 
+from .arith import is_prime
 from .errors import AssemblyError, EngineError
 from .invariants import (
     check_level,
     check_odd_prime,
     check_weight,
     sturm_bound,
-    valence_bound,
 )
 from .linalg import (
     Echelonizer,
-    identity,
     kernel_basis,
     mat_inverse,
     mat_mul,
     mat_vec,
     rank,
 )
-from .msengine import SpaceBasis, qexpansion_basis
+from .msengine import SpaceBasis, hecke_matrix_from_symbols, qexpansion_basis
 from .qexp import QExpansion
 
 INFINITE_VALUATION = math.inf
@@ -122,34 +131,54 @@ class OperatorMatrix:
         return mat_vec(self.matrix, list(coords))
 
 
+def _coefficient_image(f: QExpansion, ell: int) -> list:
+    """a_n(T_ell f) for a prime ell, on the floor(B/ell) coefficients the
+    truncation determines: a_(ell n)(f) + [ell coprime to the level]
+    ell^(k-1) a_(n/ell)(f).  When ell divides the level this is U_ell."""
+    out = []
+    for n in range(1, f.precision // ell + 1):
+        c = f.coefficient(ell * n)
+        if n % ell == 0 and f.level % ell != 0:
+            c += ell ** (f.weight - 1) * f.coefficient(n // ell)
+        out.append(c)
+    return out
+
+
+def _symbol_operator(ambient: SpaceBasis, ell: int, label: str) -> OperatorMatrix:
+    """T_ell (prime ell) on the ambient basis, transported from the modular
+    symbols; cross-checked against the coefficient rule on the floor(B/ell)
+    coefficients known for every basis row, and a mismatch raises
+    EngineError."""
+    mat = hecke_matrix_from_symbols(ambient, ell)
+    for j, row in enumerate(ambient.rows):
+        known = _coefficient_image(row, ell)
+        image = ambient.linear_combination([r[j] for r in mat])
+        if list(image.coeffs[: len(known)]) != known:
+            raise EngineError(f"{label} from symbols disagrees with the coefficients of basis row {j + 1}")
+    return OperatorMatrix(label, tuple(tuple(r) for r in mat))
+
+
 def up_matrix(ambient: SpaceBasis, p: int) -> OperatorMatrix:
-    """U_p on the ambient basis; requires precision >= p*(max pivot + 1)."""
-    need = p * ((ambient.pivots[-1] if ambient.pivots else 0) + 1)
-    if ambient.precision < need:
-        raise ValueError(f"U_{p} on this basis needs ambient precision >= {need}")
-    cols = [ambient.coordinates(apply_Up(row, p)) for row in ambient.rows]
-    d = ambient.dimension
-    mat = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-    return OperatorMatrix(f"U_{p}", mat)
+    """U_p on the ambient basis of S_k(pN), where p divides the level.
+
+    At such a level T_p is U_p on modular symbols, so U_p is read off the
+    symbols (hecke_matrix_from_symbols) at the basis's own precision; the
+    Sturm bound of the ambient space is enough."""
+    if ambient.level % p != 0:
+        raise ValueError(f"U_{p} needs {p} to divide the level {ambient.level}")
+    return _symbol_operator(ambient, p, f"U_{p}")
 
 
 def hecke_matrix_on_basis(basis: SpaceBasis, ell: int) -> OperatorMatrix:
     """T_ell (prime ell) on basis coordinates via the coefficient rule
     a_n(T_ell f) = a_(ell n)(f) + [ell coprime to N] ell^(k-1) a_(n/ell)(f)."""
-    k, level = basis.weight, basis.level
     max_pivot = basis.pivots[-1] if basis.pivots else 0
-    prec = basis.precision // ell
-    if prec < max_pivot:
+    if basis.precision // ell < max_pivot:
         raise ValueError(f"T_{ell} needs precision >= {ell * max_pivot}")
-    cols = []
-    for row in basis.rows:
-        img = []
-        for n in range(1, prec + 1):
-            c = row.coefficient(ell * n)
-            if n % ell == 0 and level % ell != 0:
-                c += ell ** (k - 1) * row.coefficient(n // ell)
-            img.append(c)
-        cols.append(basis.coordinates(QExpansion(tuple(img), k, level)))
+    cols = [
+        basis.coordinates(QExpansion(tuple(_coefficient_image(row, ell)), basis.weight, basis.level))
+        for row in basis.rows
+    ]
     d = basis.dimension
     mat = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
     return OperatorMatrix(f"T_{ell}", mat)
@@ -238,8 +267,10 @@ def atkin_lehner(split: OldNewSplit) -> OperatorMatrix:
     """W_p on ambient coordinates, assembled blockwise from the split.
 
     Aborts with AssemblyError("Atkin-Lehner assembly failed") if U_p mixes
-    the old and new blocks or the result is not an exact involution; either
-    would signal a wrong split.
+    the old and new blocks, or if W_p does not commute with T_ell for the
+    least prime ell not dividing pN (T_ell taken from the symbols like
+    U_p); either would signal a wrong split.  W_p^2 = 1 is not checked
+    here: it holds by construction of the blocks.
     """
     k, p = split.weight, split.prime
     d = split.ambient.dimension
@@ -273,8 +304,11 @@ def atkin_lehner(split: OldNewSplit) -> OperatorMatrix:
             w_block[i][j] = scale * u_in_block[i][j]
 
     w = mat_mul(cob, mat_mul(w_block, cob_inv))
-    if mat_mul(w, w) != identity(d):
-        raise AssemblyError("Atkin-Lehner assembly failed")
+    level = split.ambient.level
+    ell = next(q for q in count(2) if is_prime(q) and level % q != 0)
+    t = [list(r) for r in _symbol_operator(split.ambient, ell, f"T_{ell}").matrix]
+    if mat_mul(w, t) != mat_mul(t, w):
+        raise AssemblyError(f"Atkin-Lehner assembly failed: W_{p} does not commute with T_{ell}")
     return OperatorMatrix(f"W_{p}", tuple(tuple(row) for row in w))
 
 
@@ -332,9 +366,11 @@ class OperatorStack:
 
 
 def required_ambient_precision(level: int, weight: int, p: int) -> int:
-    """Operator work needs U_p images pinned in echelon coordinates:
-    precision p * (valence bound of S_k(pN) + 1)."""
-    return p * (valence_bound(p * level, weight) + 1)
+    """The Sturm bound of S_k(pN).  U_p comes from the symbols, so no
+    coefficient beyond the basis is read, and by Sturm's theorem the first
+    sturm_bound(pN, k) coefficients fix the pivots and every p-adic
+    valuation the stack reports."""
+    return sturm_bound(p * level, weight)
 
 
 @lru_cache(maxsize=16)

@@ -3,6 +3,7 @@ Gamma_0(N) and integral echelon q-expansion bases of S_k(Gamma_0(N))."""
 
 from .basis import (
     SpaceBasis,
+    hecke_matrix_from_symbols,
     hecke_operator_cuspidal,
     hecke_stability_certificate,
     qexpansion_basis,
@@ -16,6 +17,7 @@ __all__ = [
     "SpaceBasis",
     "build_presentation",
     "hecke_cosets",
+    "hecke_matrix_from_symbols",
     "hecke_operator_cuspidal",
     "hecke_stability_certificate",
     "p1_enumerate",

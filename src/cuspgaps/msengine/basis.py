@@ -10,6 +10,11 @@ coordinates that determine a cuspidal vector.  Accumulating the series
 until their rank equals d = dim S_k and echelonizing yields the canonical
 integral basis with strictly increasing pivots; a rank certificate, the
 pivot/valence check and a Hecke stability certificate guard the result.
+
+The same series carry any T_n to the echelon basis: the Hecke algebra is
+commutative, so T_n f_(x,i) = f_(T_n x, i), whose m-th coefficient is
+(T_n T_m x)_i.  Only the first `precision` coefficients of each series are
+ever needed, so no operator asks for more than the basis already has.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from functools import lru_cache
 
 from ..errors import EngineError, NotInSpanError
 from ..invariants import sturm_bound, valence_bound
-from ..linalg import Echelonizer, make_primitive
+from ..linalg import Echelonizer, make_primitive, mat_mul
 from ..qexp import QExpansion
 from .presentation import MSPresentation, build_presentation, hecke_cosets
 
@@ -112,11 +117,31 @@ def _cuspidal_elements(pres: MSPresentation):
         yield _combination(pres, make_primitive(vec))
 
 
-def _series_block(pres: MSPresentation, x: dict, precision: int, coords) -> list[list]:
-    """The series n -> (T_n x)_i for n = 1..precision, one per coordinate i,
-    sharing one Hecke image per n."""
-    images = [_hecke_image_quotient(pres, x, n) for n in range(1, precision + 1)]
-    return [[img[i] for img in images] for i in coords]
+def _independent_series(pres: MSPresentation, ech: Echelonizer) -> list[tuple[list, list[int]]]:
+    """Add the series m -> (T_m x)_i for m = 1..ech.width to ech until its
+    rank is d = dim S_k, x running over the cuspidal elements and i over
+    cuspidal_functionals.  Returns, for each x used, its Hecke images T_m x
+    and the positions (among the chosen coordinates) of the series that
+    raised the rank."""
+    d = pres.cuspidal_dimension
+    coords = cuspidal_functionals(pres)
+    used = []
+    for x in _cuspidal_elements(pres):
+        images = [_hecke_image_quotient(pres, x, m) for m in range(1, ech.width + 1)]
+        raised = []
+        for r, i in enumerate(coords):
+            if ech.add([w[i] for w in images]) is not None:
+                raised.append(r)
+                if ech.rank == d:
+                    break
+        if raised:
+            used.append((images, raised))
+        if ech.rank == d:
+            return used
+    raise EngineError(
+        f"series rank stalled at {ech.rank} < {d} for ({pres.level}, {pres.weight}); "
+        "this indicates an engine bug"
+    )
 
 
 @lru_cache(maxsize=64)
@@ -127,21 +152,10 @@ def qexpansion_basis(level: int, weight: int, precision: int) -> SpaceBasis:
     if precision < bound:
         raise ValueError(f"precision {precision} is below the Sturm bound {bound}")
     pres = build_presentation(level, weight)
-    d = pres.cuspidal_dimension
-    if d == 0:
+    if pres.cuspidal_dimension == 0:
         return SpaceBasis(level, weight, precision, (), ())
-    coords = cuspidal_functionals(pres)
     ech = Echelonizer(precision)
-    series = (row for x in _cuspidal_elements(pres) for row in _series_block(pres, x, precision, coords))
-    for row in series:
-        ech.add(row)
-        if ech.rank == d:
-            break
-    if ech.rank != d:
-        raise EngineError(
-            f"series rank stalled at {ech.rank} < {d} for ({level}, {weight}); "
-            "this indicates an engine bug"
-        )
+    _independent_series(pres, ech)
     rows = []
     pivots = []
     for reduced in ech.reduced_rows():
@@ -199,12 +213,65 @@ def hecke_operator_cuspidal(level: int, weight: int, n: int) -> list[list[Fracti
     the presentation's cuspidal kernel vectors)."""
     pres = build_presentation(level, weight)
     solver = _cuspidal_solver(level, weight)
-    cols = [solver(_hecke_image_quotient(pres, _combination(pres, v), n)) for v in pres.cuspidal_basis]
+    cols = [solver(w) for w in _cuspidal_images(pres, n)]
     d = pres.cuspidal_dimension
     return [[cols[j][i] for j in range(d)] for i in range(d)]
 
 
-@lru_cache(maxsize=None)
+def _cuspidal_images(pres: MSPresentation, n: int) -> list[list[Fraction]]:
+    """T_n of each cuspidal basis vector, in generator coordinates."""
+    return [_hecke_image_quotient(pres, _combination(pres, v), n) for v in pres.cuspidal_basis]
+
+
+def hecke_matrix_from_symbols(basis: SpaceBasis, n: int) -> list[list[Fraction]]:
+    """T_n on the coordinates of an echelon basis of S_k(Gamma_0(N)),
+    transported from the modular symbols at the basis's own precision.
+
+    A series f(m) = (T_m x)_i of a cuspidal x has T_n f(m) = (T_n T_m x)_i.
+    With T_m x = sum_j y_j v_j solved over the cuspidal basis vectors v_j,
+    that is sum_j y_j (T_n v_j)_i, so T_n is applied only to the d basis
+    vectors.  `coordinates` certifies that each T_n f lies in the span on
+    every known coefficient, and T_n = (T_n f coordinates)
+    (f coordinates)^-1 over the independent series of _series_frame.
+    """
+    level, weight = basis.level, basis.weight
+    if basis.dimension == 0:
+        return []
+    series, f_inverse = _series_frame(basis)
+    pres = build_presentation(level, weight)
+    images = _cuspidal_images(pres, n)
+    moved = [[w[i] for w in images] for i in cuspidal_functionals(pres)]
+    tf_cols = []
+    for r, solved in series:
+        tf = [sum(a * y for a, y in zip(moved[r], ys)) for ys in solved]
+        tf_cols.append(basis.coordinates(QExpansion(tuple(tf), weight, level)))
+    return mat_mul(list(zip(*tf_cols)), f_inverse)
+
+
+@lru_cache(maxsize=16)
+def _series_frame(basis: SpaceBasis):
+    """The independent series f(m) = (T_m x)_i that qexpansion_basis
+    collects, each as (position of i among the chosen coordinates, the
+    solved images T_m x for m = 1..precision), and the inverse of the
+    matrix whose columns are their coordinates in the basis.  Every
+    operator transported to the basis shares them."""
+    from ..linalg import mat_inverse
+
+    level, weight = basis.level, basis.weight
+    pres = build_presentation(level, weight)
+    solve = _cuspidal_solver(level, weight)
+    coords = cuspidal_functionals(pres)
+    series, f_cols = [], []
+    for images, raised in _independent_series(pres, Echelonizer(basis.precision)):
+        solved = [solve(w) for w in images]
+        for r in raised:
+            series.append((r, solved))
+            f = QExpansion(tuple(w[coords[r]] for w in images), weight, level)
+            f_cols.append(basis.coordinates(f))
+    return series, mat_inverse(list(zip(*f_cols)))
+
+
+@lru_cache(maxsize=64)
 def _cuspidal_solver(level: int, weight: int):
     """Returns a function solving C y = w for w in the cuspidal subspace,
     where C's columns are the cuspidal basis vectors."""

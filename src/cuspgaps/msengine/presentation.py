@@ -311,7 +311,7 @@ def hecke_cosets(n: int, level: int) -> list[tuple[int, int, int]]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def build_presentation(level: int, weight: int) -> MSPresentation:
     """Cached presentation of the plus quotient for (N, k)."""
     return MSPresentation(level, weight)

@@ -127,6 +127,13 @@ def test_criterion_4_operator_suite_extended():
 
 
 @pytest.mark.slow
+@pytest.mark.extended
+def test_criterion_4_operator_suite_heavy():
+    detail = _operator_identity_suite(2, 12, 23)
+    _report("4c (extended)", True, detail)
+
+
+@pytest.mark.slow
 def test_criterion_5_oracle_equivalence():
     for k in (12, 16, 18, 20, 22, 26, 28):
         engine = qexpansion_basis(1, k, 100)

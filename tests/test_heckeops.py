@@ -1,5 +1,6 @@
 """U_p, V_p, old/new splits, Atkin-Lehner, trace, the subspace S, and v_p."""
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -12,18 +13,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cuspgaps
+from cuspgaps import heckeops
+from cuspgaps.errors import AssemblyError, EngineError
 from cuspgaps.heckeops import (
     apply_Up,
     apply_Vp,
+    atkin_lehner,
     build_operator_stack,
     coefficient_valuation,
     hecke_matrix_on_basis,
     normalize_p,
     old_new_split,
+    required_ambient_precision,
     up_matrix,
 )
+from cuspgaps.invariants import sturm_bound, valence_bound
 from cuspgaps.linalg import Echelonizer, identity, mat_mul, rank
-from cuspgaps.msengine import qexpansion_basis
+from cuspgaps.msengine import hecke_matrix_from_symbols, qexpansion_basis
 from cuspgaps.oracles import delta_expansion
 from cuspgaps.qexp import QExpansion
 
@@ -250,7 +256,79 @@ def test_old_new_split_requires_matching_ambient():
         old_new_split(1, 12, 7, basis)  # ambient is for p = 5, not 7
 
 
-def test_up_matrix_precision_guard():
-    basis = qexpansion_basis(5, 12, 13)
+# -- U_p and T_ell from the symbols, at Sturm precision --------------------------------
+
+def _long_basis(level, weight, p):
+    """The ambient basis at p*(valence + 1), where every U_p image is pinned
+    by its own coefficients a_(pn)."""
+    return qexpansion_basis(p * level, weight, p * (valence_bound(p * level, weight) + 1))
+
+
+def _coefficient_side_up(level, weight, p):
+    big = _long_basis(level, weight, p)
+    cols = [big.coordinates(apply_Up(row, p)) for row in big.rows]
+    return tuple(tuple(col[i] for col in cols) for i in range(big.dimension))
+
+
+def test_up_matrix_from_symbols_matches_coefficient_side():
+    """(2, 4, 7) takes its series from pres.cuspidal_basis vectors."""
+    for level, weight, p in [(1, 12, 5), (2, 4, 7), (1, 24, 5), (3, 6, 5), (1, 12, 13)]:
+        sturm = qexpansion_basis(p * level, weight, required_ambient_precision(level, weight, p))
+        assert sturm.precision == sturm_bound(p * level, weight)
+        assert up_matrix(sturm, p).matrix == _coefficient_side_up(level, weight, p), (level, weight, p)
+
+
+@pytest.mark.parametrize("level,weight", [(5, 12), (14, 4), (11, 2)])
+def test_symbol_hecke_matrix_matches_coefficient_side(level, weight):
+    small = qexpansion_basis(level, weight, sturm_bound(level, weight))
+    big = qexpansion_basis(level, weight, 4 * (valence_bound(level, weight) + 1))
+    for ell in (2, 3):
+        want = [list(r) for r in hecke_matrix_on_basis(big, ell).matrix]
+        assert hecke_matrix_from_symbols(small, ell) == want
+
+
+def test_up_matrix_cross_check_catches_a_wrong_transport(monkeypatch):
+    ambient = qexpansion_basis(5, 12, sturm_bound(5, 12))
+    true = hecke_matrix_from_symbols(ambient, 5)
+    monkeypatch.setattr(heckeops, "hecke_matrix_from_symbols",
+                        lambda basis, n: [[2 * x for x in row] for row in true])
+    with pytest.raises(EngineError):
+        up_matrix(ambient, 5)
+
+
+def test_up_matrix_needs_p_dividing_the_level():
     with pytest.raises(ValueError):
-        up_matrix(basis, 5)  # needs 5 * (5 + 1) = 30
+        up_matrix(qexpansion_basis(5, 12, 7), 7)
+
+
+@pytest.mark.parametrize("level,weight,p", [(1, 12, 5), (2, 4, 7), (1, 24, 5)])
+def test_sturm_precision_fixes_valuations_and_pivots(level, weight, p):
+    """v_p of every S form and of its W_p image, and the echelon pivots of S,
+    read the same at the Sturm bound as over p*(valence + 1) coefficients."""
+    stack = build_operator_stack(level, weight, p)
+    big = _long_basis(level, weight, p)
+    assert big.precision > stack.ambient.precision
+    for v in stack.s_basis:
+        w_v = stack.atkin_lehner.apply(v)
+        for coords in (v, w_v):
+            short = stack.ambient.linear_combination(coords)
+            long = big.linear_combination(coords)
+            assert coefficient_valuation(short, p) == coefficient_valuation(long, p)
+    pivots = []
+    for basis in (stack.ambient, big):
+        ech = Echelonizer(basis.precision)
+        for v in stack.s_basis:
+            ech.add(list(basis.linear_combination(v).coeffs))
+        pivots.append(ech.pivots())
+    assert pivots[0] == pivots[1]
+
+
+def test_atkin_lehner_rejects_mismatched_old_pairs():
+    """Pairing g_1 with V_p g_2 and g_2 with V_p g_1 keeps the old span, so
+    U_p still respects old/new and the assembled W_p is still an
+    involution, but it no longer commutes with T_2."""
+    split = build_operator_stack(1, 24, 5).split
+    (g1, vg1), (g2, vg2) = split.old_pairs
+    crossed = dataclasses.replace(split, old_pairs=((g1, vg2), (g2, vg1)))
+    with pytest.raises(AssemblyError, match="does not commute with T_2"):
+        atkin_lehner(crossed)
