@@ -72,10 +72,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def prime_divisors(n: int) -> list[int]:
-    return [p for p, _ in factorize(n)]
-
-
 def divisors(n: int) -> list[int]:
     out = [1]
     for p, e in factorize(n):

@@ -108,16 +108,6 @@ class VerificationReport:
         }
 
 
-def _echelon_pivots_of_expansions(forms) -> list[int]:
-    if not forms:
-        return []
-    width = min(f.precision for f in forms)
-    ech = Echelonizer(width)
-    for f in forms:
-        ech.add(list(f.coeffs[:width]))
-    return [c + 1 for c in ech.pivots()]
-
-
 def verify_order_bound(level: int, weight: int, p: int) -> VerificationReport:
     """Certify the order bound on a basis of the subspace S inside
     S_k(pN): after clearing denominators each basis form satisfies
@@ -150,8 +140,12 @@ def verify_order_bound(level: int, weight: int, p: int) -> VerificationReport:
             {"valuations": [str(v) for v in hyp], "required_at_least": need},
         )
     )
-    s_pivots = _echelon_pivots_of_expansions(forms)
-    max_ord = max(s_pivots) if s_pivots else 0
+    # one echelon of S gives its pivots here and, with the gap rows added
+    # below, the rank of S + W_k(pN)
+    ech = Echelonizer(min(f.precision for f in forms) if forms else 1)
+    for f in forms:
+        ech.add(list(f.coeffs[: ech.width]))
+    max_ord = max((c + 1 for c in ech.pivots()), default=0)
     checks.append(
         Check(
             "order_bound",
@@ -168,13 +162,8 @@ def verify_order_bound(level: int, weight: int, p: int) -> VerificationReport:
     )
     # S and the gap space intersect trivially: their echelon ranks add up
     gap_rows = [row for row, c in zip(stack.ambient.rows, stack.ambient.pivots) if c > dim_pn]
-    ech = Echelonizer(min(f.precision for f in forms) if forms else 1)
-    for f in forms:
-        ech.add(list(f.coeffs[: ech.width]))
-    joint = ech.rank
     for g in gap_rows:
-        if ech.add(list(g.coeffs[: ech.width])) is not None:
-            joint += 1
+        ech.add(list(g.coeffs[: ech.width]))
     checks.append(
         Check(
             "s_meets_gap_space_trivially",

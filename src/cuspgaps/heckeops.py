@@ -3,18 +3,20 @@
 V_p acts coefficientwise.  U_p is computed once per stack, as a matrix on
 the ambient echelon basis, and it is read off the modular symbols: at
 level pN, T_p is U_p, and the series map of msengine.basis carries it to
-the echelon basis (hecke_matrix_from_symbols).  So the ambient basis is
-needed only to the Sturm bound of S_k(pN), which by Sturm's theorem also
-fixes every pivot and p-adic valuation the stack reports; U_p is
-cross-checked against a_n(U_p f) = a_(pn)(f) on the coefficients that are
-known.
+the echelon basis (hecke_matrix_from_symbols), over the series pass that
+built the basis.  So the ambient basis is needed only to the Sturm bound
+of S_k(pN), which by Sturm's theorem also fixes every pivot and p-adic
+valuation the stack reports; U_p is cross-checked against
+a_n(U_p f) = a_(pn)(f) on the coefficients that are known, by the one
+coefficient-side Hecke rule (msengine.coefficient_image).
 
 The old/new split reads the p-new block off U_p: on p-new forms
 U_p = -p^(k/2-1) w_p, so U_p^2 = p^(k-2) there, while on an old pair
 {g, V_p g} the roots of U_p have absolute value p^((k-1)/2) by Deligne's
 bound, so U_p^2 - p^(k-2) is invertible on the old span.  The p-new block
-is therefore exactly ker(U_p^2 - p^(k-2)).  The split certifies that the
-oldform vectors are independent, that the kernel has dimension
+is therefore exactly ker(U_p^2 - p^(k-2)).  The split builds the level-N
+basis itself and certifies that the oldform vectors are independent,
+that the kernel has dimension
 dim S_k(pN) - 2 dim S_k(N), and that old + new is a direct sum spanning
 S_k(pN).
 
@@ -53,7 +55,7 @@ from .linalg import (
     mat_vec,
     rank,
 )
-from .msengine import SpaceBasis, hecke_matrix_from_symbols, qexpansion_basis
+from .msengine import SpaceBasis, coefficient_image, hecke_matrix_from_symbols, qexpansion_basis
 from .qexp import QExpansion
 
 INFINITE_VALUATION = math.inf
@@ -131,19 +133,6 @@ class OperatorMatrix:
         return mat_vec(self.matrix, list(coords))
 
 
-def _coefficient_image(f: QExpansion, ell: int) -> list:
-    """a_n(T_ell f) for a prime ell, on the floor(B/ell) coefficients the
-    truncation determines: a_(ell n)(f) + [ell coprime to the level]
-    ell^(k-1) a_(n/ell)(f).  When ell divides the level this is U_ell."""
-    out = []
-    for n in range(1, f.precision // ell + 1):
-        c = f.coefficient(ell * n)
-        if n % ell == 0 and f.level % ell != 0:
-            c += ell ** (f.weight - 1) * f.coefficient(n // ell)
-        out.append(c)
-    return out
-
-
 def _symbol_operator(ambient: SpaceBasis, ell: int, label: str) -> OperatorMatrix:
     """T_ell (prime ell) on the ambient basis, transported from the modular
     symbols; cross-checked against the coefficient rule on the floor(B/ell)
@@ -151,7 +140,7 @@ def _symbol_operator(ambient: SpaceBasis, ell: int, label: str) -> OperatorMatri
     EngineError."""
     mat = hecke_matrix_from_symbols(ambient, ell)
     for j, row in enumerate(ambient.rows):
-        known = _coefficient_image(row, ell)
+        known = coefficient_image(row, ell)
         image = ambient.linear_combination([r[j] for r in mat])
         if list(image.coeffs[: len(known)]) != known:
             raise EngineError(f"{label} from symbols disagrees with the coefficients of basis row {j + 1}")
@@ -170,13 +159,13 @@ def up_matrix(ambient: SpaceBasis, p: int) -> OperatorMatrix:
 
 
 def hecke_matrix_on_basis(basis: SpaceBasis, ell: int) -> OperatorMatrix:
-    """T_ell (prime ell) on basis coordinates via the coefficient rule
-    a_n(T_ell f) = a_(ell n)(f) + [ell coprime to N] ell^(k-1) a_(n/ell)(f)."""
+    """T_ell on basis coordinates via the coefficient rule
+    (msengine.coefficient_image); the reference for the symbol side."""
     max_pivot = basis.pivots[-1] if basis.pivots else 0
     if basis.precision // ell < max_pivot:
         raise ValueError(f"T_{ell} needs precision >= {ell * max_pivot}")
     cols = [
-        basis.coordinates(QExpansion(tuple(_coefficient_image(row, ell)), basis.weight, basis.level))
+        basis.coordinates(QExpansion(tuple(coefficient_image(row, ell)), basis.weight, basis.level))
         for row in basis.rows
     ]
     d = basis.dimension
@@ -210,8 +199,7 @@ class OldNewSplit:
         return len(self.new_vectors)
 
 
-def old_new_split(level: int, weight: int, p: int, ambient: SpaceBasis,
-                  lower: SpaceBasis | None = None) -> OldNewSplit:
+def old_new_split(level: int, weight: int, p: int, ambient: SpaceBasis) -> OldNewSplit:
     """Split S_k(pN) into the old span {g, V_p g} and the p-new block
     ker(U_p^2 - p^(k-2)).
 
@@ -221,6 +209,9 @@ def old_new_split(level: int, weight: int, p: int, ambient: SpaceBasis,
     certificates are checked here and raise EngineError: the oldform
     vectors are independent, the kernel has dimension dim S_k(pN) -
     2 dim S_k(N), and old + new is a direct sum spanning the ambient space.
+    The level-N basis is built here, to max(sturm_bound(N, k) + 10,
+    c_max + 1) coefficients, where c_max is the last ambient pivot: taking
+    ambient coordinates needs every pivot.
     """
     check_level(level)
     check_weight(weight)
@@ -229,8 +220,7 @@ def old_new_split(level: int, weight: int, p: int, ambient: SpaceBasis,
     if big.level != p * level or big.weight != weight:
         raise ValueError("ambient basis does not match (p*N, k)")
     c_max = big.pivots[-1] if big.pivots else 0
-    if lower is None:
-        lower = qexpansion_basis(level, weight, max(sturm_bound(level, weight), c_max + 1))
+    lower = qexpansion_basis(level, weight, max(sturm_bound(level, weight) + 10, c_max + 1))
     dim_pn = big.dimension
 
     old_pairs = []
@@ -380,13 +370,9 @@ def build_operator_stack(level: int, weight: int, p: int) -> OperatorStack:
     check_level(level)
     check_weight(weight)
     check_odd_prime(level, p)
-    pn = p * level
-    b_amb = required_ambient_precision(level, weight, p)
-    ambient = qexpansion_basis(pn, weight, b_amb)
-    c_max = ambient.pivots[-1] if ambient.pivots else 0
-    b_low = max(sturm_bound(level, weight) + 10, c_max + 1)
-    lower = qexpansion_basis(level, weight, b_low)
-    split = old_new_split(level, weight, p, ambient, lower)
+    ambient = qexpansion_basis(p * level, weight, required_ambient_precision(level, weight, p))
+    split = old_new_split(level, weight, p, ambient)
+    lower = split.lower
     w = atkin_lehner(split)
     tr = trace_matrix(split, w)
     s_vecs = subspace_s_basis(split, w)
@@ -394,10 +380,8 @@ def build_operator_stack(level: int, weight: int, p: int) -> OperatorStack:
     # exact sanity identities
     d = ambient.dimension
     if d:
-        # U_p V_p = 1 on the lower basis, and Tr(g) = (p+1) g
+        # Tr(g) = (p+1) g on the lower basis
         for g in lower.rows:
-            if not apply_Up(apply_Vp(g, p), p).agrees_with(g):
-                raise EngineError("U_p V_p != identity")
             coords = ambient.coordinates(g)
             traced = tr.apply(coords)
             if list(traced) != [(p + 1) * c for c in coords]:

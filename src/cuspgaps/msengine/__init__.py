@@ -3,6 +3,7 @@ Gamma_0(N) and integral echelon q-expansion bases of S_k(Gamma_0(N))."""
 
 from .basis import (
     SpaceBasis,
+    coefficient_image,
     hecke_matrix_from_symbols,
     hecke_operator_cuspidal,
     hecke_stability_certificate,
@@ -16,6 +17,7 @@ __all__ = [
     "MSPresentation",
     "SpaceBasis",
     "build_presentation",
+    "coefficient_image",
     "hecke_cosets",
     "hecke_matrix_from_symbols",
     "hecke_operator_cuspidal",

@@ -14,7 +14,13 @@ pivot/valence check and a Hecke stability certificate guard the result.
 The same series carry any T_n to the echelon basis: the Hecke algebra is
 commutative, so T_n f_(x,i) = f_(T_n x, i), whose m-th coefficient is
 (T_n T_m x)_i.  Only the first `precision` coefficients of each series are
-ever needed, so no operator asks for more than the basis already has.
+ever needed, so no operator asks for more than the basis already has.  The
+series pass (_independent_series) runs once per (level, weight,
+precision), and the basis and the transport both read it.
+
+The coefficient-side Hecke rule a_n(T_m f), for any m, is here too
+(coefficient_image): the stability certificate uses it, and so do the
+operator stack's cross-checks and its reference operator.
 """
 
 from __future__ import annotations
@@ -22,7 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
+from ..arith import divisors
 from ..errors import EngineError, NotInSpanError
 from ..invariants import sturm_bound, valence_bound
 from ..linalg import Echelonizer, make_primitive, mat_mul
@@ -117,17 +125,22 @@ def _cuspidal_elements(pres: MSPresentation):
         yield _combination(pres, make_primitive(vec))
 
 
-def _independent_series(pres: MSPresentation, ech: Echelonizer) -> list[tuple[list, list[int]]]:
-    """Add the series m -> (T_m x)_i for m = 1..ech.width to ech until its
-    rank is d = dim S_k, x running over the cuspidal elements and i over
-    cuspidal_functionals.  Returns, for each x used, its Hecke images T_m x
+@lru_cache(maxsize=16)
+def _independent_series(level: int, weight: int, precision: int):
+    """The one series pass of a space: add the series m -> (T_m x)_i for
+    m = 1..precision to an echelon until its rank is d = dim S_k, x running
+    over the cuspidal elements and i over cuspidal_functionals.  Returns
+    the reduced echelon rows and, for each x used, its Hecke images T_m x
     and the positions (among the chosen coordinates) of the series that
-    raised the rank."""
+    raised the rank.  qexpansion_basis reads the rows, _series_frame the
+    images."""
+    pres = build_presentation(level, weight)
     d = pres.cuspidal_dimension
     coords = cuspidal_functionals(pres)
+    ech = Echelonizer(precision)
     used = []
     for x in _cuspidal_elements(pres):
-        images = [_hecke_image_quotient(pres, x, m) for m in range(1, ech.width + 1)]
+        images = [_hecke_image_quotient(pres, x, m) for m in range(1, precision + 1)]
         raised = []
         for r, i in enumerate(coords):
             if ech.add([w[i] for w in images]) is not None:
@@ -137,9 +150,9 @@ def _independent_series(pres: MSPresentation, ech: Echelonizer) -> list[tuple[li
         if raised:
             used.append((images, raised))
         if ech.rank == d:
-            return used
+            return ech.reduced_rows(), used
     raise EngineError(
-        f"series rank stalled at {ech.rank} < {d} for ({pres.level}, {pres.weight}); "
+        f"series rank stalled at {ech.rank} < {d} for ({level}, {weight}); "
         "this indicates an engine bug"
     )
 
@@ -151,14 +164,11 @@ def qexpansion_basis(level: int, weight: int, precision: int) -> SpaceBasis:
     bound = sturm_bound(level, weight)
     if precision < bound:
         raise ValueError(f"precision {precision} is below the Sturm bound {bound}")
-    pres = build_presentation(level, weight)
-    if pres.cuspidal_dimension == 0:
+    if build_presentation(level, weight).cuspidal_dimension == 0:
         return SpaceBasis(level, weight, precision, (), ())
-    ech = Echelonizer(precision)
-    _independent_series(pres, ech)
     rows = []
     pivots = []
-    for reduced in ech.reduced_rows():
+    for reduced in _independent_series(level, weight, precision)[0]:
         ints = make_primitive(reduced)
         pivot = next(i for i, x in enumerate(ints) if x) + 1
         pivots.append(pivot)
@@ -173,20 +183,31 @@ def qexpansion_basis(level: int, weight: int, precision: int) -> SpaceBasis:
     return basis
 
 
-def hecke_stability_certificate(basis: SpaceBasis, through: int = 5) -> None:
-    """Certify that the spanned coefficient space is stable under the
-    coefficient-side Hecke rule
+def coefficient_image(f: QExpansion, m: int) -> list:
+    """a_n(T_m f) for n = 1..floor(B/m), the coefficients the truncation
+    determines, by the coefficient-side Hecke rule
 
         a_n(T_m f) = sum over e | gcd(n, m), gcd(e, N) = 1 of
-                     e^(k-1) a_(n m / e^2)(f)
+                     e^(k-1) a_(n m / e^2)(f).
 
-    for 2 <= m <= through.  Raises EngineError on failure."""
+    For a prime m dividing the level this is U_m."""
+    return [
+        sum(
+            e ** (f.weight - 1) * f.coefficient(n * m // (e * e))
+            for e in divisors(gcd(n, m))
+            if gcd(e, f.level) == 1
+        )
+        for n in range(1, f.precision // m + 1)
+    ]
+
+
+def hecke_stability_certificate(basis: SpaceBasis) -> None:
+    """Certify that the spanned coefficient space is stable under the
+    coefficient-side Hecke rule (coefficient_image) for T_2, ..., T_5.
+    Raises EngineError on failure."""
     if not basis.rows:
         return
-    from math import gcd
-
-    k, n_level = basis.weight, basis.level
-    for m in range(2, through + 1):
+    for m in range(2, 6):
         prec = basis.precision // m
         if prec < 1:
             continue
@@ -194,14 +215,7 @@ def hecke_stability_certificate(basis: SpaceBasis, through: int = 5) -> None:
         for row in basis.rows:
             ech.add(list(row.coeffs[:prec]))
         for row in basis.rows:
-            image = []
-            for n in range(1, prec + 1):
-                total = 0
-                for e in range(1, gcd(n, m) + 1):
-                    if n % e == 0 and m % e == 0 and gcd(e, n_level) == 1:
-                        total += e ** (k - 1) * row.coefficient(n * m // (e * e))
-                image.append(total)
-            if not ech.contains(image):
+            if not ech.contains(coefficient_image(row, m)):
                 raise EngineError(
                     f"Hecke stability certificate failed for T_{m} at "
                     f"({basis.level}, {basis.weight})"
@@ -250,19 +264,18 @@ def hecke_matrix_from_symbols(basis: SpaceBasis, n: int) -> list[list[Fraction]]
 
 @lru_cache(maxsize=16)
 def _series_frame(basis: SpaceBasis):
-    """The independent series f(m) = (T_m x)_i that qexpansion_basis
-    collects, each as (position of i among the chosen coordinates, the
-    solved images T_m x for m = 1..precision), and the inverse of the
-    matrix whose columns are their coordinates in the basis.  Every
-    operator transported to the basis shares them."""
+    """The independent series f(m) = (T_m x)_i of the basis's own series
+    pass (_independent_series), each as (position of i among the chosen
+    coordinates, the solved images T_m x for m = 1..precision), and the
+    inverse of the matrix whose columns are their coordinates in the
+    basis.  Every operator transported to the basis shares them."""
     from ..linalg import mat_inverse
 
     level, weight = basis.level, basis.weight
-    pres = build_presentation(level, weight)
     solve = _cuspidal_solver(level, weight)
-    coords = cuspidal_functionals(pres)
+    coords = cuspidal_functionals(build_presentation(level, weight))
     series, f_cols = [], []
-    for images, raised in _independent_series(pres, Echelonizer(basis.precision)):
+    for images, raised in _independent_series(level, weight, basis.precision)[1]:
         solved = [solve(w) for w in images]
         for r in raised:
             series.append((r, solved))

@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import divisors
-from .linalg import rref
+from .linalg import make_primitive, rref
 from .qexp import QExpansion
 
 
@@ -170,17 +170,5 @@ def victor_miller_basis(weight: int, prec: int) -> list[QExpansion]:
         if b:
             series = series_mul(series, series_pow(e6, b, prec + 1), prec + 1)
         rows.append(series[1 : prec + 1])
-    reduced, pivots = rref(rows)
-    basis = []
-    for row in reduced:
-        den = 1
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        ints = [int(x * den) for x in row]
-        g = 0
-        for x in ints:
-            g = math.gcd(g, abs(x))
-        if g > 1:
-            ints = [x // g for x in ints]
-        basis.append(QExpansion(tuple(ints), weight, 1))
-    return basis
+    reduced, _ = rref(rows)
+    return [QExpansion(tuple(make_primitive(row)), weight, 1) for row in reduced]

@@ -65,7 +65,3 @@ class QExpansion:
                 raise ValueError("comparison bound exceeds known precision")
             b = upto
         return all(Fraction(x) == Fraction(y) for x, y in zip(self.coeffs[:b], other.coeffs[:b]))
-
-
-def from_coefficient_list(coeffs, weight: int, level: int) -> QExpansion:
-    return QExpansion(tuple(coeffs), weight, level)

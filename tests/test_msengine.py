@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from cuspgaps.invariants import cusp_dim, sturm_bound, valence_bound
 from cuspgaps.msengine import (
     build_presentation,
+    coefficient_image,
     hecke_cosets,
+    hecke_matrix_from_symbols,
     hecke_operator_cuspidal,
     p1_enumerate,
     p1_space,
@@ -199,6 +201,29 @@ def test_symbol_hecke_trace_matches_coefficient_side(level, weight, ell):
     assert sum(symbols[i][i] for i in range(len(symbols))) == sum(
         coefficients[i][i] for i in range(len(coefficients))
     )
+
+
+@pytest.mark.parametrize("level,weight", [(13, 12), (14, 4)])
+def test_transport_reuses_the_series_pass(level, weight, monkeypatch):
+    """T_n is carried to a basis over the series pass that built it, so the
+    only new Hecke images are T_n of the d cuspidal basis vectors."""
+    from cuspgaps.msengine import basis as basis_mod
+
+    basis_mod._series_frame.cache_clear()
+    b = qexpansion_basis.__wrapped__(level, weight, sturm_bound(level, weight))
+    calls = []
+    real = basis_mod._hecke_image_quotient
+    monkeypatch.setattr(basis_mod, "_hecke_image_quotient", lambda *a: calls.append(a) or real(*a))
+    hecke_matrix_from_symbols(b, 2)
+    assert len(calls) == b.dimension == cusp_dim(level, weight)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+def test_coefficient_image_on_delta(m):
+    """Delta is a normalised eigenform, so a_n(T_m Delta) = tau(m) tau(n);
+    composite m exercises the sum over e | gcd(n, m)."""
+    image = coefficient_image(delta_expansion(60), m)
+    assert image == [tau(m) * tau(n) for n in range(1, 60 // m + 1)]
 
 
 def test_basis_rejects_low_precision():
