@@ -97,20 +97,25 @@ def read_basis(path: str | Path) -> SpaceBasis:
 def find_cached(directory: str | Path, level: int, weight: int, min_precision: int) -> SpaceBasis | None:
     """Best cached basis for (N, k) with precision >= min_precision,
     truncated to exactly min_precision (truncation of the canonical basis
-    is the canonical basis at the lower precision)."""
+    is the canonical basis at the lower precision).  The file is chosen by
+    the precision in its name, and only that file is read."""
     directory = Path(directory)
     if not directory.is_dir():
         return None
-    best: SpaceBasis | None = None
-    for path in sorted(directory.glob(f"basis_N{level}_k{weight}_B*.mfb")):
+    candidates = []
+    for path in directory.glob(f"basis_N{level}_k{weight}_B*.mfb"):
         try:
             precision = int(path.stem.rsplit("_B", 1)[1])
         except (IndexError, ValueError):
             continue
-        if precision >= min_precision and (best is None or precision < best.precision):
-            best = read_basis(path)
-    if best is None:
+        if precision >= min_precision:
+            candidates.append((precision, path))
+    if not candidates:
         return None
+    precision, path = min(candidates)
+    best = read_basis(path)
+    if (best.level, best.weight, best.precision) != (level, weight, precision):
+        raise EngineError(f"cache header of {path} does not match its name")
     if best.precision == min_precision:
         return best
     rows = tuple(QExpansion(r.coeffs[:min_precision], weight, level) for r in best.rows)

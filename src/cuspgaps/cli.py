@@ -85,7 +85,7 @@ def cmd_scan(args) -> int:
 
 def cmd_basis(args) -> int:
     bound = inv.sturm_bound(args.level, args.weight)
-    precision = args.prec or bound + 10
+    precision = bound + 10 if args.prec is None else args.prec
     if precision < bound:
         raise ValueError(f"precision {precision} is below the Sturm bound {bound}")
     basis = _get_basis(args.level, args.weight, precision, _cache_dir(args))

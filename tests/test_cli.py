@@ -6,8 +6,9 @@ import os
 
 import pytest
 
-from cuspgaps.cache import find_cached, read_basis, write_basis
+from cuspgaps.cache import cache_filename, find_cached, read_basis, write_basis
 from cuspgaps.cli import main
+from cuspgaps.errors import EngineError
 from cuspgaps.msengine import qexpansion_basis
 
 
@@ -120,6 +121,30 @@ def test_find_cached_truncates(tmp_path):
     assert got is not None and got.precision == 20
     assert got.rows[0].coeffs == basis.rows[0].coeffs[:20]
     assert find_cached(tmp_path, 11, 2, 40) is None
+
+
+def test_find_cached_reads_only_the_file_it_returns(tmp_path, capsys):
+    """The least qualifying precision is picked from the file names, so a
+    corrupt B100 beside a good B40 is never read; the chosen file is."""
+    write_basis(qexpansion_basis(11, 2, 40), tmp_path)
+    (tmp_path / cache_filename(11, 2, 100)).write_text("garbage\n")
+    code, out, _ = run_cli(capsys, "basis", "11", "2", "--prec", "40", "--cache", str(tmp_path))
+    assert code == 0 and out.startswith("MFBASIS v1 11 2 40 1\n")
+    with pytest.raises(EngineError):
+        find_cached(tmp_path, 11, 2, 41)
+
+
+def test_find_cached_checks_the_header_against_the_name(tmp_path):
+    path = write_basis(qexpansion_basis(11, 2, 40), tmp_path)
+    path.rename(tmp_path / cache_filename(11, 2, 50))
+    with pytest.raises(EngineError, match="does not match its name"):
+        find_cached(tmp_path, 11, 2, 45)
+
+
+def test_basis_rejects_precision_zero(capsys):
+    code, out, err = run_cli(capsys, "basis", "11", "2", "--prec", "0")
+    assert code == 2 and out == ""
+    assert "below the Sturm bound" in err
 
 
 def test_basis_command_with_cache(tmp_path, capsys):

@@ -27,8 +27,8 @@ from cuspgaps.heckeops import (
     required_ambient_precision,
     up_matrix,
 )
-from cuspgaps.invariants import sturm_bound, valence_bound
-from cuspgaps.linalg import Echelonizer, identity, mat_mul, rank
+from cuspgaps.invariants import cusp_dim, sturm_bound, valence_bound
+from cuspgaps.linalg import Echelonizer, identity, mat_inverse, mat_mul, rank
 from cuspgaps.msengine import hecke_matrix_from_symbols, qexpansion_basis
 from cuspgaps.oracles import delta_expansion
 from cuspgaps.qexp import QExpansion
@@ -155,11 +155,22 @@ def test_trace_on_lower_forms(stack5):
     assert traced.level == 1
 
 
-def test_trace_rank_and_new_block(stack5):
-    tr = [list(r) for r in stack5.trace.matrix]
-    assert rank(tr) == 1  # dim S_12(1)
-    for v in stack5.split.new_vectors:
-        assert all(x == 0 for x in stack5.trace.apply(v))
+@pytest.mark.parametrize("level,weight,p", [(1, 12, 5), (1, 24, 5), (3, 6, 5), (2, 4, 7)])
+def test_trace_rank_and_new_block(level, weight, p):
+    """The identities the stack implies but no longer checks at run time:
+    rank Tr = dim S_k(N), Tr kills the new block, Tr = p + 1 on each old
+    pair, and W_p C = Z column by column."""
+    stack = build_operator_stack(level, weight, p)
+    split, tr, w = stack.split, stack.trace, stack.atkin_lehner
+    assert rank([list(r) for r in tr.matrix]) == cusp_dim(level, weight)
+    half = p ** (weight // 2)
+    for cg, cvg in split.old_pairs:
+        assert tr.apply(cg) == [(p + 1) * x for x in cg]
+        assert w.apply(cg) == [half * x for x in cvg]
+        assert w.apply(cvg) == [Fraction(x, half) for x in cg]
+    for v in split.new_vectors:
+        assert all(x == 0 for x in tr.apply(v))
+        assert w.apply(v) == [-Fraction(p, half) * x for x in stack.up.apply(v)]
 
 
 def test_kernel_of_trace_maps_onto_s(stack5):
@@ -332,3 +343,19 @@ def test_atkin_lehner_rejects_mismatched_old_pairs():
     crossed = dataclasses.replace(split, old_pairs=((g1, vg2), (g2, vg1)))
     with pytest.raises(AssemblyError, match="does not commute with T_2"):
         atkin_lehner(crossed)
+
+
+@pytest.mark.parametrize("perturb,message", [("new", "leaves the old span"), ("pair", "U_5 V_5 g != g")])
+def test_split_certifies_up_on_the_old_pairs(monkeypatch, perturb, message):
+    """At (1, 24, 5), with phi_1 and phi_2 the rows of C^-1 dual to g_1 and
+    V_p g_1: U_p + n phi_1 sends g_1 to U_p g_1 + n for a new vector n, and
+    U_p + g_1 phi_2 sends V_p g_1 to 2 g_1.  The split rejects both."""
+    split = build_operator_stack(1, 24, 5).split
+    (g1, vg1), (g2, vg2) = split.old_pairs
+    phi = mat_inverse([list(row) for row in zip(g1, vg1, g2, vg2, *split.new_vectors)])
+    col, row = (split.new_vectors[0], phi[0]) if perturb == "new" else (g1, phi[1])
+    u = split.up.matrix
+    wrong = tuple(tuple(x + c * y for x, y in zip(u_row, row)) for u_row, c in zip(u, col))
+    monkeypatch.setattr(heckeops, "up_matrix", lambda ambient, p: heckeops.OperatorMatrix("U_5", wrong))
+    with pytest.raises(EngineError, match=message):
+        old_new_split(1, 24, 5, split.ambient)
