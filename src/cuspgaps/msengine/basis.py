@@ -122,7 +122,7 @@ def _cuspidal_elements(pres: MSPresentation):
     for i in range(2, pres.degree, 2):
         yield {i * pres.n_p1 + origin: 1}
     for vec in pres.cuspidal_basis:
-        yield _combination(pres, make_primitive(vec))
+        yield _combination(pres, vec)
 
 
 @lru_cache(maxsize=16)
@@ -223,8 +223,8 @@ def hecke_stability_certificate(basis: SpaceBasis) -> None:
 
 
 def hecke_operator_cuspidal(level: int, weight: int, n: int) -> list[list[Fraction]]:
-    """Exact matrix of T_n on the cuspidal plus-subspace (in the basis of
-    the presentation's cuspidal kernel vectors)."""
+    """Exact matrix of T_n on the cuspidal plus-subspace, in the basis of
+    the presentation's primitive integer cuspidal vectors."""
     pres = build_presentation(level, weight)
     solver = _cuspidal_solver(level, weight)
     cols = [solver(w) for w in _cuspidal_images(pres, n)]

@@ -8,24 +8,30 @@ these symbols by the standard two-term and three-term relations
 
 together with the star identification x = x.iota (the plus quotient; the
 star involution acts by [P, (c:d)] -> (-1)^i [P, (-c:d)] for even weight).
-Two-term and star relations are absorbed into a signed union-find; the
-three-term relations are eliminated by exact integer echelon reduction.
-The cuspidal subspace is the kernel of the boundary map to cusp classes
-(cusps taken modulo Gamma_0(N) and negation, which is what the star
-quotient sees).  Its dimension must equal dim S_k(Gamma_0(N)); a mismatch
-raises EngineError since it would mean a presentation convention bug.
+Two-term and star relations are absorbed into a signed union-find, which
+lives only while the presentation is built: it leaves one fold table that
+sends each Manin symbol to (live column, sign), or to None if the symbol
+is zero.  The three-term relations are eliminated by exact integer echelon
+reduction; each pivot column is stored as an integer row over the free
+columns (the generators), scaled by one common denominator D.  Reducing a
+combination of symbols into the quotient therefore sums integers and
+divides by D once.  The cuspidal subspace is the kernel of the boundary
+map to cusp classes (cusps taken modulo Gamma_0(N) and negation, which is
+what the star quotient sees), kept as primitive integer vectors.  Its
+dimension must equal dim S_k(Gamma_0(N)); a mismatch raises EngineError
+since it would mean a presentation convention bug.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from ..arith import xgcd
 from ..errors import EngineError
 from ..invariants import check_level, check_weight, cusp_dim
-from ..linalg import Echelonizer, kernel_basis
+from ..linalg import Echelonizer, kernel_basis, make_primitive
 from .action import Mat2, act_path, expand_monomial, mat_adjugate, mat_det, mat_mul2
 from .p1 import p1_space
 
@@ -91,10 +97,7 @@ def _cusps_equivalent(p: tuple[int, int], q: tuple[int, int], level: int) -> boo
     u2, v2 = q
     s1 = xgcd(u1, v1)[1]
     s2 = xgcd(u2, v2)[1]
-    modulus = gcd(level, v1 * v2)
-    if modulus == 0:
-        modulus = level
-    return (s1 * v2 - s2 * v1) % modulus == 0
+    return (s1 * v2 - s2 * v1) % gcd(level, v1 * v2) == 0
 
 
 class MSPresentation:
@@ -112,7 +115,6 @@ class MSPresentation:
         self._lift_cache: list[Mat2 | None] = [None] * self.n_p1
         self._build_quotient()
         self._build_cuspidal()
-        self._coord_cache: dict[int, dict[int, Fraction]] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -150,42 +152,39 @@ class MSPresentation:
         live_roots = [r for r in roots if not uf.zero[r]]
         col_of_root = {r: idx for idx, r in enumerate(live_roots)}
         width = len(live_roots)
+        fold: list[tuple[int, int] | None] = []
+        for t in range(self.ncols):
+            r, s = uf.find(t)
+            fold.append(None if uf.zero[r] else (col_of_root[r], s))
 
         ech = Echelonizer(width)
-        tau_rows = []
         for j in range(n_p1):
             c, d = self.p1[j]
             j_tau = self.p1.index(d, -c - d)
             j_tau2 = self.p1.index(-c - d, c)
             for i in range(deg + 1):
-                t = i * n_p1 + j
                 row = [0] * width
-                for sym, coeff in self._three_term(t, i, j_tau, j_tau2):
-                    r, s = uf.find(sym)
-                    if not uf.zero[r]:
-                        row[col_of_root[r]] += s * coeff
+                for sym, coeff in self._three_term(i * n_p1 + j, i, j_tau, j_tau2):
+                    if fold[sym] is not None:
+                        col, s = fold[sym]
+                        row[col] += s * coeff
                 if any(row):
-                    tau_rows.append(row)
-        for row in tau_rows:
-            ech.add(row)
+                    ech.add(row)
 
         pivots = ech.pivots()
         pivot_set = set(pivots)
         free_cols = [c for c in range(width) if c not in pivot_set]
         reduced = ech.reduced_rows()
-        m = len(free_cols)
-        free_pos = {c: i for i, c in enumerate(free_cols)}
-
-        expressions: dict[int, tuple[Fraction, ...]] = {}
-        for row, pc in zip(reduced, pivots):
-            expressions[pc] = tuple(-row[f] for f in free_cols)
-
-        self._uf = uf
-        self._col_of_root = col_of_root
-        self._free_pos = free_pos
-        self._expressions = expressions
+        den = lcm(*(row[f].denominator for row in reduced for f in free_cols))
+        self._fold = fold
+        self._free_cols = free_cols
+        self._pivot_rows = [
+            (pc, [(gi, int(-row[f] * den)) for gi, f in enumerate(free_cols) if row[f]])
+            for row, pc in zip(reduced, pivots)
+        ]
+        self._den = den
         self.generators = [live_roots[c] for c in free_cols]  # root symbol per generator
-        self.dimension = m
+        self.dimension = len(free_cols)
 
     def _three_term(self, t: int, i: int, j_tau: int, j_tau2: int):
         """Terms of x + x.tau + x.tau^2 for the monomial symbol t."""
@@ -214,24 +213,22 @@ class MSPresentation:
             cusp_reps.append((num, den))
             return len(cusp_reps) - 1
 
-        rows: dict[int, list[Fraction]] = {}
+        rows: dict[int, list[int]] = {}
         for gen_idx, root in enumerate(self.generators):
             i, j = divmod(root, self.n_p1)
             (a, b), (c, d) = self._lift(j)
             if i == deg:
                 cls = cusp_class((a, c))
-                rows.setdefault(cls, [Fraction(0)] * self.dimension)[gen_idx] += 1
+                rows.setdefault(cls, [0] * self.dimension)[gen_idx] += 1
             if i == 0:
                 cls = cusp_class((b, d))
-                rows.setdefault(cls, [Fraction(0)] * self.dimension)[gen_idx] -= 1
+                rows.setdefault(cls, [0] * self.dimension)[gen_idx] -= 1
 
         boundary = [rows[idx] for idx in sorted(rows)]
-        if boundary:
-            cuspidal = kernel_basis(boundary)
-        else:
-            cuspidal = kernel_basis([], width=self.dimension)
         self.cusp_count = len(cusp_reps)
-        self.cuspidal_basis = [tuple(v) for v in cuspidal]
+        self.cuspidal_basis = [
+            tuple(make_primitive(v)) for v in kernel_basis(boundary, width=self.dimension)
+        ]
         self.cuspidal_dimension = len(self.cuspidal_basis)
         expected = cusp_dim(self.level, self.weight)
         if self.cuspidal_dimension != expected:
@@ -242,31 +239,23 @@ class MSPresentation:
 
     # -- quotient coordinates ----------------------------------------------
 
-    def symbol_coords(self, t: int) -> dict[int, Fraction]:
-        """Sparse coordinates of Manin symbol t over the free generators."""
-        cached = self._coord_cache.get(t)
-        if cached is not None:
-            return cached
-        root, sign = self._uf.find(t)
-        if self._uf.zero[root]:
-            out: dict[int, Fraction] = {}
-        else:
-            col = self._col_of_root[root]
-            if col in self._free_pos:
-                out = {self._free_pos[col]: Fraction(sign)}
-            else:
-                expr = self._expressions[col]
-                out = {gi: sign * e for gi, e in enumerate(expr) if e}
-        self._coord_cache[t] = out
-        return out
-
-    def raw_to_quotient(self, raw: dict[int, int]) -> list[Fraction]:
-        out = [Fraction(0)] * self.dimension
+    def raw_to_quotient(self, raw: dict) -> list[Fraction]:
+        """A combination {Manin symbol: coefficient} in generator coordinates:
+        fold the symbols into live columns, add the integer row of each
+        non-zero pivot column, and divide by the common denominator once."""
+        acc = [0] * (self.dimension + len(self._pivot_rows))
+        fold = self._fold
         for t, val in raw.items():
-            if val:
-                for gi, e in self.symbol_coords(t).items():
-                    out[gi] += val * e
-        return out
+            if val and fold[t] is not None:
+                col, s = fold[t]
+                acc[col] += s * val
+        out = [acc[c] * self._den for c in self._free_cols]
+        for pc, row in self._pivot_rows:
+            a = acc[pc]
+            if a:
+                for gi, e in row:
+                    out[gi] += a * e
+        return [Fraction(x, self._den) for x in out]
 
     # -- matrix action and Hecke operators -----------------------------------
 
@@ -287,15 +276,14 @@ class MSPresentation:
         return raw
 
     def act_vector(self, vec, delta: Mat2) -> list[Fraction]:
-        """delta . (vector in generator coordinates), in generator coordinates."""
-        out = [Fraction(0)] * self.dimension
-        for gi, val in enumerate(vec):
+        """delta . (vector in generator coordinates), in generator coordinates:
+        the raw images of the generators are summed and reduced once."""
+        raw: dict = {}
+        for t, val in zip(self.generators, vec):
             if val:
-                img = self.raw_to_quotient(self.act_symbol_raw(self.generators[gi], delta))
-                for gj, x in enumerate(img):
-                    if x:
-                        out[gj] += val * x
-        return out
+                for col, c in self.act_symbol_raw(t, delta).items():
+                    raw[col] = raw.get(col, 0) + val * c
+        return self.raw_to_quotient(raw)
 
 
 def hecke_cosets(n: int, level: int) -> list[tuple[int, int, int]]:

@@ -71,6 +71,61 @@ def test_presentation_dim_matches_formula(level, weight):
     assert pres.cuspidal_dimension == cusp_dim(level, weight)
 
 
+RELATION_SPACES = [(1, 12), (3, 6), (14, 4), (49, 2), (98, 2), (19, 16)]
+
+
+def _relations(pres, t):
+    """The raw combinations x + x.sigma, x - x.iota and x + x.tau + x.tau^2
+    of the Manin symbol t = [X^i Y^(k-2-i), (c:d)]."""
+    from cuspgaps.msengine.action import expand_monomial
+    from cuspgaps.msengine.presentation import TAU, TAU2
+
+    n, deg = pres.n_p1, pres.degree
+    i, j = divmod(t, n)
+    c, d = pres.p1[j]
+    sign = -1 if i % 2 else 1
+
+    def combo(*terms):
+        raw = {}
+        for sym, coeff in terms:
+            raw[sym] = raw.get(sym, 0) + coeff
+        return raw
+
+    tau_terms = [(t, 1)]
+    for poly, (u, v) in ((TAU, (d, -c - d)), (TAU2, (-c - d, c))):
+        for dx, coeff in enumerate(expand_monomial(i, deg, poly)):
+            tau_terms.append((dx * n + pres.p1.index(u, v), coeff))
+    return [
+        combo((t, 1), ((deg - i) * n + pres.p1.index(d, -c), sign)),
+        combo((t, 1), (i * n + pres.p1.index(-c, d), -sign)),
+        combo(*tau_terms),
+    ]
+
+
+@pytest.mark.parametrize("level,weight", RELATION_SPACES)
+def test_quotient_kills_every_relation(level, weight):
+    """raw_to_quotient vanishes on the two-term, star and three-term
+    relation of every Manin symbol, and sends each generator to its unit
+    vector."""
+    pres = build_presentation(level, weight)
+    zero = [0] * pres.dimension
+    for t in range(pres.ncols):
+        for raw in _relations(pres, t):
+            assert pres.raw_to_quotient(raw) == zero, (t, raw)
+    for gi, t in enumerate(pres.generators):
+        assert pres.raw_to_quotient({t: 1}) == [int(gj == gi) for gj in range(pres.dimension)]
+
+
+@pytest.mark.parametrize("level,weight", RELATION_SPACES + [(11, 2), (5, 12), (36, 4)])
+def test_cuspidal_basis_is_primitive_integral(level, weight):
+    """The cuspidal kernel vectors are primitive integer vectors with a
+    positive lead, so every combination the engine reduces is integral."""
+    for v in build_presentation(level, weight).cuspidal_basis:
+        assert all(type(x) is int for x in v)
+        assert gcd(*v) == 1
+        assert next(x for x in v if x) > 0
+
+
 # -- the action -------------------------------------------------------------------
 
 def test_act_identity():
