@@ -8,6 +8,9 @@ Format (one file per basis):
     <row dim>
 
 with metadata {engineVersion, sturmBound, pivots} in <file>.meta.json.
+A file is read back only if its rows have the shape of the integral
+echelon basis: strictly increasing pivots, and each row primitive, with
+positive lead and zero in the other rows' pivot columns.
 Each file is written to a temporary file beside it and moved into place
 with os.replace, so a reader never sees a partly written file.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import secrets
+from math import gcd
 from pathlib import Path
 
 from . import __version__
@@ -86,6 +90,15 @@ def read_basis(path: str | Path) -> SpaceBasis:
         if pivot is None:
             raise EngineError("cache row is identically zero")
         pivots.append(pivot)
+    if any(a >= b for a, b in zip(pivots, pivots[1:])):
+        raise EngineError(f"cache pivots {pivots} are not strictly increasing")
+    for i, (row, pivot) in enumerate(zip(rows, pivots), 1):
+        if row.coeffs[pivot - 1] < 0:
+            raise EngineError(f"cache row {i} has a negative lead")
+        if gcd(*row.coeffs) != 1:
+            raise EngineError(f"cache row {i} is not primitive")
+        if any(row.coeffs[q - 1] for q in pivots if q != pivot):
+            raise EngineError(f"cache row {i} is non-zero in another row's pivot column")
     meta_path = Path(str(path) + ".meta.json")
     if meta_path.exists():
         meta = json.loads(meta_path.read_text())

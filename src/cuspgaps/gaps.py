@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .arith import is_prime
 from .heckeops import build_operator_stack, coefficient_valuation
 from .invariants import (
     check_level,
@@ -242,8 +243,6 @@ def verify_weight2_nonweierstrass(level: int, p: int) -> VerificationReport:
     check_level(level)
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"p must be a prime, got {p!r}")
-    from .arith import is_prime
-
     if not is_prime(p) or level % p == 0:
         raise ValueError(f"p = {p} must be a prime not dividing {level}")
     if genus(level) != 0:

@@ -51,6 +51,7 @@ from .invariants import (
 from .linalg import (
     Echelonizer,
     kernel_basis,
+    make_primitive,
     mat_inverse,
     mat_mul,
     mat_vec,
@@ -110,8 +111,6 @@ def normalize_p(f: QExpansion, p: int) -> QExpansion:
     """Rescale f to primitive integer coefficients (so v_p(f) = 0)."""
     if f.is_zero():
         raise ValueError("cannot normalize the zero expansion")
-    from .linalg import make_primitive
-
     ints = make_primitive(list(f.coeffs))
     return QExpansion(tuple(ints), f.weight, f.level)
 
@@ -239,7 +238,7 @@ def old_new_split(level: int, weight: int, p: int, ambient: SpaceBasis) -> OldNe
             raise EngineError("oldform vectors are dependent")
 
     up = up_matrix(big, p)
-    u = [list(r) for r in up.matrix]
+    u = up.matrix
     for i, (cg, cvg) in enumerate(old_pairs, 1):
         if mat_vec(u, cvg) != list(cg):
             raise EngineError(f"U_{p} V_{p} g != g on old pair {i}")
@@ -275,7 +274,7 @@ def atkin_lehner(split: OldNewSplit) -> OperatorMatrix:
     k, p = split.weight, split.prime
     half = p ** (k // 2)
     scale = -Fraction(p, half)  # -p^(1-k/2)
-    u = [list(r) for r in split.up.matrix]
+    u = split.up.matrix
     c_cols, z_cols = [], []
     for cg, cvg in split.old_pairs:
         c_cols += [cg, cvg]
@@ -288,7 +287,7 @@ def atkin_lehner(split: OldNewSplit) -> OperatorMatrix:
     w = mat_mul(z, mat_inverse(c))
     level = split.ambient.level
     ell = next(q for q in count(2) if is_prime(q) and level % q != 0)
-    t = [list(r) for r in _symbol_operator(split.ambient, ell, f"T_{ell}").matrix]
+    t = _symbol_operator(split.ambient, ell, f"T_{ell}").matrix
     if mat_mul(w, t) != mat_mul(t, w):
         raise AssemblyError(f"Atkin-Lehner assembly failed: W_{p} does not commute with T_{ell}")
     return OperatorMatrix(f"W_{p}", tuple(tuple(row) for row in w))
@@ -305,7 +304,7 @@ def trace_matrix(split: OldNewSplit, w: OperatorMatrix) -> OperatorMatrix:
     - dim S, and subspace_s_basis checks dim S."""
     k, p = split.weight, split.prime
     scale = Fraction(p, p ** (k // 2))
-    uw = mat_mul([list(r) for r in split.up.matrix], [list(r) for r in w.matrix])
+    uw = mat_mul(split.up.matrix, w.matrix)
     d = split.ambient.dimension
     mat = [[(Fraction(i == j) + scale * uw[i][j]) for j in range(d)] for i in range(d)]
     return OperatorMatrix(f"Tr^{p * split.level}_{split.level}", tuple(tuple(r) for r in mat))

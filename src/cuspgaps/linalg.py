@@ -1,27 +1,28 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists of row lists holding ints or Fractions.  The workhorse
-is Echelonizer, an incremental row-echelon accumulator over Z (rows are
-rescaled to primitive integer vectors as they are inserted), used for rank
-certification, span membership, kernels and reduced bases.  Everything is
-deterministic and exact; nothing here ever touches floating point.
+Matrices are lists of row lists holding ints or Fractions.  The one
+elimination is Echelonizer, an incremental row-echelon accumulator over Z,
+behind rank, span membership, reduced bases, kernels and inverses.  Its
+reduced rows and kernel vectors are primitive integer vectors with positive
+lead, each a multiple of the one over Q.  Nothing here touches floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import EngineError
 
 
-def _row_content(row) -> int:
+def _strip_content(row: list[int]) -> list[int]:
+    """The integer row divided by the gcd of its entries."""
     g = 0
     for x in row:
         g = gcd(g, abs(x))
         if g == 1:
-            return 1
-    return g
+            return row
+    return [x // g for x in row] if g > 1 else row
 
 
 def make_primitive(row) -> list[int]:
@@ -30,10 +31,7 @@ def make_primitive(row) -> list[int]:
     for x in row:
         if isinstance(x, Fraction):
             den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in row]
-    g = _row_content(ints)
-    if g > 1:
-        ints = [x // g for x in ints]
+    ints = _strip_content([int(x * den) for x in row])
     for x in ints:
         if x != 0:
             if x < 0:
@@ -65,10 +63,7 @@ class Echelonizer:
             if work[col] != 0:
                 piv = self.pivot_rows[col]
                 a, b = piv[col], work[col]
-                work = [a * x - b * y for x, y in zip(work, piv)]
-                g = _row_content(work)
-                if g > 1:
-                    work = [x // g for x in work]
+                work = _strip_content([a * x - b * y for x, y in zip(work, piv)])
         return make_primitive(work)
 
     def add(self, row) -> int | None:
@@ -86,57 +81,57 @@ class Echelonizer:
     def pivots(self) -> list[int]:
         return sorted(self.pivot_rows)
 
-    def reduced_rows(self) -> list[list[Fraction]]:
-        """Fully back-reduced rows (RREF over Q), ordered by pivot."""
+    def reduced_rows(self) -> list[list[int]]:
+        """Fully back-reduced rows, ordered by pivot: each is the primitive
+        integer multiple, with positive lead, of its RREF row over Q."""
         cols = self.pivots()
-        rows = [[Fraction(x) for x in self.pivot_rows[c]] for c in cols]
+        rows = [self.pivot_rows[c] for c in cols]
         for i in reversed(range(len(cols))):
-            c = cols[i]
-            lead = rows[i][c]
-            rows[i] = [x / lead for x in rows[i]]
+            c, piv = cols[i], rows[i]
+            lead = piv[c]
             for j in range(i):
-                factor = rows[j][c]
-                if factor != 0:
-                    rows[j] = [x - factor * y for x, y in zip(rows[j], rows[i])]
+                b = rows[j][c]
+                if b:
+                    rows[j] = _strip_content([lead * x - b * y for x, y in zip(rows[j], piv)])
         return rows
 
 
-def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (rows, pivot columns)."""
-    if not matrix:
-        return [], []
-    ech = Echelonizer(len(matrix[0]))
+def _echelon(matrix) -> Echelonizer:
+    ech = Echelonizer(len(matrix[0]) if matrix else 0)
     for row in matrix:
         ech.add(row)
+    return ech
+
+
+def rref(matrix) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form, rows as in Echelonizer.reduced_rows;
+    returns (rows, pivot columns)."""
+    ech = _echelon(matrix)
     return ech.reduced_rows(), ech.pivots()
 
 
 def rank(matrix) -> int:
-    if not matrix:
-        return 0
-    ech = Echelonizer(len(matrix[0]))
-    for row in matrix:
-        ech.add(row)
-    return ech.rank
+    return _echelon(matrix).rank
 
 
-def kernel_basis(matrix, width: int | None = None) -> list[list[Fraction]]:
-    """Basis of the right kernel {x : A x = 0}, via RREF back-substitution."""
+def kernel_basis(matrix, width: int | None = None) -> list[list[int]]:
+    """Basis of the right kernel {x : A x = 0}, one primitive integer vector
+    with positive lead per free column of the RREF, in column order."""
     if not matrix:
         if width is None:
             raise ValueError("kernel of an empty matrix needs an explicit width")
-        return [[Fraction(i == j) for i in range(width)] for j in range(width)]
+        return [[int(i == j) for i in range(width)] for j in range(width)]
     n = len(matrix[0])
     rows, pivots = rref(matrix)
     pivot_set = set(pivots)
-    free_cols = [c for c in range(n) if c not in pivot_set]
     basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
+    for fc in (c for c in range(n) if c not in pivot_set):
+        scale = lcm(*(row[pc] for row, pc in zip(rows, pivots) if row[fc]))
+        vec = [0] * n
+        vec[fc] = scale
         for row, pc in zip(rows, pivots):
-            vec[pc] = -row[fc]
-        basis.append(vec)
+            vec[pc] = -row[fc] * (scale // row[pc])
+        basis.append(make_primitive(vec))
     return basis
 
 
@@ -156,18 +151,11 @@ def identity(n: int) -> list[list[Fraction]]:
 
 
 def mat_inverse(a) -> list[list[Fraction]]:
-    """Inverse of a square rational matrix by Gauss-Jordan elimination."""
+    """Inverse of a square rational matrix, read off the integral RREF of
+    [A | I]: row i of the inverse is row[n:] / row[i].  Raises EngineError
+    if A is singular, i.e. if the pivots are not 0..n-1."""
     n = len(a)
-    work = [[Fraction(x) for x in row] + [Fraction(i == j) for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if work[r][col] != 0), None)
-        if pivot_row is None:
-            raise EngineError("matrix is singular")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        lead = work[col][col]
-        work[col] = [x / lead for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+    rows, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
+    if pivots != list(range(n)):
+        raise EngineError("matrix is singular")
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)]

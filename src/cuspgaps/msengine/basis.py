@@ -33,7 +33,7 @@ from math import gcd
 from ..arith import divisors
 from ..errors import EngineError, NotInSpanError
 from ..invariants import sturm_bound, valence_bound
-from ..linalg import Echelonizer, make_primitive, mat_mul
+from ..linalg import Echelonizer, mat_mul
 from ..qexp import QExpansion
 from .presentation import MSPresentation, build_presentation, hecke_cosets
 
@@ -130,10 +130,10 @@ def _independent_series(level: int, weight: int, precision: int):
     """The one series pass of a space: add the series m -> (T_m x)_i for
     m = 1..precision to an echelon until its rank is d = dim S_k, x running
     over the cuspidal elements and i over cuspidal_functionals.  Returns
-    the reduced echelon rows and, for each x used, its Hecke images T_m x
-    and the positions (among the chosen coordinates) of the series that
-    raised the rank.  qexpansion_basis reads the rows, _series_frame the
-    images."""
+    the reduced echelon rows, as primitive integer vectors, and, for each
+    x used, its Hecke images T_m x and the positions (among the chosen
+    coordinates) of the series that raised the rank.  qexpansion_basis
+    reads the rows, _series_frame the images."""
     pres = build_presentation(level, weight)
     d = pres.cuspidal_dimension
     coords = cuspidal_functionals(pres)
@@ -166,13 +166,9 @@ def qexpansion_basis(level: int, weight: int, precision: int) -> SpaceBasis:
         raise ValueError(f"precision {precision} is below the Sturm bound {bound}")
     if build_presentation(level, weight).cuspidal_dimension == 0:
         return SpaceBasis(level, weight, precision, (), ())
-    rows = []
-    pivots = []
-    for reduced in _independent_series(level, weight, precision)[0]:
-        ints = make_primitive(reduced)
-        pivot = next(i for i, x in enumerate(ints) if x) + 1
-        pivots.append(pivot)
-        rows.append(QExpansion(tuple(ints), weight, level))
+    reduced = _independent_series(level, weight, precision)[0]
+    rows = [QExpansion(tuple(r), weight, level) for r in reduced]
+    pivots = [next(i for i, x in enumerate(r) if x) + 1 for r in reduced]
     vb = valence_bound(level, weight)
     if list(pivots) != sorted(set(pivots)) or (pivots and pivots[-1] > vb):
         raise EngineError(
@@ -269,7 +265,7 @@ def _series_frame(basis: SpaceBasis):
     coordinates, the solved images T_m x for m = 1..precision), and the
     inverse of the matrix whose columns are their coordinates in the
     basis.  Every operator transported to the basis shares them."""
-    from ..linalg import mat_inverse
+    from ..linalg import mat_inverse  # imported per call, so a patch of linalg.mat_inverse is seen
 
     level, weight = basis.level, basis.weight
     solve = _cuspidal_solver(level, weight)
@@ -288,7 +284,7 @@ def _series_frame(basis: SpaceBasis):
 def _cuspidal_solver(level: int, weight: int):
     """Returns a function solving C y = w for w in the cuspidal subspace,
     where C's columns are the cuspidal basis vectors."""
-    from ..linalg import mat_inverse
+    from ..linalg import mat_inverse  # imported per call, so a patch of linalg.mat_inverse is seen
 
     pres = build_presentation(level, weight)
     d = pres.cuspidal_dimension

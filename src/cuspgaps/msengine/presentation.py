@@ -13,7 +13,8 @@ lives only while the presentation is built: it leaves one fold table that
 sends each Manin symbol to (live column, sign), or to None if the symbol
 is zero.  The three-term relations are eliminated by exact integer echelon
 reduction; each pivot column is stored as an integer row over the free
-columns (the generators), scaled by one common denominator D.  Reducing a
+columns (the generators), scaled by one common denominator D, the lcm of
+the leads of the primitive integer RREF rows.  Reducing a
 combination of symbols into the quotient therefore sums integers and
 divides by D once.  The cuspidal subspace is the kernel of the boundary
 map to cusp classes (cusps taken modulo Gamma_0(N) and negation, which is
@@ -31,7 +32,7 @@ from math import gcd, lcm
 from ..arith import xgcd
 from ..errors import EngineError
 from ..invariants import check_level, check_weight, cusp_dim
-from ..linalg import Echelonizer, kernel_basis, make_primitive
+from ..linalg import Echelonizer, kernel_basis
 from .action import Mat2, act_path, expand_monomial, mat_adjugate, mat_det, mat_mul2
 from .p1 import p1_space
 
@@ -175,11 +176,11 @@ class MSPresentation:
         pivot_set = set(pivots)
         free_cols = [c for c in range(width) if c not in pivot_set]
         reduced = ech.reduced_rows()
-        den = lcm(*(row[f].denominator for row in reduced for f in free_cols))
+        den = lcm(*(row[pc] for row, pc in zip(reduced, pivots)))
         self._fold = fold
         self._free_cols = free_cols
         self._pivot_rows = [
-            (pc, [(gi, int(-row[f] * den)) for gi, f in enumerate(free_cols) if row[f]])
+            (pc, [(gi, -row[f] * (den // row[pc])) for gi, f in enumerate(free_cols) if row[f]])
             for row, pc in zip(reduced, pivots)
         ]
         self._den = den
@@ -226,9 +227,7 @@ class MSPresentation:
 
         boundary = [rows[idx] for idx in sorted(rows)]
         self.cusp_count = len(cusp_reps)
-        self.cuspidal_basis = [
-            tuple(make_primitive(v)) for v in kernel_basis(boundary, width=self.dimension)
-        ]
+        self.cuspidal_basis = [tuple(v) for v in kernel_basis(boundary, width=self.dimension)]
         self.cuspidal_dimension = len(self.cuspidal_basis)
         expected = cusp_dim(self.level, self.weight)
         if self.cuspidal_dimension != expected:

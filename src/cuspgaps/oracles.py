@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import divisors
-from .linalg import make_primitive, rref
+from .linalg import rref
 from .qexp import QExpansion
 
 
@@ -171,4 +171,4 @@ def victor_miller_basis(weight: int, prec: int) -> list[QExpansion]:
             series = series_mul(series, series_pow(e6, b, prec + 1), prec + 1)
         rows.append(series[1 : prec + 1])
     reduced, _ = rref(rows)
-    return [QExpansion(tuple(make_primitive(row)), weight, 1) for row in reduced]
+    return [QExpansion(tuple(row), weight, 1) for row in reduced]

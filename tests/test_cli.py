@@ -141,6 +141,30 @@ def test_find_cached_checks_the_header_against_the_name(tmp_path):
         find_cached(tmp_path, 11, 2, 45)
 
 
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda r1, r2: ([2 * c for c in r1], r2), "row 1 is not primitive"),
+        (lambda r1, r2: ([-c for c in r1], r2), "row 1 has a negative lead"),
+        (lambda r1, r2: (r2, r1), "not strictly increasing"),
+        (lambda r1, r2: ([a + b for a, b in zip(r1, r2)], r2), "row 1 is non-zero in another row's pivot"),
+    ],
+    ids=["doubled", "negated", "swapped", "combined"],
+)
+def test_cache_rejects_rows_that_are_not_the_echelon_basis(tmp_path, capsys, corrupt, message):
+    """A well-formed file whose rows are not the integral echelon basis is
+    corrupt: the rows are checked for its shape, and the CLI exits 3."""
+    path = write_basis(qexpansion_basis(1, 24, 20), tmp_path)
+    header, *rows = path.read_text().splitlines()
+    r1, r2 = corrupt(*([int(x) for x in row.split()] for row in rows))
+    path.write_text("\n".join([header, " ".join(map(str, r1)), " ".join(map(str, r2))]) + "\n")
+    with pytest.raises(EngineError, match=message):
+        read_basis(path)
+    code, out, err = run_cli(capsys, "basis", "1", "24", "--prec", "20", "--cache", str(tmp_path))
+    assert code == 3 and out == ""
+    assert message in err
+
+
 def test_basis_rejects_precision_zero(capsys):
     code, out, err = run_cli(capsys, "basis", "11", "2", "--prec", "0")
     assert code == 2 and out == ""
