@@ -110,8 +110,12 @@ def read_basis(path: str | Path) -> SpaceBasis:
 def find_cached(directory: str | Path, level: int, weight: int, min_precision: int) -> SpaceBasis | None:
     """Best cached basis for (N, k) with precision >= min_precision,
     truncated to exactly min_precision (truncation of the canonical basis
-    is the canonical basis at the lower precision).  The file is chosen by
-    the precision in its name, and only that file is read."""
+    is the canonical basis at the lower precision, if min_precision is at
+    least the Sturm bound).  The file is chosen by the precision in its
+    name, and only that file is read."""
+    bound = sturm_bound(level, weight)
+    if min_precision < bound:
+        raise ValueError(f"precision {min_precision} is below the Sturm bound {bound}")
     directory = Path(directory)
     if not directory.is_dir():
         return None

@@ -86,8 +86,6 @@ def cmd_scan(args) -> int:
 def cmd_basis(args) -> int:
     bound = inv.sturm_bound(args.level, args.weight)
     precision = bound + 10 if args.prec is None else args.prec
-    if precision < bound:
-        raise ValueError(f"precision {precision} is below the Sturm bound {bound}")
     basis = _get_basis(args.level, args.weight, precision, _cache_dir(args))
     print(f"MFBASIS v1 {basis.level} {basis.weight} {basis.precision} {basis.dimension}")
     for row in basis.rows:

@@ -183,6 +183,21 @@ def verify_order_bound(level: int, weight: int, p: int) -> VerificationReport:
     )
 
 
+def _gap_report(kind: str, level: int, weight: int, p: int, data: GapData, lower: int,
+                check: Check, bounds: dict) -> VerificationReport:
+    """The one-check report on the gap data of S_k(pN) that the corollaries
+    and Ogg's statement share."""
+    return VerificationReport(
+        kind=kind,
+        triple={"level": level, "weight": weight, "prime": p},
+        dims={"ambient": data.dimension, "lower": lower},
+        pivots=list(data.pivots),
+        wdim=data.w_dim,
+        bounds=bounds,
+        checks=(check,),
+    )
+
+
 def verify_gap_dimension_bound(level: int, weight: int, p: int) -> VerificationReport:
     """Certify dim W_k(pN) <= dim S_k(N), reporting sharpness."""
     check_level(level)
@@ -190,22 +205,13 @@ def verify_gap_dimension_bound(level: int, weight: int, p: int) -> VerificationR
     check_odd_prime(level, p)
     data = gap_data(p * level, weight)
     lower_dim = cusp_dim(level, weight)
-    checks = [
-        Check(
-            "gap_dimension_bound",
-            data.w_dim <= lower_dim,
-            {"wdim": data.w_dim, "lowerDim": lower_dim, "sharp": data.w_dim == lower_dim},
-        )
-    ]
-    return VerificationReport(
-        kind="gap-dimension-bound",
-        triple={"level": level, "weight": weight, "prime": p},
-        dims={"ambient": data.dimension, "lower": lower_dim},
-        pivots=list(data.pivots),
-        wdim=data.w_dim,
-        bounds={"wdim": data.w_dim, "lowerDim": lower_dim},
-        checks=tuple(checks),
+    check = Check(
+        "gap_dimension_bound",
+        data.w_dim <= lower_dim,
+        {"wdim": data.w_dim, "lowerDim": lower_dim, "sharp": data.w_dim == lower_dim},
     )
+    return _gap_report("gap-dimension-bound", level, weight, p, data, lower_dim, check,
+                       {"wdim": data.w_dim, "lowerDim": lower_dim})
 
 
 def verify_vanishing_analogue(level: int, weight: int, p: int) -> VerificationReport:
@@ -219,22 +225,12 @@ def verify_vanishing_analogue(level: int, weight: int, p: int) -> VerificationRe
             "the vanishing analogue does not apply"
         )
     data = gap_data(p * level, weight)
-    checks = [
-        Check(
-            "no_gap_forms",
-            data.w_dim == 0,
-            {"wdim": data.w_dim, "pivots": list(data.pivots), "dim": data.dimension},
-        )
-    ]
-    return VerificationReport(
-        kind="vanishing-analogue",
-        triple={"level": level, "weight": weight, "prime": p},
-        dims={"ambient": data.dimension, "lower": 0},
-        pivots=list(data.pivots),
-        wdim=data.w_dim,
-        bounds={"dim": data.dimension},
-        checks=tuple(checks),
+    check = Check(
+        "no_gap_forms",
+        data.w_dim == 0,
+        {"wdim": data.w_dim, "pivots": list(data.pivots), "dim": data.dimension},
     )
+    return _gap_report("vanishing-analogue", level, weight, p, data, 0, check, {"dim": data.dimension})
 
 
 def verify_weight2_nonweierstrass(level: int, p: int) -> VerificationReport:
@@ -248,22 +244,12 @@ def verify_weight2_nonweierstrass(level: int, p: int) -> VerificationReport:
     if genus(level) != 0:
         raise ValueError(f"genus of X_0({level}) is {genus(level)} != 0")
     data = gap_data(p * level, 2)
-    checks = [
-        Check(
-            "infinity_not_weierstrass",
-            data.w_dim == 0,
-            {"wdim": data.w_dim, "genus": data.dimension, "pivots": list(data.pivots)},
-        )
-    ]
-    return VerificationReport(
-        kind="weight2-weierstrass",
-        triple={"level": level, "weight": 2, "prime": p},
-        dims={"ambient": data.dimension, "lower": 0},
-        pivots=list(data.pivots),
-        wdim=data.w_dim,
-        bounds={"genus": data.dimension},
-        checks=tuple(checks),
+    check = Check(
+        "infinity_not_weierstrass",
+        data.w_dim == 0,
+        {"wdim": data.w_dim, "genus": data.dimension, "pivots": list(data.pivots)},
     )
+    return _gap_report("weight2-weierstrass", level, 2, p, data, 0, check, {"genus": data.dimension})
 
 
 # Reference gap examples reproduced end to end by `verify examples`.  The

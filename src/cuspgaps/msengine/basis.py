@@ -13,10 +13,12 @@ pivot/valence check and a Hecke stability certificate guard the result.
 
 The same series carry any T_n to the echelon basis: the Hecke algebra is
 commutative, so T_n f_(x,i) = f_(T_n x, i), whose m-th coefficient is
-(T_n T_m x)_i.  Only the first `precision` coefficients of each series are
-ever needed, so no operator asks for more than the basis already has.  The
-series pass (_independent_series) runs once per (level, weight,
-precision), and the basis and the transport both read it.
+(T_n T_m x)_i.  T_n is linear on generator coordinates, so that is
+sum_g (T_m x)_g (T_n gen_g)_i: the only new Hecke images are T_n of the
+presentation's generators.  Only the first `precision` coefficients of
+each series are ever needed, so no operator asks for more than the basis
+already has.  The series pass (_independent_series) runs once per (level,
+weight, precision), and the basis and the transport both read it.
 
 The coefficient-side Hecke rule a_n(T_m f), for any m, is here too
 (coefficient_image): the stability certificate uses it, and so do the
@@ -218,42 +220,42 @@ def hecke_stability_certificate(basis: SpaceBasis) -> None:
                 )
 
 
+def _generator_images(pres: MSPresentation, n: int) -> list[list[Fraction]]:
+    """T_n of each generator of the presentation, in generator coordinates."""
+    return [_hecke_image_quotient(pres, {t: 1}, n) for t in pres.generators]
+
+
 def hecke_operator_cuspidal(level: int, weight: int, n: int) -> list[list[Fraction]]:
     """Exact matrix of T_n on the cuspidal plus-subspace, in the basis of
     the presentation's primitive integer cuspidal vectors."""
     pres = build_presentation(level, weight)
     solver = _cuspidal_solver(level, weight)
-    cols = [solver(w) for w in _cuspidal_images(pres, n)]
+    cols = [solver(w) for w in mat_mul(pres.cuspidal_basis, _generator_images(pres, n))]
     d = pres.cuspidal_dimension
     return [[cols[j][i] for j in range(d)] for i in range(d)]
-
-
-def _cuspidal_images(pres: MSPresentation, n: int) -> list[list[Fraction]]:
-    """T_n of each cuspidal basis vector, in generator coordinates."""
-    return [_hecke_image_quotient(pres, _combination(pres, v), n) for v in pres.cuspidal_basis]
 
 
 def hecke_matrix_from_symbols(basis: SpaceBasis, n: int) -> list[list[Fraction]]:
     """T_n on the coordinates of an echelon basis of S_k(Gamma_0(N)),
     transported from the modular symbols at the basis's own precision.
 
-    A series f(m) = (T_m x)_i of a cuspidal x has T_n f(m) = (T_n T_m x)_i.
-    With T_m x = sum_j y_j v_j solved over the cuspidal basis vectors v_j,
-    that is sum_j y_j (T_n v_j)_i, so T_n is applied only to the d basis
-    vectors.  `coordinates` certifies that each T_n f lies in the span on
-    every known coefficient, and T_n = (T_n f coordinates)
-    (f coordinates)^-1 over the independent series of _series_frame.
+    A series f(m) = (T_m x)_i of a cuspidal x has T_n f(m) = (T_n T_m x)_i
+    = sum_g (T_m x)_g (T_n gen_g)_i, as T_n is linear on the generator
+    coordinates; so T_n is applied only to the generators.  `coordinates`
+    certifies that each T_n f lies in the span on every known coefficient,
+    and T_n = (T_n f coordinates) (f coordinates)^-1 over the independent
+    series of _series_frame.
     """
     level, weight = basis.level, basis.weight
     if basis.dimension == 0:
         return []
     series, f_inverse = _series_frame(basis)
     pres = build_presentation(level, weight)
-    images = _cuspidal_images(pres, n)
+    images = _generator_images(pres, n)
     moved = [[w[i] for w in images] for i in cuspidal_functionals(pres)]
     tf_cols = []
-    for r, solved in series:
-        tf = [sum(a * y for a, y in zip(moved[r], ys)) for ys in solved]
+    for r, tm_x in series:
+        tf = [sum(a * y for a, y in zip(moved[r], w)) for w in tm_x]
         tf_cols.append(basis.coordinates(QExpansion(tuple(tf), weight, level)))
     return mat_mul(list(zip(*tf_cols)), f_inverse)
 
@@ -262,19 +264,18 @@ def hecke_matrix_from_symbols(basis: SpaceBasis, n: int) -> list[list[Fraction]]
 def _series_frame(basis: SpaceBasis):
     """The independent series f(m) = (T_m x)_i of the basis's own series
     pass (_independent_series), each as (position of i among the chosen
-    coordinates, the solved images T_m x for m = 1..precision), and the
-    inverse of the matrix whose columns are their coordinates in the
-    basis.  Every operator transported to the basis shares them."""
+    coordinates, the images T_m x for m = 1..precision in generator
+    coordinates), and the inverse of the matrix whose columns are their
+    coordinates in the basis.  Every operator transported to the basis
+    shares them."""
     from ..linalg import mat_inverse  # imported per call, so a patch of linalg.mat_inverse is seen
 
     level, weight = basis.level, basis.weight
-    solve = _cuspidal_solver(level, weight)
     coords = cuspidal_functionals(build_presentation(level, weight))
     series, f_cols = [], []
     for images, raised in _independent_series(level, weight, basis.precision)[1]:
-        solved = [solve(w) for w in images]
         for r in raised:
-            series.append((r, solved))
+            series.append((r, images))
             f = QExpansion(tuple(w[coords[r]] for w in images), weight, level)
             f_cols.append(basis.coordinates(f))
     return series, mat_inverse(list(zip(*f_cols)))
@@ -283,7 +284,9 @@ def _series_frame(basis: SpaceBasis):
 @lru_cache(maxsize=64)
 def _cuspidal_solver(level: int, weight: int):
     """Returns a function solving C y = w for w in the cuspidal subspace,
-    where C's columns are the cuspidal basis vectors."""
+    where C's columns are the cuspidal basis vectors; it checks w = C y on
+    every generator coordinate.  Only hecke_operator_cuspidal solves: the
+    transport to an echelon basis never leaves generator coordinates."""
     from ..linalg import mat_inverse  # imported per call, so a patch of linalg.mat_inverse is seen
 
     pres = build_presentation(level, weight)

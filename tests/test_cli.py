@@ -141,6 +141,19 @@ def test_find_cached_checks_the_header_against_the_name(tmp_path):
         find_cached(tmp_path, 11, 2, 45)
 
 
+def test_find_cached_rejects_precision_below_the_sturm_bound(tmp_path, capsys):
+    """Truncating below the Sturm bound (13 for (11, 12)) can leave rows
+    that are zero and pivots past the precision, so it is refused as
+    qexpansion_basis refuses it, and the CLI exits 2."""
+    write_basis(qexpansion_basis(11, 12, 40), tmp_path)
+    with pytest.raises(ValueError, match="precision 5 is below the Sturm bound 13"):
+        find_cached(tmp_path, 11, 12, 5)
+    assert find_cached(tmp_path, 11, 12, 13) == qexpansion_basis(11, 12, 13)
+    code, out, err = run_cli(capsys, "basis", "11", "12", "--prec", "5", "--cache", str(tmp_path))
+    assert code == 2 and out == ""
+    assert "precision 5 is below the Sturm bound 13" in err
+
+
 @pytest.mark.parametrize(
     "corrupt, message",
     [

@@ -289,13 +289,15 @@ def test_up_matrix_from_symbols_matches_coefficient_side():
         assert up_matrix(sturm, p).matrix == _coefficient_side_up(level, weight, p), (level, weight, p)
 
 
-@pytest.mark.parametrize("level,weight", [(5, 12), (14, 4), (11, 2)])
+@pytest.mark.parametrize("level,weight", [(5, 12), (14, 4), (11, 2), (13, 12), (49, 2), (98, 2)])
 def test_symbol_hecke_matrix_matches_coefficient_side(level, weight):
+    """Composite n = 4 and 6, and n sharing a prime with the level, take the
+    same route through the generator images as prime n."""
     small = qexpansion_basis(level, weight, sturm_bound(level, weight))
-    big = qexpansion_basis(level, weight, 4 * (valence_bound(level, weight) + 1))
-    for ell in (2, 3):
-        want = [list(r) for r in hecke_matrix_on_basis(big, ell).matrix]
-        assert hecke_matrix_from_symbols(small, ell) == want
+    big = qexpansion_basis(level, weight, 6 * (valence_bound(level, weight) + 1))
+    for n in (2, 3, 4, 6):
+        want = [list(r) for r in hecke_matrix_on_basis(big, n).matrix]
+        assert hecke_matrix_from_symbols(small, n) == want, n
 
 
 def test_up_matrix_cross_check_catches_a_wrong_transport(monkeypatch):
@@ -303,6 +305,29 @@ def test_up_matrix_cross_check_catches_a_wrong_transport(monkeypatch):
     true = hecke_matrix_from_symbols(ambient, 5)
     monkeypatch.setattr(heckeops, "hecke_matrix_from_symbols",
                         lambda basis, n: [[2 * x for x in row] for row in true])
+    with pytest.raises(EngineError):
+        up_matrix(ambient, 5)
+
+
+def test_up_matrix_catches_a_wrong_generator_image(monkeypatch):
+    """One wrong entry (T_5 gen_g)_i, on a coordinate i the series read and
+    a generator g that the first series image T_1 x = x involves, changes
+    a_1 of a transported series; the transport's certificates refuse it."""
+    from cuspgaps.msengine import basis as basis_mod
+
+    ambient = qexpansion_basis(5, 12, sturm_bound(5, 12))
+    pres = basis_mod.build_presentation(5, 12)
+    i = basis_mod.cuspidal_functionals(pres)[0]
+    x = basis_mod._independent_series(5, 12, ambient.precision)[1][0][0][0]
+    g = next(j for j, c in enumerate(x) if c)
+    real = basis_mod._generator_images
+
+    def perturbed(pres, n):
+        images = real(pres, n)
+        images[g][i] += 1
+        return images
+
+    monkeypatch.setattr(basis_mod, "_generator_images", perturbed)
     with pytest.raises(EngineError):
         up_matrix(ambient, 5)
 

@@ -261,16 +261,19 @@ def test_symbol_hecke_trace_matches_coefficient_side(level, weight, ell):
 @pytest.mark.parametrize("level,weight", [(13, 12), (14, 4)])
 def test_transport_reuses_the_series_pass(level, weight, monkeypatch):
     """T_n is carried to a basis over the series pass that built it, so the
-    only new Hecke images are T_n of the d cuspidal basis vectors."""
+    only new Hecke images are T_n of the presentation's generators, each
+    once: no series image T_m x is recomputed."""
     from cuspgaps.msengine import basis as basis_mod
 
     basis_mod._series_frame.cache_clear()
     b = qexpansion_basis.__wrapped__(level, weight, sturm_bound(level, weight))
+    assert b.dimension == cusp_dim(level, weight)
     calls = []
     real = basis_mod._hecke_image_quotient
     monkeypatch.setattr(basis_mod, "_hecke_image_quotient", lambda *a: calls.append(a) or real(*a))
     hecke_matrix_from_symbols(b, 2)
-    assert len(calls) == b.dimension == cusp_dim(level, weight)
+    pres = basis_mod.build_presentation(level, weight)
+    assert [(x, n) for _, x, n in calls] == [({t: 1}, 2) for t in pres.generators]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
