@@ -1,9 +1,13 @@
 """Closed-form invariants of Gamma_0(N) and the exact inequality case analysis.
 
 Everything here is a pure function of its integer arguments, computed in
-exact arithmetic (integers and Fractions, never floats).  Levels are plain
-positive ints and weights are plain positive even ints; ``check_level`` and
-``check_weight`` enforce the contracts.
+exact arithmetic (integers and Fractions, never floats).  The case analysis
+is carried in integer twelfths: every term of the master LHS, the order
+bound and the reduced certificates is a multiple of 1/12, so one integer
+core (``_twelfths``) evaluates them and Fractions are built only for the
+values a caller receives.  Levels are plain positive ints and weights are
+plain positive even ints; ``check_level`` and ``check_weight`` enforce the
+contracts.
 """
 
 from __future__ import annotations
@@ -103,16 +107,12 @@ def eps_inf(level: int) -> int:
 @lru_cache(maxsize=None)
 def genus(level: int) -> int:
     """Genus of X_0(N) via I/12 - eps_inf/2 - eps2/4 - eps3/3 + 1."""
-    g = (
-        Fraction(index(level), 12)
-        - Fraction(eps_inf(level), 2)
-        - Fraction(eps2(level), 4)
-        - Fraction(eps3(level), 3)
-        + 1
-    )
-    if g.denominator != 1 or g < 0:
-        raise EngineError(f"genus formula gave non-integral or negative value {g} at level {level}")
-    return int(g)
+    g12 = index(level) - 6 * eps_inf(level) - 3 * eps2(level) - 4 * eps3(level) + 12
+    if g12 % 12 or g12 < 0:
+        raise EngineError(
+            f"genus formula gave non-integral or negative value {Fraction(g12, 12)} at level {level}"
+        )
+    return g12 // 12
 
 
 @dataclass(frozen=True)
@@ -168,22 +168,41 @@ def valence_bound(level: int, weight: int) -> int:
     return weight * index(level) // 12
 
 
+# (alpha2/eps2(N), alpha3/eps3(N)) for each residue of K mod 12
+_ALPHA_MULTIPLES = {0: (0, 0), 2: (1, 2), 4: (0, 1), 6: (1, 0), 8: (0, 2), 10: (1, 1)}
+
+
 def alpha_pair(level: int, big_weight: int) -> tuple[int, int]:
     """Forced zero counts (alpha2, alpha3) at the elliptic points for forms
     of even weight K, selected by K mod 12."""
     check_level(level)
     if big_weight % 2 != 0:
         raise ValueError(f"alpha_pair is defined for even weights, got {big_weight}")
-    e2, e3 = eps2(level), eps3(level)
-    table = {
-        2: (e2, 2 * e3),
-        4: (0, e3),
-        6: (e2, 0),
-        8: (0, 2 * e3),
-        10: (e2, e3),
-        0: (0, 0),
-    }
-    return table[big_weight % 12]
+    m2, m3 = _ALPHA_MULTIPLES[big_weight % 12]
+    return m2 * eps2(level), m3 * eps3(level)
+
+
+def _twelfths(level: int, weight: int, p: int) -> tuple[int, int, int, int]:
+    """(12 * master LHS, 12 * order bound, alpha2, alpha3) for a validated
+    (N, k, p).  With K = (k-1)p + 1 every term is a multiple of 1/12:
+
+        12 master = (k-2) I(N) + (12[k/4] - 3(k-1)) eps2(pN)
+                    + (12[k/3] - 4(k-1)) eps3(pN) + 6 alpha2 + 4 alpha3
+        12 bound  = K I(N) - 6 alpha2 - 4 alpha3 - 12 eps_inf(N) + 12
+    """
+    k = weight
+    big_k = (k - 1) * p + 1
+    a2, a3 = alpha_pair(level, big_k)
+    i = index(level)
+    master12 = (
+        (k - 2) * i
+        + (12 * (k // 4) - 3 * (k - 1)) * eps2(p * level)
+        + (12 * (k // 3) - 4 * (k - 1)) * eps3(p * level)
+        + 6 * a2
+        + 4 * a3
+    )
+    bound12 = big_k * i - 6 * a2 - 4 * a3 - 12 * eps_inf(level) + 12
+    return master12, bound12, a2, a3
 
 
 def vanishing_order_bound(level: int, weight: int, p: int) -> Fraction:
@@ -195,33 +214,20 @@ def vanishing_order_bound(level: int, weight: int, p: int) -> Fraction:
     check_level(level)
     check_weight(weight)
     check_odd_prime(level, p)
-    big_k = (weight - 1) * p + 1
-    a2, a3 = alpha_pair(level, big_k)
-    return (
-        Fraction(big_k * index(level), 12)
-        - Fraction(a2, 2)
-        - Fraction(a3, 3)
-        - eps_inf(level)
-        + 1
-    )
+    return Fraction(_twelfths(level, weight, p)[1], 12)
 
 
 def master_inequality_lhs(level: int, weight: int, p: int) -> Fraction:
     """Exact left-hand side of the master inequality whose value >= 1 is
-    equivalent to vanishing_order_bound <= dim S_k(pN)."""
+    equivalent to vanishing_order_bound <= dim S_k(pN):
+
+        (k-2)/12 I(N) + ([k/4] - (k-1)/4) eps2(pN)
+                      + ([k/3] - (k-1)/3) eps3(pN) + alpha2/2 + alpha3/3
+    """
     check_level(level)
     check_weight(weight)
     check_odd_prime(level, p)
-    big_k = (weight - 1) * p + 1
-    a2, a3 = alpha_pair(level, big_k)
-    k = weight
-    return (
-        Fraction((k - 2) * index(level), 12)
-        + (k // 4 - Fraction(k - 1, 4)) * eps2(p * level)
-        + (k // 3 - Fraction(k - 1, 3)) * eps3(p * level)
-        + Fraction(a2, 2)
-        + Fraction(a3, 3)
-    )
+    return Fraction(_twelfths(level, weight, p)[0], 12)
 
 
 # Reduced-inequality certificates used by the case analysis.  Each label
@@ -235,6 +241,16 @@ CERT_EPS23 = "index+eps2/2+2eps3/3"
 CERT_ALPHA2 = "alpha2"
 CERT_ALPHA3 = "alpha3"
 CERT_MASTER = "full"
+
+# the alpha2 = alpha3 = 0 certificate by (keeps eps2/2?, keeps 2eps3/3?)
+_INDEX_CERTIFICATES = {
+    (False, False): CERT_INDEX,
+    (True, False): CERT_EPS2,
+    (False, True): CERT_EPS3,
+    (True, True): CERT_EPS23,
+}
+# the modulus of its congruences on (k, p) by (eps2(N) > 0, eps3(N) > 0)
+_INDEX_MODULI = {(False, False): None, (True, False): 4, (False, True): 3, (True, True): 12}
 
 
 @dataclass(frozen=True)
@@ -283,17 +299,16 @@ class CaseReport:
         }
 
 
-def _index_certificate(level: int, weight: int) -> Fraction:
-    return Fraction((weight - 2) * index(level), 12)
-
-
 def classify_triple(level: int, weight: int, p: int) -> CaseReport:
     """Classify (N, k, p) into the case analysis quadrants, pick the reduced
-    inequality certifying master >= 1, and evaluate everything exactly.
+    inequality certifying master >= 1, and evaluate everything exactly, in
+    integer twelfths.
 
-    The quadrant is (alpha2 == 0?, alpha3 == 0?); within the quadrant where
-    both vanish the certificate depends on which of eps2(N), eps3(N) vanish
-    and on congruences of (k, p) mod 4, 3 or 12.
+    The quadrant is (alpha2 == 0?, alpha3 == 0?).  Where both vanish,
+    K = (k-1)p + 1 is 0 mod 4 if eps2(N) > 0 and 0 mod 3 if eps3(N) > 0, so
+    eps2(pN) = 2 eps2(N) when k == 0 mod 4 (then p == 1 mod 4) and 0
+    otherwise, and likewise eps3(pN) with k, p mod 3; the certificate keeps
+    the index term and the elliptic terms that survive.
     """
     check_level(level)
     if weight < 4:
@@ -301,64 +316,29 @@ def classify_triple(level: int, weight: int, p: int) -> CaseReport:
     check_weight(weight)
     check_admissible_prime(level, weight, p)
 
-    big_k = (weight - 1) * p + 1
-    a2, a3 = alpha_pair(level, big_k)
-    e2n, e3n = eps2(level), eps3(level)
-    master = master_inequality_lhs(level, weight, p)
     k = weight
+    big_k = (k - 1) * p + 1
+    master12, bound12, a2, a3 = _twelfths(level, k, p)
+    e2n, e3n = eps2(level), eps3(level)
+    master = Fraction(master12, 12)
 
-    modulus: int | None = None
     if a2 == 0 and a3 == 0:
         quadrant = "alpha2=0,alpha3=0"
-        if e2n == 0 and e3n == 0:
-            cert, cert_lhs = CERT_INDEX, _index_certificate(level, k)
-        elif e2n != 0 and e3n == 0:
-            # alpha2 = 0 forces (k-1)p+1 == 0 mod 4
-            modulus = 4
-            if k % 4 == 0:  # (k, p) == (0, 1) mod 4
-                cert = CERT_EPS2
-                cert_lhs = _index_certificate(level, k) + Fraction(e2n, 2)
-            else:  # (k, p) == (2, 3) mod 4
-                cert, cert_lhs = CERT_INDEX, _index_certificate(level, k)
-        elif e2n == 0 and e3n != 0:
-            modulus = 3
-            if k % 3 == 0:  # (k, p) == (0, 1) mod 3
-                cert = CERT_EPS3
-                cert_lhs = _index_certificate(level, k) + Fraction(2 * e3n, 3)
-            else:  # (k, p) == (2, 2) mod 3
-                cert, cert_lhs = CERT_INDEX, _index_certificate(level, k)
-        else:
-            # both elliptic counts positive: (k-1)p+1 == 0 mod 12, four classes
-            modulus = 12
-            km = k % 12
-            if km == 2:  # p == 11: both eps(pN) vanish
-                cert, cert_lhs = CERT_INDEX, _index_certificate(level, k)
-            elif km == 6:  # p == 7
-                cert = CERT_EPS3
-                cert_lhs = _index_certificate(level, k) + Fraction(2 * e3n, 3)
-            elif km == 8:  # p == 5
-                cert = CERT_EPS2
-                cert_lhs = _index_certificate(level, k) + Fraction(e2n, 2)
-            else:  # km == 0, p == 1
-                cert = CERT_EPS23
-                cert_lhs = _index_certificate(level, k) + Fraction(e2n, 2) + Fraction(2 * e3n, 3)
-    elif a2 != 0 and a3 == 0:
-        quadrant = "alpha2!=0,alpha3=0"
-        modulus = 12 if e3n != 0 else None
-        cert, cert_lhs = CERT_ALPHA2, master
-    elif a2 == 0 and a3 != 0:
-        quadrant = "alpha2=0,alpha3!=0"
-        modulus = 12 if e2n != 0 else None
-        cert, cert_lhs = CERT_ALPHA3, master
+        modulus = _INDEX_MODULI[e2n != 0, e3n != 0]
+        keep2, keep3 = e2n != 0 and k % 4 == 0, e3n != 0 and k % 3 == 0
+        cert = _INDEX_CERTIFICATES[keep2, keep3]
+        cert12 = (k - 2) * index(level) + (6 * e2n if keep2 else 0) + (8 * e3n if keep3 else 0)
+        cert_lhs = Fraction(cert12, 12)
     else:
-        quadrant = "alpha2!=0,alpha3!=0"
-        modulus = 12
-        cert, cert_lhs = CERT_MASTER, master
+        cert12, cert_lhs = master12, master
+        if a3 == 0:
+            quadrant, cert, modulus = "alpha2!=0,alpha3=0", CERT_ALPHA2, 12 if e3n != 0 else None
+        elif a2 == 0:
+            quadrant, cert, modulus = "alpha2=0,alpha3!=0", CERT_ALPHA3, 12 if e2n != 0 else None
+        else:
+            quadrant, cert, modulus = "alpha2!=0,alpha3!=0", CERT_MASTER, 12
 
     dim_upper = cusp_dim(p * level, weight)
-    bound = vanishing_order_bound(level, weight, p)
-    identity_holds = dim_upper - bound == master - 1
-
     return CaseReport(
         level=level,
         weight=weight,
@@ -375,10 +355,10 @@ def classify_triple(level: int, weight: int, p: int) -> CaseReport:
         certificate_lhs=cert_lhs,
         master_lhs=master,
         dim_upper=dim_upper,
-        order_bound=bound,
-        inequality_holds=master >= 1,
-        certificate_matches_master=cert_lhs == master,
-        identity_holds=identity_holds,
+        order_bound=Fraction(bound12, 12),
+        inequality_holds=master12 >= 12,
+        certificate_matches_master=cert12 == master12,
+        identity_holds=12 * dim_upper - bound12 == master12 - 12,
     )
 
 
@@ -422,15 +402,14 @@ class ScanConfig:
 
 def scan_triples(config: ScanConfig) -> Iterator[CaseReport]:
     """Classify every admissible (N, k, p) in the configured ranges,
-    in deterministic (k, N, p) order."""
+    lazily and in deterministic (k, N, p) order.  The configuration is
+    validated when this is called, not at the first report."""
     config.validate()
     primes = primes_up_to(config.pmax)
-    triples = [
-        (k, n, p)
+    return (
+        classify_triple(n, k, p)
         for k in range(config.kmin, config.kmax + 1, 2)
         for n in range(1, config.nmax + 1)
         for p in primes
         if p >= max(5, k + 1) and n % p != 0
-    ]
-    for k, n, p in triples:
-        yield classify_triple(n, k, p)
+    )

@@ -6,6 +6,7 @@ sharing a space do not pay for it twice.
 """
 
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -78,20 +79,31 @@ def test_criterion_2_gap_reproductions():
     )
 
 
-@pytest.mark.slow
 def test_criterion_3_inequality_atlas():
     t0 = time.time()
     total = 0
     violations = 0
+    certificates = Counter()
     for rep in scan_triples(ScanConfig(kmin=4, kmax=24, nmax=300, pmax=199)):
         total += 1
-        if not (rep.inequality_holds and rep.identity_holds):
+        certificates[rep.certificate] += 1
+        if not (rep.inequality_holds and rep.identity_holds and rep.certificate_matches_master):
             violations += 1
     elapsed = time.time() - t0
+    expected_certificates = {
+        inv.CERT_INDEX: 95667,
+        inv.CERT_ALPHA3: 12819,
+        inv.CERT_ALPHA2: 11625,
+        inv.CERT_EPS2: 5759,
+        inv.CERT_EPS3: 3021,
+        inv.CERT_MASTER: 2088,
+        inv.CERT_EPS23: 220,
+    }
     _report(
         "3",
-        violations == 0 and elapsed <= 120,
-        f"{total} triples, {violations} violations, identity exact everywhere, {elapsed:.1f}s",
+        total == 131199 and certificates == expected_certificates and violations == 0 and elapsed <= 120,
+        f"{total} triples, {violations} violations, certificates {dict(certificates)}, "
+        f"identity exact everywhere, {elapsed:.1f}s",
     )
 
 

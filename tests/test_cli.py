@@ -1,6 +1,7 @@
 """CLI surface, exit codes, and the basis cache file format."""
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -64,6 +65,17 @@ def test_scan_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("k,N,p,")
     assert len(lines) > 1
+
+
+def test_scan_csv_pinned(capsys):
+    """The CSV of a 3408-triple box, byte for byte as the Fraction-based
+    case analysis printed it."""
+    code, out, _ = run_cli(capsys, "scan", "--kmax", "10", "--nmax", "60", "--pmax", "61", "--csv")
+    assert code == 0
+    assert len(out.splitlines()) == 3409
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1224c66e1c366e7178b8b6ef2d21500883a4e679ae9939acac2d21b502e2cdef"
+    )
 
 
 def test_gaps_and_wdim(capsys):

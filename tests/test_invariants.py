@@ -1,5 +1,7 @@
 """Closed-form invariants against independent brute-force oracles."""
 
+import dataclasses
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -270,6 +272,141 @@ def test_classify_total_and_exact_on_box():
                 assert r.certificate_matches_master
                 assert r.certificate_lhs >= 1
                 assert r.identity_holds
+
+
+def fraction_case_analysis(n: int, k: int, p: int) -> dict:
+    """The case analysis summed term by term in Fractions, from the closed
+    forms of the order bound and the master LHS."""
+    big_k = (k - 1) * p + 1
+    e2n, e3n = inv.eps2(n), inv.eps3(n)
+    a2, a3 = {
+        2: (e2n, 2 * e3n),
+        4: (0, e3n),
+        6: (e2n, 0),
+        8: (0, 2 * e3n),
+        10: (e2n, e3n),
+        0: (0, 0),
+    }[big_k % 12]
+    bound = (
+        Fraction(big_k * inv.index(n), 12)
+        - Fraction(a2, 2)
+        - Fraction(a3, 3)
+        - inv.eps_inf(n)
+        + 1
+    )
+    master = (
+        Fraction((k - 2) * inv.index(n), 12)
+        + (k // 4 - Fraction(k - 1, 4)) * inv.eps2(p * n)
+        + (k // 3 - Fraction(k - 1, 3)) * inv.eps3(p * n)
+        + Fraction(a2, 2)
+        + Fraction(a3, 3)
+    )
+    index_cert = Fraction((k - 2) * inv.index(n), 12)
+    modulus = None
+    if a2 == 0 and a3 == 0:
+        quadrant = "alpha2=0,alpha3=0"
+        if e2n == 0 and e3n == 0:
+            cert, cert_lhs = inv.CERT_INDEX, index_cert
+        elif e2n != 0 and e3n == 0:
+            modulus = 4
+            if k % 4 == 0:
+                cert, cert_lhs = inv.CERT_EPS2, index_cert + Fraction(e2n, 2)
+            else:
+                cert, cert_lhs = inv.CERT_INDEX, index_cert
+        elif e2n == 0 and e3n != 0:
+            modulus = 3
+            if k % 3 == 0:
+                cert, cert_lhs = inv.CERT_EPS3, index_cert + Fraction(2 * e3n, 3)
+            else:
+                cert, cert_lhs = inv.CERT_INDEX, index_cert
+        else:
+            modulus = 12
+            km = k % 12
+            if km == 2:
+                cert, cert_lhs = inv.CERT_INDEX, index_cert
+            elif km == 6:
+                cert, cert_lhs = inv.CERT_EPS3, index_cert + Fraction(2 * e3n, 3)
+            elif km == 8:
+                cert, cert_lhs = inv.CERT_EPS2, index_cert + Fraction(e2n, 2)
+            else:
+                cert = inv.CERT_EPS23
+                cert_lhs = index_cert + Fraction(e2n, 2) + Fraction(2 * e3n, 3)
+    elif a2 != 0 and a3 == 0:
+        quadrant = "alpha2!=0,alpha3=0"
+        modulus = 12 if e3n != 0 else None
+        cert, cert_lhs = inv.CERT_ALPHA2, master
+    elif a2 == 0 and a3 != 0:
+        quadrant = "alpha2=0,alpha3!=0"
+        modulus = 12 if e2n != 0 else None
+        cert, cert_lhs = inv.CERT_ALPHA3, master
+    else:
+        quadrant = "alpha2!=0,alpha3!=0"
+        modulus = 12
+        cert, cert_lhs = inv.CERT_MASTER, master
+    dim = inv.cusp_dim(p * n, k)
+    return {
+        "level": n,
+        "weight": k,
+        "prime": p,
+        "big_weight": big_k,
+        "big_weight_mod12": big_k % 12,
+        "alpha2": a2,
+        "alpha3": a3,
+        "quadrant": quadrant,
+        "congruence_modulus": modulus,
+        "weight_residue": None if modulus is None else k % modulus,
+        "prime_residue": None if modulus is None else p % modulus,
+        "certificate": cert,
+        "certificate_lhs": cert_lhs,
+        "master_lhs": master,
+        "dim_upper": dim,
+        "order_bound": bound,
+        "inequality_holds": master >= 1,
+        "certificate_matches_master": cert_lhs == master,
+        "identity_holds": dim - bound == master - 1,
+    }
+
+
+PRIMES_TO_2000 = [q for q in primes_up_to(2000) if q >= 5]
+
+
+@st.composite
+def admissible_triples(draw):
+    k = draw(st.integers(2, 100)) * 2
+    p = draw(st.sampled_from([q for q in PRIMES_TO_2000 if q >= k + 1]))
+    n = draw(st.integers(1, 5000).filter(lambda m: m % p != 0))
+    return n, k, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(admissible_triples())
+def test_case_analysis_matches_fraction_reference(triple):
+    n, k, p = triple
+    want = fraction_case_analysis(n, k, p)
+    assert inv.master_inequality_lhs(n, k, p) == want["master_lhs"]
+    assert inv.vanishing_order_bound(n, k, p) == want["order_bound"]
+    report = inv.classify_triple(n, k, p)
+    for field in dataclasses.fields(report):
+        got = getattr(report, field.name)
+        assert got == want[field.name], field.name
+        assert type(got) is type(want[field.name]), field.name
+
+
+def test_scan_validates_when_called():
+    with pytest.raises(ValueError):
+        inv.scan_triples(inv.ScanConfig(kmin=3))
+
+
+def test_scan_builds_no_triple_list():
+    """The first report of the default box comes without materialising its
+    131,199 triples."""
+    tracemalloc.start()
+    try:
+        next(inv.scan_triples(inv.ScanConfig()))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # -- vanishing levels -----------------------------------------------------------
