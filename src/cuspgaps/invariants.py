@@ -1,32 +1,30 @@
 """Closed-form invariants of Gamma_0(N) and the exact inequality case analysis.
 
 Everything here is a pure function of its integer arguments, computed in
-exact arithmetic (integers and Fractions, never floats).  The case analysis
-is carried in integer twelfths: every term of the master LHS, the order
-bound and the reduced certificates is a multiple of 1/12, so one integer
-core (``_twelfths``) evaluates them and Fractions are built only for the
-values a caller receives.  Levels are plain positive ints and weights are
-plain positive even ints; ``check_level`` and ``check_weight`` enforce the
-contracts.
+exact arithmetic (integers and Fractions, never floats).  Levels are plain
+positive ints and weights are plain positive even ints; ``check_level`` and
+``check_weight`` enforce the contracts.
+
+The case analysis of (N, k, p) is carried in integer twelfths and, but for
+the term K I(N) of the order bound (K = (k-1)p + 1), depends on p only
+through r = p mod 12: K mod 12 = ((k-1) r + 1) mod 12 selects the alpha
+pair, and since the elliptic counts are multiplicative over coprime levels,
+eps2(pN) = eps2(N) (1 + (-4/p)) and eps3(pN) = eps3(N) (1 + (-3/p)), where
+(-4/.) and (-3/.) are characters mod 4 and mod 3.  One cached core,
+``_residue_core(N, k, r)``, evaluates the master LHS, the alpha pair, the
+quadrant and the reduced certificate once per residue class.  Per triple
+only the order bound and dim S_k(pN) remain; the dimension formula factors
+pN afresh, so the reduction identity checks the residue formula.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .arith import (
-    divisors,
-    euler_phi,
-    factorize,
-    is_prime,
-    kronecker_minus3,
-    kronecker_minus4,
-    primes_up_to,
-)
+from .arith import factorize, is_prime, kronecker_minus3, kronecker_minus4, primes_up_to
 from .errors import EngineError
 
 
@@ -99,9 +97,13 @@ def eps3(level: int) -> int:
 
 @lru_cache(maxsize=None)
 def eps_inf(level: int) -> int:
-    """Number of cusps of X_0(N): sum over d|N of phi(gcd(d, N/d))."""
+    """Number of cusps of X_0(N): sum over d|N of phi(gcd(d, N/d)), which is
+    multiplicative, so prod over p^e || N of sum_{i=0..e} phi(p^min(i, e-i))."""
     check_level(level)
-    return sum(euler_phi(math.gcd(d, level // d)) for d in divisors(level))
+    out = 1
+    for p, e in factorize(level):
+        out *= sum((p - 1) * p ** (min(i, e - i) - 1) if 0 < i < e else 1 for i in range(e + 1))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -140,7 +142,6 @@ class LevelInvariants:
         }
 
 
-@lru_cache(maxsize=None)
 def cusp_dim(level: int, weight: int) -> int:
     """dim S_k(Gamma_0(N)) for even k >= 2 (k = 2 gives the genus)."""
     check_level(level)
@@ -180,54 +181,6 @@ def alpha_pair(level: int, big_weight: int) -> tuple[int, int]:
         raise ValueError(f"alpha_pair is defined for even weights, got {big_weight}")
     m2, m3 = _ALPHA_MULTIPLES[big_weight % 12]
     return m2 * eps2(level), m3 * eps3(level)
-
-
-def _twelfths(level: int, weight: int, p: int) -> tuple[int, int, int, int]:
-    """(12 * master LHS, 12 * order bound, alpha2, alpha3) for a validated
-    (N, k, p).  With K = (k-1)p + 1 every term is a multiple of 1/12:
-
-        12 master = (k-2) I(N) + (12[k/4] - 3(k-1)) eps2(pN)
-                    + (12[k/3] - 4(k-1)) eps3(pN) + 6 alpha2 + 4 alpha3
-        12 bound  = K I(N) - 6 alpha2 - 4 alpha3 - 12 eps_inf(N) + 12
-    """
-    k = weight
-    big_k = (k - 1) * p + 1
-    a2, a3 = alpha_pair(level, big_k)
-    i = index(level)
-    master12 = (
-        (k - 2) * i
-        + (12 * (k // 4) - 3 * (k - 1)) * eps2(p * level)
-        + (12 * (k // 3) - 4 * (k - 1)) * eps3(p * level)
-        + 6 * a2
-        + 4 * a3
-    )
-    bound12 = big_k * i - 6 * a2 - 4 * a3 - 12 * eps_inf(level) + 12
-    return master12, bound12, a2, a3
-
-
-def vanishing_order_bound(level: int, weight: int, p: int) -> Fraction:
-    """Sharp upper bound for ord_infinity(f), valid for f in S_k(pN) with
-    v_p(f) = 0 and v_p(f|W_p) >= 1 - k/2 (Ahlgren--Masri--Rouse):
-
-        ((k-1)p+1)/12 * I(N) - alpha2/2 - alpha3/3 - eps_inf(N) + 1
-    """
-    check_level(level)
-    check_weight(weight)
-    check_odd_prime(level, p)
-    return Fraction(_twelfths(level, weight, p)[1], 12)
-
-
-def master_inequality_lhs(level: int, weight: int, p: int) -> Fraction:
-    """Exact left-hand side of the master inequality whose value >= 1 is
-    equivalent to vanishing_order_bound <= dim S_k(pN):
-
-        (k-2)/12 I(N) + ([k/4] - (k-1)/4) eps2(pN)
-                      + ([k/3] - (k-1)/3) eps3(pN) + alpha2/2 + alpha3/3
-    """
-    check_level(level)
-    check_weight(weight)
-    check_odd_prime(level, p)
-    return Fraction(_twelfths(level, weight, p)[0], 12)
 
 
 # Reduced-inequality certificates used by the case analysis.  Each label
@@ -275,6 +228,16 @@ class CaseReport:
     certificate_matches_master: bool
     identity_holds: bool
 
+    @classmethod
+    def _build(cls, shared: tuple, **fields) -> "CaseReport":
+        """The report with the _RESIDUE_FIELDS in shared and the given
+        fields, filled by one update of the instance dict rather than the
+        frozen __init__'s one object.__setattr__ per field.  Pairs, unlike a
+        dict, keep the instance dict in the class's compact shared-key form."""
+        report = object.__new__(cls)
+        report.__dict__.update(zip(_RESIDUE_FIELDS, shared), **fields)
+        return report
+
     def as_dict(self) -> dict:
         return {
             "level": self.level,
@@ -299,27 +262,43 @@ class CaseReport:
         }
 
 
-def classify_triple(level: int, weight: int, p: int) -> CaseReport:
-    """Classify (N, k, p) into the case analysis quadrants, pick the reduced
-    inequality certifying master >= 1, and evaluate everything exactly, in
-    integer twelfths.
+# the CaseReport fields that depend on p only through p mod 12
+_RESIDUE_FIELDS = (
+    "big_weight_mod12", "alpha2", "alpha3", "quadrant", "congruence_modulus", "weight_residue",
+    "prime_residue", "certificate", "certificate_lhs", "master_lhs", "inequality_holds",
+    "certificate_matches_master",
+)
+
+
+@lru_cache(maxsize=None)
+def _residue_core(level: int, weight: int, r: int) -> tuple[int, int, int, tuple]:
+    """The case analysis of every (N, k, p) with p == r mod 12, p >= 5 prime
+    to N: (I(N), tail12, 12 * master LHS, the values of _RESIDUE_FIELDS).
+    With K = (k-1)p + 1 every term is a multiple of 1/12:
+
+        12 master = (k-2) I(N) + (12[k/4] - 3(k-1)) eps2(pN)
+                    + (12[k/3] - 4(k-1)) eps3(pN) + 6 alpha2 + 4 alpha3
+        12 bound  = K I(N) - tail12,  tail12 = 6 alpha2 + 4 alpha3 + 12 eps_inf(N) - 12
 
     The quadrant is (alpha2 == 0?, alpha3 == 0?).  Where both vanish,
-    K = (k-1)p + 1 is 0 mod 4 if eps2(N) > 0 and 0 mod 3 if eps3(N) > 0, so
+    K is 0 mod 4 if eps2(N) > 0 and 0 mod 3 if eps3(N) > 0, so
     eps2(pN) = 2 eps2(N) when k == 0 mod 4 (then p == 1 mod 4) and 0
     otherwise, and likewise eps3(pN) with k, p mod 3; the certificate keeps
     the index term and the elliptic terms that survive.
     """
-    check_level(level)
-    if weight < 4:
-        raise ValueError("case classification requires even weight >= 4")
-    check_weight(weight)
-    check_admissible_prime(level, weight, p)
-
     k = weight
-    big_k = (k - 1) * p + 1
-    master12, bound12, a2, a3 = _twelfths(level, k, p)
-    e2n, e3n = eps2(level), eps3(level)
+    i, e2n, e3n = index(level), eps2(level), eps3(level)
+    # (-4/.) and (-3/.) are characters mod 4 and mod 3, so r stands for p
+    e2p, e3p = e2n * (1 + kronecker_minus4(r)), e3n * (1 + kronecker_minus3(r))
+    big_k12 = ((k - 1) * r + 1) % 12
+    a2, a3 = alpha_pair(level, big_k12)
+    master12 = (
+        (k - 2) * i
+        + (12 * (k // 4) - 3 * (k - 1)) * e2p
+        + (12 * (k // 3) - 4 * (k - 1)) * e3p
+        + 6 * a2
+        + 4 * a3
+    )
     master = Fraction(master12, 12)
 
     if a2 == 0 and a3 == 0:
@@ -327,7 +306,7 @@ def classify_triple(level: int, weight: int, p: int) -> CaseReport:
         modulus = _INDEX_MODULI[e2n != 0, e3n != 0]
         keep2, keep3 = e2n != 0 and k % 4 == 0, e3n != 0 and k % 3 == 0
         cert = _INDEX_CERTIFICATES[keep2, keep3]
-        cert12 = (k - 2) * index(level) + (6 * e2n if keep2 else 0) + (8 * e3n if keep3 else 0)
+        cert12 = (k - 2) * i + (6 * e2n if keep2 else 0) + (8 * e3n if keep3 else 0)
         cert_lhs = Fraction(cert12, 12)
     else:
         cert12, cert_lhs = master12, master
@@ -338,26 +317,61 @@ def classify_triple(level: int, weight: int, p: int) -> CaseReport:
         else:
             quadrant, cert, modulus = "alpha2!=0,alpha3!=0", CERT_MASTER, 12
 
+    # every modulus divides 12, so r % modulus == p % modulus
+    residues = (None, None) if modulus is None else (k % modulus, r % modulus)
+    shared = (big_k12, a2, a3, quadrant, modulus, *residues, cert, cert_lhs, master,
+              master12 >= 12, cert12 == master12)
+    return i, 6 * a2 + 4 * a3 + 12 * eps_inf(level) - 12, master12, shared
+
+
+def vanishing_order_bound(level: int, weight: int, p: int) -> Fraction:
+    """Sharp upper bound for ord_infinity(f), valid for f in S_k(pN) with
+    v_p(f) = 0 and v_p(f|W_p) >= 1 - k/2 (Ahlgren--Masri--Rouse):
+
+        ((k-1)p+1)/12 * I(N) - alpha2/2 - alpha3/3 - eps_inf(N) + 1
+    """
+    check_level(level)
+    check_weight(weight)
+    check_odd_prime(level, p)
+    i, tail12, _, _ = _residue_core(level, weight, p % 12)
+    return Fraction(((weight - 1) * p + 1) * i - tail12, 12)
+
+
+def master_inequality_lhs(level: int, weight: int, p: int) -> Fraction:
+    """Exact left-hand side of the master inequality whose value >= 1 is
+    equivalent to vanishing_order_bound <= dim S_k(pN):
+
+        (k-2)/12 I(N) + ([k/4] - (k-1)/4) eps2(pN)
+                      + ([k/3] - (k-1)/3) eps3(pN) + alpha2/2 + alpha3/3
+    """
+    check_level(level)
+    check_weight(weight)
+    check_odd_prime(level, p)
+    return Fraction(_residue_core(level, weight, p % 12)[2], 12)
+
+
+def classify_triple(level: int, weight: int, p: int) -> CaseReport:
+    """Classify (N, k, p) into the case analysis quadrants, pick the reduced
+    inequality certifying master >= 1, and evaluate everything exactly, in
+    integer twelfths, through the residue core of p mod 12."""
+    check_level(level)
+    if weight < 4:
+        raise ValueError("case classification requires even weight >= 4")
+    check_weight(weight)
+    check_admissible_prime(level, weight, p)
+
+    i, tail12, master12, shared = _residue_core(level, weight, p % 12)
+    big_k = (weight - 1) * p + 1
+    bound12 = big_k * i - tail12
     dim_upper = cusp_dim(p * level, weight)
-    return CaseReport(
+    return CaseReport._build(
+        shared,
         level=level,
         weight=weight,
         prime=p,
         big_weight=big_k,
-        big_weight_mod12=big_k % 12,
-        alpha2=a2,
-        alpha3=a3,
-        quadrant=quadrant,
-        congruence_modulus=modulus,
-        weight_residue=None if modulus is None else k % modulus,
-        prime_residue=None if modulus is None else p % modulus,
-        certificate=cert,
-        certificate_lhs=cert_lhs,
-        master_lhs=master,
         dim_upper=dim_upper,
         order_bound=Fraction(bound12, 12),
-        inequality_holds=master12 >= 12,
-        certificate_matches_master=cert12 == master12,
         identity_holds=12 * dim_upper - bound12 == master12 - 12,
     )
 

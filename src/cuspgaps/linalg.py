@@ -146,10 +146,6 @@ def mat_vec(a, v) -> list[Fraction]:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(i == j) for j in range(n)] for i in range(n)]
-
-
 def mat_inverse(a) -> list[list[Fraction]]:
     """Inverse of a square rational matrix, read off the integral RREF of
     [A | I]: row i of the inverse is row[n:] / row[i].  Raises EngineError

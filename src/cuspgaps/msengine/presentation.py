@@ -274,16 +274,6 @@ class MSPresentation:
             raw[col] = raw.get(col, 0) + coeff
         return raw
 
-    def act_vector(self, vec, delta: Mat2) -> list[Fraction]:
-        """delta . (vector in generator coordinates), in generator coordinates:
-        the raw images of the generators are summed and reduced once."""
-        raw: dict = {}
-        for t, val in zip(self.generators, vec):
-            if val:
-                for col, c in self.act_symbol_raw(t, delta).items():
-                    raw[col] = raw.get(col, 0) + val * c
-        return self.raw_to_quotient(raw)
-
 
 def hecke_cosets(n: int, level: int) -> list[tuple[int, int, int]]:
     """Upper-triangular coset data (a, b, d) with ad = n, 0 <= b < d and

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspgaps import invariants as inv
-from cuspgaps.arith import is_prime, kronecker_minus3, kronecker_minus4, primes_up_to
+from cuspgaps.arith import divisors, euler_phi, is_prime, kronecker_minus3, kronecker_minus4, primes_up_to
 from cuspgaps.oracles import victor_miller_basis
 
 
@@ -390,6 +390,78 @@ def test_case_analysis_matches_fraction_reference(triple):
         got = getattr(report, field.name)
         assert got == want[field.name], field.name
         assert type(got) is type(want[field.name]), field.name
+
+
+@st.composite
+def same_residue_triples(draw):
+    """(N, k, p, p') admissible on both sides with p == p' mod 12."""
+    k = draw(st.integers(2, 100)) * 2
+    r = draw(st.sampled_from([1, 5, 7, 11]))
+    primes = [q for q in PRIMES_TO_2000 if q >= k + 1 and q % 12 == r]
+    p = draw(st.sampled_from(primes))
+    q = draw(st.sampled_from(primes))
+    n = draw(st.integers(1, 5000).filter(lambda m: m % p and m % q))
+    return n, k, p, q
+
+
+RESIDUE_SHARED = ("master_lhs", "certificate", "certificate_lhs", "quadrant", "alpha2", "alpha3")
+
+
+@settings(max_examples=300, deadline=None)
+@given(same_residue_triples())
+def test_case_analysis_depends_on_p_mod_12(triple):
+    n, k, p, q = triple
+    a, b = inv.classify_triple(n, k, p), inv.classify_triple(n, k, q)
+    for name in RESIDUE_SHARED:
+        assert getattr(a, name) == getattr(b, name), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(admissible_triples())
+def test_residue_core_master_matches_direct_formula(triple):
+    """The core's 12 * master, from eps2(N), eps3(N) and p mod 12, equals
+    the master formula evaluated on the factored level pN."""
+    n, k, p = triple
+    big_k = (k - 1) * p + 1
+    a2, a3 = inv.alpha_pair(n, big_k)
+    direct = (
+        (k - 2) * inv.index(n)
+        + (12 * (k // 4) - 3 * (k - 1)) * inv.eps2(p * n)
+        + (12 * (k // 3) - 4 * (k - 1)) * inv.eps3(p * n)
+        + 6 * a2
+        + 4 * a3
+    )
+    assert inv._residue_core(n, k, p % 12)[2] == direct
+
+
+def test_fast_built_report_is_a_frozen_dataclass():
+    fast = inv.classify_triple(5, 12, 13)
+    fields = {f.name: getattr(fast, f.name) for f in dataclasses.fields(fast)}
+    slow = inv.CaseReport(**fields)
+    assert fast == slow and hash(fast) == hash(slow)
+    assert vars(fast) == vars(slow)
+    moved = dataclasses.replace(fast, dim_upper=fast.dim_upper + 1)
+    assert moved.dim_upper == fast.dim_upper + 1 and moved != fast
+    assert dataclasses.replace(moved, dim_upper=fast.dim_upper) == fast
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fast.master_lhs = Fraction(0)
+
+
+def test_eps_inf_is_the_divisor_sum():
+    for n in range(1, 3001):
+        want = sum(euler_phi(gcd(d, n // d)) for d in divisors(n))
+        assert inv.eps_inf(n) == want, n
+
+
+def test_residue_cache_is_per_residue_class():
+    """A scan fills the core once per (N, k, p mod 12), at most four
+    residues per (N, k), and dim S_k(pN) is not cached."""
+    inv._residue_core.cache_clear()
+    config = inv.ScanConfig(kmin=4, kmax=8, nmax=30, pmax=97)
+    total = sum(1 for _ in inv.scan_triples(config))
+    info = inv._residue_core.cache_info()
+    assert info.misses == info.currsize <= 4 * 30 * 3 < total
+    assert not hasattr(inv.cusp_dim, "cache_info")
 
 
 def test_scan_validates_when_called():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from cuspgaps.errors import EngineError
 from cuspgaps.linalg import (
     Echelonizer,
-    identity,
     kernel_basis,
     make_primitive,
     mat_inverse,
@@ -62,7 +61,7 @@ def test_rref_idempotent(m):
 def test_inverse():
     a = [[2, 1], [1, 1]]
     inv = mat_inverse(a)
-    assert mat_mul(a, inv) == identity(2)
+    assert mat_mul(a, inv) == [[1, 0], [0, 1]]
 
 
 def test_echelonizer_contains():
@@ -158,7 +157,8 @@ def test_kernel_of_empty_matrix_is_integer_identity():
 @settings(max_examples=200, deadline=None)
 def test_inverse_is_a_left_inverse(a):
     assume(rank(a) == len(a))
-    assert mat_mul(mat_inverse(a), a) == identity(len(a))
+    n = len(a)
+    assert mat_mul(mat_inverse(a), a) == [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 @given(

@@ -128,11 +128,23 @@ def test_cuspidal_basis_is_primitive_integral(level, weight):
 
 # -- the action -------------------------------------------------------------------
 
+def _act(pres, vec, delta):
+    """delta . (vector in generator coordinates), in generator coordinates:
+    the raw images of the generators under act_symbol_raw, summed and
+    reduced once by raw_to_quotient."""
+    raw = {}
+    for t, val in zip(pres.generators, vec):
+        if val:
+            for col, c in pres.act_symbol_raw(t, delta).items():
+                raw[col] = raw.get(col, 0) + val * c
+    return pres.raw_to_quotient(raw)
+
+
 def test_act_identity():
     pres = build_presentation(5, 12)
     ident = ((1, 0), (0, 1))
     for v in pres.cuspidal_basis:
-        assert pres.act_vector(v, ident) == list(v)
+        assert _act(pres, v, ident) == list(v)
 
 
 entry = st.integers(min_value=-3, max_value=3)
@@ -163,8 +175,8 @@ def test_act_composition_with_group_element(d1, words):
     pres = build_presentation(3, 6)
     g = _gamma0_element(3, words)
     x = pres.cuspidal_basis[0]
-    lhs = pres.act_vector(pres.act_vector(x, d1), g)
-    rhs = pres.act_vector(x, mat_mul2(g, d1))
+    lhs = _act(pres, _act(pres, x, d1), g)
+    rhs = _act(pres, x, mat_mul2(g, d1))
     assert lhs == rhs
 
 
@@ -175,14 +187,14 @@ def test_act_group_invariance(words):
     pres = build_presentation(6, 4)
     g = _gamma0_element(6, words)
     for v in pres.cuspidal_basis:
-        assert pres.act_vector(v, g) == list(v)
+        assert _act(pres, v, g) == list(v)
 
 
 def test_act_scalar_matrices():
     """t * identity acts by t^(k-2) (the adjugate polynomial transport)."""
     pres = build_presentation(5, 6)
     v = pres.cuspidal_basis[0]
-    out = pres.act_vector(v, ((3, 0), (0, 3)))
+    out = _act(pres, v, ((3, 0), (0, 3)))
     assert out == [3 ** (6 - 2) * x for x in v]
 
 
