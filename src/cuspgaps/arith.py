@@ -79,13 +79,6 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
-def euler_phi(n: int) -> int:
-    out = n
-    for p, _ in factorize(n):
-        out = out // p * (p - 1)
-    return out
-
-
 def kronecker_minus4(p: int) -> int:
     """Kronecker symbol (-4/p) for a prime p; (-4/2) = 0."""
     if p == 2:

@@ -17,8 +17,10 @@ commutative, so T_n f_(x,i) = f_(T_n x, i), whose m-th coefficient is
 sum_g (T_m x)_g (T_n gen_g)_i: the only new Hecke images are T_n of the
 presentation's generators.  Only the first `precision` coefficients of
 each series are ever needed, so no operator asks for more than the basis
-already has.  The series pass (_independent_series) runs once per (level,
-weight, precision), and the basis and the transport both read it.
+already has.  One integral RREF of the rows [f | T_n f] then carries T_n
+to the echelon basis, as that RREF's first half is the basis itself.  The
+series pass (_independent_series) runs once per (level, weight,
+precision), and the basis and the transport both read it.
 
 The coefficient-side Hecke rule a_n(T_m f), for any m, is here too
 (coefficient_image): the stability certificate uses it, and so do the
@@ -35,7 +37,7 @@ from math import gcd
 from ..arith import divisors
 from ..errors import EngineError, NotInSpanError
 from ..invariants import sturm_bound, valence_bound
-from ..linalg import Echelonizer, mat_mul
+from ..linalg import Echelonizer, mat_mul, rref
 from ..qexp import QExpansion
 from .presentation import MSPresentation, build_presentation, hecke_cosets
 
@@ -135,7 +137,7 @@ def _independent_series(level: int, weight: int, precision: int):
     the reduced echelon rows, as primitive integer vectors, and, for each
     x used, its Hecke images T_m x and the positions (among the chosen
     coordinates) of the series that raised the rank.  qexpansion_basis
-    reads the rows, _series_frame the images."""
+    reads the rows, hecke_matrix_from_symbols the images."""
     pres = build_presentation(level, weight)
     d = pres.cuspidal_dimension
     coords = cuspidal_functionals(pres)
@@ -241,44 +243,37 @@ def hecke_matrix_from_symbols(basis: SpaceBasis, n: int) -> list[list[Fraction]]
 
     A series f(m) = (T_m x)_i of a cuspidal x has T_n f(m) = (T_n T_m x)_i
     = sum_g (T_m x)_g (T_n gen_g)_i, as T_n is linear on the generator
-    coordinates; so T_n is applied only to the generators.  `coordinates`
-    certifies that each T_n f lies in the span on every known coefficient,
-    and T_n = (T_n f coordinates) (f coordinates)^-1 over the independent
-    series of _series_frame.
+    coordinates; so T_n is applied only to the generators.  Over the
+    independent series of _independent_series, the integral RREF of the
+    rows [f | T_n f] has row j = lambda_j [b_j | T_n b_j] for basis row b_j,
+    so T_n b_j is read off its second half.  The RREF's pivots must be the
+    basis pivots and its first halves integer multiples of the basis rows;
+    `coordinates` certifies that each T_n b_j lies in the span on every
+    known coefficient.  Any failure raises EngineError.
     """
-    level, weight = basis.level, basis.weight
+    level, weight, prec = basis.level, basis.weight, basis.precision
     if basis.dimension == 0:
         return []
-    series, f_inverse = _series_frame(basis)
     pres = build_presentation(level, weight)
+    coords = cuspidal_functionals(pres)
     images = _generator_images(pres, n)
-    moved = [[w[i] for w in images] for i in cuspidal_functionals(pres)]
-    tf_cols = []
-    for r, tm_x in series:
-        tf = [sum(a * y for a, y in zip(moved[r], w)) for w in tm_x]
-        tf_cols.append(basis.coordinates(QExpansion(tuple(tf), weight, level)))
-    return mat_mul(list(zip(*tf_cols)), f_inverse)
-
-
-@lru_cache(maxsize=16)
-def _series_frame(basis: SpaceBasis):
-    """The independent series f(m) = (T_m x)_i of the basis's own series
-    pass (_independent_series), each as (position of i among the chosen
-    coordinates, the images T_m x for m = 1..precision in generator
-    coordinates), and the inverse of the matrix whose columns are their
-    coordinates in the basis.  Every operator transported to the basis
-    shares them."""
-    from ..linalg import mat_inverse  # imported per call, so a patch of linalg.mat_inverse is seen
-
-    level, weight = basis.level, basis.weight
-    coords = cuspidal_functionals(build_presentation(level, weight))
-    series, f_cols = [], []
-    for images, raised in _independent_series(level, weight, basis.precision)[1]:
+    moved = [[w[i] for w in images] for i in coords]
+    pairs = []
+    for tm_x, raised in _independent_series(level, weight, prec)[1]:
         for r in raised:
-            series.append((r, images))
-            f = QExpansion(tuple(w[coords[r]] for w in images), weight, level)
-            f_cols.append(basis.coordinates(f))
-    return series, mat_inverse(list(zip(*f_cols)))
+            f = [w[coords[r]] for w in tm_x]
+            pairs.append(f + [sum(a * y for a, y in zip(moved[r], w)) for w in tm_x])
+    rows, pivots = rref(pairs)
+    if [c + 1 for c in pivots] != list(basis.pivots):
+        raise EngineError(f"the series' RREF pivots are not the basis pivots at ({level}, {weight})")
+    cols = []
+    for j, (row, b, c) in enumerate(zip(rows, basis.rows, pivots)):
+        scale, rest = divmod(row[c], b.coeffs[c])
+        if rest or row[:prec] != [scale * x for x in b.coeffs]:
+            raise EngineError(f"basis row {j + 1} is not the series' echelon row at ({level}, {weight})")
+        image = QExpansion(tuple(Fraction(x, scale) for x in row[prec:]), weight, level)
+        cols.append(basis.coordinates(image))
+    return [[col[i] for col in cols] for i in range(basis.dimension)]
 
 
 @lru_cache(maxsize=64)

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from cuspgaps.arith import (
     divisors,
-    euler_phi,
     factorize,
     is_prime,
     primes_up_to,
     xgcd,
 )
+from test_invariants import euler_phi
 
 
 @given(st.integers(min_value=-10**6, max_value=10**6), st.integers(min_value=-10**6, max_value=10**6))

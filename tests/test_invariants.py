@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspgaps import invariants as inv
-from cuspgaps.arith import divisors, euler_phi, is_prime, kronecker_minus3, kronecker_minus4, primes_up_to
+from cuspgaps.arith import divisors, is_prime, kronecker_minus3, kronecker_minus4, primes_up_to
 from cuspgaps.oracles import victor_miller_basis
 
 
@@ -445,6 +445,11 @@ def test_fast_built_report_is_a_frozen_dataclass():
     assert dataclasses.replace(moved, dim_upper=fast.dim_upper) == fast
     with pytest.raises(dataclasses.FrozenInstanceError):
         fast.master_lhs = Fraction(0)
+
+
+def euler_phi(n: int) -> int:
+    """Euler's totient by its definition, the reference for eps_inf."""
+    return sum(1 for a in range(1, n + 1) if gcd(a, n) == 1)
 
 
 def test_eps_inf_is_the_divisor_sum():

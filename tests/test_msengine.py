@@ -1,11 +1,13 @@
 """Modular symbols engine: P^1, presentations, the action, Hecke, bases."""
 
+import dataclasses
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cuspgaps.errors import EngineError
 from cuspgaps.invariants import cusp_dim, sturm_bound, valence_bound
 from cuspgaps.msengine import (
     build_presentation,
@@ -19,6 +21,7 @@ from cuspgaps.msengine import (
 )
 from cuspgaps.msengine.action import mat_mul2
 from cuspgaps.oracles import delta_expansion, eta_expand, EtaProduct, tau, victor_miller_basis
+from cuspgaps.qexp import QExpansion
 
 
 # -- P^1 ------------------------------------------------------------------------
@@ -277,7 +280,6 @@ def test_transport_reuses_the_series_pass(level, weight, monkeypatch):
     once: no series image T_m x is recomputed."""
     from cuspgaps.msengine import basis as basis_mod
 
-    basis_mod._series_frame.cache_clear()
     b = qexpansion_basis.__wrapped__(level, weight, sturm_bound(level, weight))
     assert b.dimension == cusp_dim(level, weight)
     calls = []
@@ -286,6 +288,41 @@ def test_transport_reuses_the_series_pass(level, weight, monkeypatch):
     hecke_matrix_from_symbols(b, 2)
     pres = basis_mod.build_presentation(level, weight)
     assert [(x, n) for _, x, n in calls] == [({t: 1}, 2) for t in pres.generators]
+
+
+def _with_rows(basis, rows):
+    return dataclasses.replace(
+        basis,
+        rows=tuple(QExpansion(tuple(r), basis.weight, basis.level) for r in rows),
+        pivots=tuple(next(i for i, x in enumerate(r) if x) + 1 for r in rows),
+    )
+
+
+@pytest.mark.parametrize("corruption", ["combined", "dropped"])
+def test_transport_rejects_a_basis_that_is_not_the_series_echelon(corruption):
+    """T_n is read off the RREF of [f | T_n f] over the series that built
+    the basis, so the transport refuses rows other than that RREF's first
+    half: row 1 + row 2 keeps every pivot, a dropped row loses one."""
+    b = qexpansion_basis(13, 12, sturm_bound(13, 12))
+    rows = [list(r.coeffs) for r in b.rows]
+    if corruption == "combined":
+        rows[0] = [x + y for x, y in zip(rows[0], rows[1])]
+    else:
+        rows.pop()
+    with pytest.raises(EngineError):
+        hecke_matrix_from_symbols(_with_rows(b, rows), 2)
+
+
+def test_transport_rejects_a_wrong_row_under_a_zero_operator():
+    """49a has CM by Q(sqrt(-7)), so T_3 = 0 on S_2(Gamma_0(49)): its image
+    lies in any span and `coordinates` cannot see a wrong basis row.  The
+    check that each RREF row starts with a multiple of its basis row does."""
+    b = qexpansion_basis(49, 2, sturm_bound(49, 2))
+    assert hecke_matrix_from_symbols(b, 3) == [[0]]
+    wrong = list(b.rows[0].coeffs)
+    wrong[1] += 1
+    with pytest.raises(EngineError, match="not the series' echelon row"):
+        hecke_matrix_from_symbols(_with_rows(b, [wrong]), 3)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
