@@ -36,7 +36,7 @@ def main() -> int:
         by_certificate[rep.certificate] += 1
         if min_master is None or rep.master_lhs < min_master:
             min_master = rep.master_lhs
-        if not (rep.inequality_holds and rep.identity_holds and rep.certificate_matches_master):
+        if not rep.verified:
             violations += 1
             print(f"VIOLATION: {rep.as_dict()}")
     elapsed = time.perf_counter() - t0

@@ -50,14 +50,19 @@ def _write_atomic(path: Path, text: str) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def basis_text(basis: SpaceBasis) -> str:
+    """The basis in the file format above, as written to the cache and as
+    `cuspgaps basis` prints it."""
+    lines = [f"{MAGIC} {FORMAT_VERSION} {basis.level} {basis.weight} {basis.precision} {basis.dimension}"]
+    lines.extend(" ".join(str(int(c)) for c in row.coeffs) for row in basis.rows)
+    return "\n".join(lines) + "\n"
+
+
 def write_basis(basis: SpaceBasis, directory: str | Path) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / cache_filename(basis.level, basis.weight, basis.precision)
-    lines = [f"{MAGIC} {FORMAT_VERSION} {basis.level} {basis.weight} {basis.precision} {basis.dimension}"]
-    for row in basis.rows:
-        lines.append(" ".join(str(int(c)) for c in row.coeffs))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    _write_atomic(path, basis_text(basis))
     meta = {
         "engineVersion": ENGINE_VERSION,
         "sturmBound": sturm_bound(basis.level, basis.weight),

@@ -15,7 +15,7 @@ import sys
 
 from . import gaps as gaps_mod
 from . import invariants as inv
-from .cache import find_cached, write_basis
+from .cache import basis_text, find_cached, write_basis
 from .errors import EngineError
 from .invariants import LevelInvariants, ScanConfig, scan_triples
 from .msengine import qexpansion_basis
@@ -61,8 +61,7 @@ def cmd_scan(args) -> int:
         )
     for rep in scan_triples(config):
         total += 1
-        ok = rep.inequality_holds and rep.identity_holds and rep.certificate_matches_master
-        if not ok:
+        if not rep.verified:
             violations.append(rep)
         if args.csv:
             print(
@@ -87,9 +86,7 @@ def cmd_basis(args) -> int:
     bound = inv.sturm_bound(args.level, args.weight)
     precision = bound + 10 if args.prec is None else args.prec
     basis = _get_basis(args.level, args.weight, precision, _cache_dir(args))
-    print(f"MFBASIS v1 {basis.level} {basis.weight} {basis.precision} {basis.dimension}")
-    for row in basis.rows:
-        print(" ".join(str(int(c)) for c in row.coeffs))
+    print(basis_text(basis), end="")
     return 0
 
 

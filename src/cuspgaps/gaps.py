@@ -56,14 +56,13 @@ class GapData:
         }
 
 
-def gap_data(level: int, weight: int, precision: int | None = None) -> GapData:
-    """Pivot structure of the echelon basis; w_dim = dim W_k(N), since the
-    rows with pivot > dim span exactly the forms of order > dim."""
+def gap_data(level: int, weight: int) -> GapData:
+    """Pivot structure of the echelon basis at the Sturm bound + 10;
+    w_dim = dim W_k(N), since the rows with pivot > dim span exactly the
+    forms of order > dim."""
     check_level(level)
     check_weight(weight)
-    if precision is None:
-        precision = sturm_bound(level, weight) + 10
-    basis = qexpansion_basis(level, weight, precision)
+    basis = qexpansion_basis(level, weight, sturm_bound(level, weight) + 10)
     w_dim = sum(1 for c in basis.pivots if c > basis.dimension)
     return GapData(level, weight, basis.dimension, basis.pivots, w_dim)
 

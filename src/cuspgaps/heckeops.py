@@ -121,7 +121,6 @@ def normalize_p(f: QExpansion, p: int) -> QExpansion:
 class OperatorMatrix:
     """Exact rational matrix acting on coordinate columns of a SpaceBasis."""
 
-    label: str
     matrix: tuple[tuple[Fraction, ...], ...]
 
     @property
@@ -143,7 +142,7 @@ def _symbol_operator(ambient: SpaceBasis, ell: int, label: str) -> OperatorMatri
         image = ambient.linear_combination([r[j] for r in mat])
         if list(image.coeffs[: len(known)]) != known:
             raise EngineError(f"{label} from symbols disagrees with the coefficients of basis row {j + 1}")
-    return OperatorMatrix(label, tuple(tuple(r) for r in mat))
+    return OperatorMatrix(tuple(tuple(r) for r in mat))
 
 
 def up_matrix(ambient: SpaceBasis, p: int) -> OperatorMatrix:
@@ -169,7 +168,7 @@ def hecke_matrix_on_basis(basis: SpaceBasis, ell: int) -> OperatorMatrix:
     ]
     d = basis.dimension
     mat = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-    return OperatorMatrix(f"T_{ell}", mat)
+    return OperatorMatrix(mat)
 
 
 # -- old/new decomposition ----------------------------------------------------
@@ -290,7 +289,7 @@ def atkin_lehner(split: OldNewSplit) -> OperatorMatrix:
     t = _symbol_operator(split.ambient, ell, f"T_{ell}").matrix
     if mat_mul(w, t) != mat_mul(t, w):
         raise AssemblyError(f"Atkin-Lehner assembly failed: W_{p} does not commute with T_{ell}")
-    return OperatorMatrix(f"W_{p}", tuple(tuple(row) for row in w))
+    return OperatorMatrix(tuple(tuple(row) for row in w))
 
 
 def trace_matrix(split: OldNewSplit, w: OperatorMatrix) -> OperatorMatrix:
@@ -307,7 +306,7 @@ def trace_matrix(split: OldNewSplit, w: OperatorMatrix) -> OperatorMatrix:
     uw = mat_mul(split.up.matrix, w.matrix)
     d = split.ambient.dimension
     mat = [[(Fraction(i == j) + scale * uw[i][j]) for j in range(d)] for i in range(d)]
-    return OperatorMatrix(f"Tr^{p * split.level}_{split.level}", tuple(tuple(r) for r in mat))
+    return OperatorMatrix(tuple(tuple(r) for r in mat))
 
 
 def subspace_s_basis(split: OldNewSplit, w: OperatorMatrix) -> tuple:

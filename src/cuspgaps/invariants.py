@@ -238,6 +238,12 @@ class CaseReport:
         report.__dict__.update(zip(_RESIDUE_FIELDS, shared), **fields)
         return report
 
+    @property
+    def verified(self) -> bool:
+        """The scan verdict: the inequality holds, the reduction identity
+        holds, and the reduced certificate agrees with the master LHS."""
+        return self.inequality_holds and self.identity_holds and self.certificate_matches_master
+
     def as_dict(self) -> dict:
         return {
             "level": self.level,

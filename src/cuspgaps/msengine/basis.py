@@ -8,7 +8,8 @@ n -> (T_n x)_i is the q-expansion of a rational cusp form, and these
 functionals span the dual as x runs over the cuspidal subspace and i over d
 coordinates that determine a cuspidal vector.  Accumulating the series
 until their rank equals d = dim S_k and echelonizing yields the canonical
-integral basis with strictly increasing pivots; a rank certificate, the
+integral basis with strictly increasing pivots (d = 0 included: the pass
+then stops before its first series); a rank certificate, the
 pivot/valence check and a Hecke stability certificate guard the result.
 
 The same series carry any T_n to the echelon basis: the Hecke algebra is
@@ -144,6 +145,8 @@ def _independent_series(level: int, weight: int, precision: int):
     ech = Echelonizer(precision)
     used = []
     for x in _cuspidal_elements(pres):
+        if ech.rank == d:
+            break
         images = [_hecke_image_quotient(pres, x, m) for m in range(1, precision + 1)]
         raised = []
         for r, i in enumerate(coords):
@@ -153,12 +156,12 @@ def _independent_series(level: int, weight: int, precision: int):
                     break
         if raised:
             used.append((images, raised))
-        if ech.rank == d:
-            return ech.reduced_rows(), used
-    raise EngineError(
-        f"series rank stalled at {ech.rank} < {d} for ({level}, {weight}); "
-        "this indicates an engine bug"
-    )
+    if ech.rank < d:
+        raise EngineError(
+            f"series rank stalled at {ech.rank} < {d} for ({level}, {weight}); "
+            "this indicates an engine bug"
+        )
+    return ech.reduced_rows(), used
 
 
 @lru_cache(maxsize=64)
@@ -168,8 +171,6 @@ def qexpansion_basis(level: int, weight: int, precision: int) -> SpaceBasis:
     bound = sturm_bound(level, weight)
     if precision < bound:
         raise ValueError(f"precision {precision} is below the Sturm bound {bound}")
-    if build_presentation(level, weight).cuspidal_dimension == 0:
-        return SpaceBasis(level, weight, precision, (), ())
     reduced = _independent_series(level, weight, precision)[0]
     rows = [QExpansion(tuple(r), weight, level) for r in reduced]
     pivots = [next(i for i, x in enumerate(r) if x) + 1 for r in reduced]
@@ -205,8 +206,6 @@ def hecke_stability_certificate(basis: SpaceBasis) -> None:
     """Certify that the spanned coefficient space is stable under the
     coefficient-side Hecke rule (coefficient_image) for T_2, ..., T_5.
     Raises EngineError on failure."""
-    if not basis.rows:
-        return
     for m in range(2, 6):
         prec = basis.precision // m
         if prec < 1:
@@ -252,8 +251,6 @@ def hecke_matrix_from_symbols(basis: SpaceBasis, n: int) -> list[list[Fraction]]
     known coefficient.  Any failure raises EngineError.
     """
     level, weight, prec = basis.level, basis.weight, basis.precision
-    if basis.dimension == 0:
-        return []
     pres = build_presentation(level, weight)
     coords = cuspidal_functionals(pres)
     images = _generator_images(pres, n)

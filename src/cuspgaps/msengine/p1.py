@@ -1,9 +1,11 @@
 """The projective line P^1(Z/NZ): enumeration and canonical representatives.
 
 Classes are orbits of pairs (u, v) with gcd(u, v, N) = 1 under scaling by
-units of Z/NZ.  The canonical representative (c, d) of a class always has
-c | N and gcd(c, d) = 1, so it lifts to the bottom row of an SL_2(Z) matrix.
-The normalization follows Stein, Algorithm 8.29.
+units of Z/NZ.  The canonical representative (c, d) of a class is (0, 1)
+or has c | N; either way gcd(c, d) = 1, so it lifts to the bottom row of an
+SL_2(Z) matrix.  Level 1 is no special case: every pair is (0, 0) mod 1,
+which normalizes to (0, 1), so P^1(Z/1Z) = [(0, 1)].  The normalization
+follows Stein, Algorithm 8.29.
 """
 
 from __future__ import annotations
@@ -37,11 +39,7 @@ class P1:
         if level < 1:
             raise ValueError("level must be >= 1")
         self.level = level
-        if level == 1:
-            self._reps = [(0, 0)]
-        else:
-            reps = {self.normalize(u, v) for u, v in self._candidates()}
-            self._reps = sorted(reps)
+        self._reps = sorted({self.normalize(u, v) for u, v in self._candidates()})
         self._index = {rep: i for i, rep in enumerate(self._reps)}
 
     def _candidates(self):
@@ -71,8 +69,6 @@ class P1:
         Raises ValueError when gcd(u, v, N) > 1 (not a point of P^1).
         """
         n = self.level
-        if n == 1:
-            return (0, 0)
         u %= n
         v %= n
         if gcd(gcd(u, v), n) != 1:

@@ -1,7 +1,9 @@
 """Finite presentation of weight-k modular symbols for Gamma_0(N).
 
 Manin symbols are pairs (X^i Y^(k-2-i), (c:d)) indexed by
-t = i * |P^1| + p1_index.  The presentation quotients the free module on
+t = i * |P^1| + p1_index.  Each class (c:d) is lifted once, on building,
+to an SL_2(Z) matrix with bottom row (c, d); at level 1 the one class (0:1)
+lifts to the identity.  The presentation quotients the free module on
 these symbols by the standard two-term and three-term relations
 
     x + x.sigma = 0,   x + x.tau + x.tau^2 = 0,
@@ -113,24 +115,11 @@ class MSPresentation:
         self.p1 = p1_space(level)
         self.n_p1 = len(self.p1)
         self.ncols = (weight - 1) * self.n_p1
-        self._lift_cache: list[Mat2 | None] = [None] * self.n_p1
+        self._lifts = [_sl2_lift(c, d) for c, d in self.p1]
         self._build_quotient()
         self._build_cuspidal()
 
     # -- construction ------------------------------------------------------
-
-    def _bottom_rep(self, j: int) -> tuple[int, int]:
-        c, d = self.p1[j]
-        if self.level == 1:
-            return (0, 1)
-        return (c, d)
-
-    def _lift(self, j: int) -> Mat2:
-        m = self._lift_cache[j]
-        if m is None:
-            m = _sl2_lift(*self._bottom_rep(j))
-            self._lift_cache[j] = m
-        return m
 
     def _build_quotient(self) -> None:
         n_p1, deg = self.n_p1, self.degree
@@ -217,7 +206,7 @@ class MSPresentation:
         rows: dict[int, list[int]] = {}
         for gen_idx, root in enumerate(self.generators):
             i, j = divmod(root, self.n_p1)
-            (a, b), (c, d) = self._lift(j)
+            (a, b), (c, d) = self._lifts[j]
             if i == deg:
                 cls = cusp_class((a, c))
                 rows.setdefault(cls, [0] * self.dimension)[gen_idx] += 1
@@ -263,7 +252,7 @@ class MSPresentation:
         if mat_det(delta) <= 0:
             raise ValueError("action requires positive determinant")
         i, j = divmod(t, self.n_p1)
-        (a, b), (c, d) = self._lift(j)
+        (a, b), (c, d) = self._lifts[j]
         g_inv: Mat2 = ((d, -b), (-c, a))
         transport = mat_mul2(g_inv, mat_adjugate(delta))
         to_pair = (delta[0][0] * a + delta[0][1] * c, delta[1][0] * a + delta[1][1] * c)

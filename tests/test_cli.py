@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from cuspgaps import cache as cache_mod
 from cuspgaps.cache import cache_filename, find_cached, read_basis, write_basis
 from cuspgaps.cli import main
 from cuspgaps.errors import EngineError
@@ -203,6 +204,17 @@ def test_basis_command_with_cache(tmp_path, capsys):
     assert (tmp_path / "basis_N1_k12_B20.mfb").exists()
     code2, out2, _ = run_cli(capsys, "basis", "1", "12", "--prec", "20", "--cache", str(tmp_path))
     assert code2 == 0 and out2 == out
+
+
+def test_basis_prints_the_text_it_caches(tmp_path, capsys, monkeypatch):
+    """`cuspgaps basis` prints the bytes of the file it caches, and the
+    printed header follows the cache's format version."""
+    code, out, _ = run_cli(capsys, "basis", "19", "16", "--prec", "40", "--cache", str(tmp_path))
+    assert code == 0
+    assert out.encode() == (tmp_path / cache_filename(19, 16, 40)).read_bytes()
+    monkeypatch.setattr(cache_mod, "FORMAT_VERSION", "v9")
+    code, out, _ = run_cli(capsys, "basis", "1", "12", "--prec", "20")
+    assert code == 0 and out.startswith("MFBASIS v9 1 12 20 1\n")
 
 
 def test_mfcache_env_overrides_flag(tmp_path, capsys):

@@ -11,6 +11,7 @@ from cuspgaps.gaps import (
     verify_weight2_nonweierstrass,
 )
 from cuspgaps.invariants import sturm_bound
+from cuspgaps.msengine import qexpansion_basis
 
 
 def test_gap_data_sharp_example():
@@ -21,9 +22,11 @@ def test_gap_data_sharp_example():
 
 
 def test_gap_data_stability_under_precision():
-    d1 = gap_data(11, 2)
-    d2 = gap_data(11, 2, precision=sturm_bound(11, 2) + 25)
-    assert d1.pivots == d2.pivots and d1.w_dim == d2.w_dim
+    """gap_data reads the basis at the Sturm bound + 10; 15 more
+    coefficients move no pivot."""
+    bound = sturm_bound(11, 2)
+    pivots = qexpansion_basis(11, 2, bound + 10).pivots
+    assert qexpansion_basis(11, 2, bound + 25).pivots == pivots == gap_data(11, 2).pivots
 
 
 def test_gap_data_json_shape():

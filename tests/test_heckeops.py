@@ -385,6 +385,6 @@ def test_split_certifies_up_on_the_old_pairs(monkeypatch, perturb, message):
     col, row = (split.new_vectors[0], phi[0]) if perturb == "new" else (g1, phi[1])
     u = split.up.matrix
     wrong = tuple(tuple(x + c * y for x, y in zip(u_row, row)) for u_row, c in zip(u, col))
-    monkeypatch.setattr(heckeops, "up_matrix", lambda ambient, p: heckeops.OperatorMatrix("U_5", wrong))
+    monkeypatch.setattr(heckeops, "up_matrix", lambda ambient, p: heckeops.OperatorMatrix(wrong))
     with pytest.raises(EngineError, match=message):
         old_new_split(1, 24, 5, split.ambient)

@@ -447,6 +447,16 @@ def test_fast_built_report_is_a_frozen_dataclass():
         fast.master_lhs = Fraction(0)
 
 
+def test_verified_is_the_scan_verdict():
+    """`verified` is the conjunction that the scan and the atlas count as a
+    pass, and stays out of as_dict, so `scan --json` is unchanged."""
+    rep = inv.classify_triple(5, 12, 13)
+    assert rep.verified is True
+    assert "verified" not in rep.as_dict()
+    for name in ("inequality_holds", "identity_holds", "certificate_matches_master"):
+        assert dataclasses.replace(rep, **{name: False}).verified is False
+
+
 def euler_phi(n: int) -> int:
     """Euler's totient by its definition, the reference for eps_inf."""
     return sum(1 for a in range(1, n + 1) if gcd(a, n) == 1)

@@ -35,6 +35,16 @@ def test_p1_sizes():
         assert len(p1_enumerate(n)) == index(n)
 
 
+def test_p1_level1_is_one_class():
+    """P^1(Z/1Z) takes the general path: every pair is (0, 0) mod 1 and
+    normalizes to (0, 1), whose SL_2(Z) lift is the identity."""
+    assert p1_enumerate(1) == [(0, 1)]
+    p1 = p1_space(1)
+    for u, v in [(0, 0), (0, 1), (1, 0), (3, -7), (12, 5)]:
+        assert p1.index(u, v) == 0
+    assert build_presentation(1, 12)._lifts == [((1, 0), (0, 1))]
+
+
 def test_p1_proportional_pairs():
     p1 = p1_space(5)
     assert p1.index(2, 3) == p1.index(4, 6)
@@ -242,6 +252,31 @@ def test_basis_level1_weight12_is_delta():
 def test_basis_empty_space():
     b = qexpansion_basis(4, 4, 20)
     assert b.dimension == 0 and b.rows == () and b.pivots == ()
+
+
+@pytest.mark.parametrize("level,weight", [(4, 4), (1, 10)])
+def test_zero_space_takes_the_general_path(level, weight):
+    """With d = 0 the series pass stops before its first series, and the
+    basis, the transport and the stability certificate run their general
+    code on the empty basis."""
+    from cuspgaps.msengine.basis import _independent_series, hecke_stability_certificate
+
+    precision = sturm_bound(level, weight) + 10
+    assert _independent_series.__wrapped__(level, weight, precision) == ([], [])
+    b = qexpansion_basis(level, weight, precision)
+    assert b.dimension == 0
+    assert hecke_matrix_from_symbols(b, 2) == []
+    hecke_stability_certificate(b)
+
+
+def test_series_pass_rejects_a_stalled_rank(monkeypatch):
+    """If the cuspidal elements run out before the series reach rank d,
+    the series pass raises instead of returning a short basis."""
+    from cuspgaps.msengine import basis as basis_mod
+
+    monkeypatch.setattr(basis_mod, "_cuspidal_elements", lambda pres: iter(()))
+    with pytest.raises(EngineError, match="series rank stalled"):
+        basis_mod._independent_series.__wrapped__(13, 12, 15)
 
 
 def test_basis_level11_weight2_is_eta_product():
