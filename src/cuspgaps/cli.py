@@ -17,7 +17,7 @@ from . import gaps as gaps_mod
 from . import invariants as inv
 from .cache import basis_text, find_cached, write_basis
 from .errors import EngineError
-from .invariants import LevelInvariants, ScanConfig, scan_triples
+from .invariants import CSV_HEADER, LevelInvariants, ScanConfig, scan_triples
 from .msengine import qexpansion_basis
 
 
@@ -55,21 +55,13 @@ def cmd_scan(args) -> int:
     total = 0
     violations = []
     if args.csv:
-        print(
-            "k,N,p,bigWeightMod12,alpha2,alpha3,quadrant,certificate,"
-            "certificateLhs,masterLhs,dim,orderBound,identityHolds,inequalityHolds"
-        )
+        print(CSV_HEADER)
     for rep in scan_triples(config):
         total += 1
         if not rep.verified:
             violations.append(rep)
         if args.csv:
-            print(
-                f"{rep.weight},{rep.level},{rep.prime},{rep.big_weight_mod12},"
-                f"{rep.alpha2},{rep.alpha3},{rep.quadrant},{rep.certificate},"
-                f"{rep.certificate_lhs},{rep.master_lhs},{rep.dim_upper},"
-                f"{rep.order_bound},{rep.identity_holds},{rep.inequality_holds}"
-            )
+            print(rep.csv_row())
         elif args.json:
             _print_json(rep.as_dict())
     summary = {"triples": total, "violations": len(violations)}

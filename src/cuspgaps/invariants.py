@@ -3,7 +3,9 @@
 Everything here is a pure function of its integer arguments, computed in
 exact arithmetic (integers and Fractions, never floats).  Levels are plain
 positive ints and weights are plain positive even ints; ``check_level`` and
-``check_weight`` enforce the contracts.
+``check_weight`` enforce the contracts at every public entry point.  The
+per-level terms of the dimension formula, (g - 1, eps2, eps3, eps_inf), are
+cached as one tuple per level, ``_dimension_terms``.
 
 The case analysis of (N, k, p) is carried in integer twelfths and, but for
 the term K I(N) of the order bound (K = (k-1)p + 1), depends on p only
@@ -12,16 +14,21 @@ pair, and since the elliptic counts are multiplicative over coprime levels,
 eps2(pN) = eps2(N) (1 + (-4/p)) and eps3(pN) = eps3(N) (1 + (-3/p)), where
 (-4/.) and (-3/.) are characters mod 4 and mod 3.  One cached core,
 ``_residue_core(N, k, r)``, evaluates the master LHS, the alpha pair, the
-quadrant and the reduced certificate once per residue class.  Per triple
-only the order bound and dim S_k(pN) remain; the dimension formula factors
-pN afresh, so the reduction identity checks the residue formula.
+quadrant and the reduced certificate once per residue class.  One evaluator,
+``_classify_level(N, k, primes)``, builds every CaseReport: per triple only
+the order bound and dim S_k(pN) remain, and the dimension is read from the
+terms of pN's own factorization, so the reduction identity checks the
+residue formula.  It trusts its arguments: ``classify_triple`` validates
+its one triple, and ``scan_triples`` validates its ScanConfig once and
+generates only admissible triples, none of them checked one by one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
 from typing import Iterator
 
 from .arith import factorize, is_prime, kronecker_minus3, kronecker_minus4, primes_up_to
@@ -71,7 +78,6 @@ def index(level: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
 def eps2(level: int) -> int:
     """Number of elliptic points of order 2 on X_0(N)."""
     check_level(level)
@@ -83,7 +89,6 @@ def eps2(level: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
 def eps3(level: int) -> int:
     """Number of elliptic points of order 3 on X_0(N)."""
     check_level(level)
@@ -95,7 +100,6 @@ def eps3(level: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
 def eps_inf(level: int) -> int:
     """Number of cusps of X_0(N): sum over d|N of phi(gcd(d, N/d)), which is
     multiplicative, so prod over p^e || N of sum_{i=0..e} phi(p^min(i, e-i))."""
@@ -107,14 +111,22 @@ def eps_inf(level: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def genus(level: int) -> int:
-    """Genus of X_0(N) via I/12 - eps_inf/2 - eps2/4 - eps3/3 + 1."""
-    g12 = index(level) - 6 * eps_inf(level) - 3 * eps2(level) - 4 * eps3(level) + 12
+def _dimension_terms(level: int) -> tuple[int, int, int, int]:
+    """(g - 1, eps2, eps3, eps_inf) of X_0(N), the level's terms in the
+    dimension formula, with the genus g = I/12 - eps_inf/2 - eps2/4 - eps3/3 + 1."""
+    e2, e3, ei = eps2(level), eps3(level), eps_inf(level)
+    g12 = index(level) - 6 * ei - 3 * e2 - 4 * e3 + 12
     if g12 % 12 or g12 < 0:
         raise EngineError(
             f"genus formula gave non-integral or negative value {Fraction(g12, 12)} at level {level}"
         )
-    return g12 // 12
+    return g12 // 12 - 1, e2, e3, ei
+
+
+def genus(level: int) -> int:
+    """Genus of X_0(N)."""
+    check_level(level)
+    return _dimension_terms(level)[0] + 1
 
 
 @dataclass(frozen=True)
@@ -146,14 +158,10 @@ def cusp_dim(level: int, weight: int) -> int:
     """dim S_k(Gamma_0(N)) for even k >= 2 (k = 2 gives the genus)."""
     check_level(level)
     check_weight(weight)
+    g1, e2, e3, ei = _dimension_terms(level)
     if weight == 2:
-        return genus(level)
-    d = (
-        (weight - 1) * (genus(level) - 1)
-        + (weight // 4) * eps2(level)
-        + (weight // 3) * eps3(level)
-        + (weight // 2 - 1) * eps_inf(level)
-    )
+        return g1 + 1
+    d = (weight - 1) * g1 + (weight // 4) * e2 + (weight // 3) * e3 + (weight // 2 - 1) * ei
     if d < 0:
         raise EngineError(f"dimension formula gave {d} < 0 at ({level}, {weight})")
     return d
@@ -180,7 +188,8 @@ def alpha_pair(level: int, big_weight: int) -> tuple[int, int]:
     if big_weight % 2 != 0:
         raise ValueError(f"alpha_pair is defined for even weights, got {big_weight}")
     m2, m3 = _ALPHA_MULTIPLES[big_weight % 12]
-    return m2 * eps2(level), m3 * eps3(level)
+    _, e2, e3, _ = _dimension_terms(level)
+    return m2 * e2, m3 * e3
 
 
 # Reduced-inequality certificates used by the case analysis.  Each label
@@ -228,16 +237,6 @@ class CaseReport:
     certificate_matches_master: bool
     identity_holds: bool
 
-    @classmethod
-    def _build(cls, shared: tuple, **fields) -> "CaseReport":
-        """The report with the _RESIDUE_FIELDS in shared and the given
-        fields, filled by one update of the instance dict rather than the
-        frozen __init__'s one object.__setattr__ per field.  Pairs, unlike a
-        dict, keep the instance dict in the class's compact shared-key form."""
-        report = object.__new__(cls)
-        report.__dict__.update(zip(_RESIDUE_FIELDS, shared), **fields)
-        return report
-
     @property
     def verified(self) -> bool:
         """The scan verdict: the inequality holds, the reduction identity
@@ -267,6 +266,21 @@ class CaseReport:
             "identityHolds": self.identity_holds,
         }
 
+    def csv_row(self) -> str:
+        """The report as a row of `cuspgaps scan --csv`, under CSV_HEADER."""
+        return (
+            f"{self.weight},{self.level},{self.prime},{self.big_weight_mod12},"
+            f"{self.alpha2},{self.alpha3},{self.quadrant},{self.certificate},"
+            f"{self.certificate_lhs},{self.master_lhs},{self.dim_upper},"
+            f"{self.order_bound},{self.identity_holds},{self.inequality_holds}"
+        )
+
+
+CSV_HEADER = (
+    "k,N,p,bigWeightMod12,alpha2,alpha3,quadrant,certificate,"
+    "certificateLhs,masterLhs,dim,orderBound,identityHolds,inequalityHolds"
+)
+
 
 # the CaseReport fields that depend on p only through p mod 12
 _RESIDUE_FIELDS = (
@@ -293,7 +307,7 @@ def _residue_core(level: int, weight: int, r: int) -> tuple[int, int, int, tuple
     the index term and the elliptic terms that survive.
     """
     k = weight
-    i, e2n, e3n = index(level), eps2(level), eps3(level)
+    i, (_, e2n, e3n, ein) = index(level), _dimension_terms(level)
     # (-4/.) and (-3/.) are characters mod 4 and mod 3, so r stands for p
     e2p, e3p = e2n * (1 + kronecker_minus4(r)), e3n * (1 + kronecker_minus3(r))
     big_k12 = ((k - 1) * r + 1) % 12
@@ -327,7 +341,7 @@ def _residue_core(level: int, weight: int, r: int) -> tuple[int, int, int, tuple
     residues = (None, None) if modulus is None else (k % modulus, r % modulus)
     shared = (big_k12, a2, a3, quadrant, modulus, *residues, cert, cert_lhs, master,
               master12 >= 12, cert12 == master12)
-    return i, 6 * a2 + 4 * a3 + 12 * eps_inf(level) - 12, master12, shared
+    return i, 6 * a2 + 4 * a3 + 12 * ein - 12, master12, shared
 
 
 def vanishing_order_bound(level: int, weight: int, p: int) -> Fraction:
@@ -356,6 +370,40 @@ def master_inequality_lhs(level: int, weight: int, p: int) -> Fraction:
     return Fraction(_residue_core(level, weight, p % 12)[2], 12)
 
 
+def _classify_level(level: int, weight: int, primes) -> Iterator[CaseReport]:
+    """The CaseReport of (N, k, p) for each p in primes, in their order: the
+    only place a report is built.  The caller has validated N, k >= 4 and
+    every p as admissible.
+
+    The residue core is read once per p mod 12; per p remain K, 12 * the
+    order bound and dim S_k(pN), the latter from the cached terms of pN's
+    own factorization.  Each report's instance dict is filled by one update,
+    which skips the frozen __init__'s object.__setattr__ per field; pairs,
+    unlike a dict, keep it in the class's compact shared-key form."""
+    k = weight
+    i = index(level)
+    cores = {}
+    for r in {p % 12 for p in primes}:
+        _, tail12, master12, shared = _residue_core(level, k, r)
+        cores[r] = tail12, master12 - 12, tuple(zip(_RESIDUE_FIELDS, shared))
+    c1, c2, c3, ci = k - 1, k // 4, k // 3, k // 2 - 1
+    new = object.__new__
+    for p in primes:
+        tail12, margin12, pairs = cores[p % 12]
+        big_k = c1 * p + 1
+        bound12 = big_k * i - tail12
+        g1, e2, e3, ei = _dimension_terms(p * level)
+        d = c1 * g1 + c2 * e2 + c3 * e3 + ci * ei
+        if d < 0:
+            raise EngineError(f"dimension formula gave {d} < 0 at ({p * level}, {k})")
+        report = new(CaseReport)
+        report.__dict__.update(
+            pairs, level=level, weight=k, prime=p, big_weight=big_k, dim_upper=d,
+            order_bound=Fraction(bound12, 12), identity_holds=12 * d - bound12 == margin12,
+        )
+        yield report
+
+
 def classify_triple(level: int, weight: int, p: int) -> CaseReport:
     """Classify (N, k, p) into the case analysis quadrants, pick the reduced
     inequality certifying master >= 1, and evaluate everything exactly, in
@@ -365,21 +413,7 @@ def classify_triple(level: int, weight: int, p: int) -> CaseReport:
         raise ValueError("case classification requires even weight >= 4")
     check_weight(weight)
     check_admissible_prime(level, weight, p)
-
-    i, tail12, master12, shared = _residue_core(level, weight, p % 12)
-    big_k = (weight - 1) * p + 1
-    bound12 = big_k * i - tail12
-    dim_upper = cusp_dim(p * level, weight)
-    return CaseReport._build(
-        shared,
-        level=level,
-        weight=weight,
-        prime=p,
-        big_weight=big_k,
-        dim_upper=dim_upper,
-        order_bound=Fraction(bound12, 12),
-        identity_holds=12 * dim_upper - bound12 == master12 - 12,
-    )
+    return next(_classify_level(level, weight, (p,)))
 
 
 def vanishing_levels(weight: int) -> tuple[int, ...]:
@@ -413,6 +447,12 @@ class ScanConfig:
     pmax: int = 199
 
     def validate(self) -> "ScanConfig":
+        """The scan's only gate: its triples are admissible by construction
+        and are not validated one by one."""
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"scan {field.name} must be an integer, got {value!r}")
         if self.kmin % 2 or self.kmax % 2 or self.kmin < 4 or self.kmax < self.kmin:
             raise ValueError("scan requires even 4 <= kmin <= kmax")
         if self.nmax < 1 or self.pmax < 5:
@@ -426,10 +466,10 @@ def scan_triples(config: ScanConfig) -> Iterator[CaseReport]:
     validated when this is called, not at the first report."""
     config.validate()
     primes = primes_up_to(config.pmax)
-    return (
-        classify_triple(n, k, p)
-        for k in range(config.kmin, config.kmax + 1, 2)
+    weights = range(config.kmin, config.kmax + 1, 2)
+    by_weight = ((k, [p for p in primes if p >= max(5, k + 1)]) for k in weights)
+    return chain.from_iterable(
+        _classify_level(n, k, [p for p in above if n % p])
+        for k, above in by_weight
         for n in range(1, config.nmax + 1)
-        for p in primes
-        if p >= max(5, k + 1) and n % p != 0
     )

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from cuspgaps import invariants as inv
 from cuspgaps.arith import divisors, is_prime, kronecker_minus3, kronecker_minus4, primes_up_to
+from cuspgaps.errors import EngineError
 from cuspgaps.oracles import victor_miller_basis
 
 
@@ -494,6 +495,94 @@ def test_scan_builds_no_triple_list():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("field", [{"kmin": 4.0}, {"pmax": 11.0}, {"nmax": True}])
+def test_scan_config_rejects_non_int_fields(field):
+    """The config is the scan's only gate, so it rejects floats and bools
+    as check_level does, before any triple is generated."""
+    with pytest.raises(ValueError, match=next(iter(field))):
+        inv.scan_triples(inv.ScanConfig(**field))
+
+
+@st.composite
+def small_boxes(draw):
+    kmin = draw(st.integers(2, 12)) * 2
+    kmax = kmin + 2 * draw(st.integers(0, 3))
+    nmax, pmax = draw(st.integers(1, 40)), draw(st.integers(5, 80))
+    return inv.ScanConfig(kmin=kmin, kmax=kmax, nmax=nmax, pmax=pmax)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_boxes())
+def test_scan_agrees_with_classify_triple(box):
+    """Both entry points go through one evaluator: the scan of a box is
+    classify_triple over its admissible triples in (k, N, p) order, field
+    for field and type for type, and each dim_upper is cusp_dim(pN, k)."""
+    scanned = list(inv.scan_triples(box))
+    want = [
+        inv.classify_triple(n, k, p)
+        for k in range(box.kmin, box.kmax + 1, 2)
+        for n in range(1, box.nmax + 1)
+        for p in primes_up_to(box.pmax)
+        if p >= max(5, k + 1) and n % p
+    ]
+    assert len(scanned) == len(want)
+    for got, ref in zip(scanned, want):
+        assert vars(got) == vars(ref)
+        assert [type(v) for v in vars(got).values()] == [type(v) for v in vars(ref).values()]
+        assert got.dim_upper == inv.cusp_dim(got.prime * got.level, got.weight)
+
+
+def test_scan_validates_no_triple(monkeypatch):
+    """Only the config is validated: no triple of a scan goes through
+    check_admissible_prime or is_prime."""
+    calls = []
+
+    def counting(fn):
+        return lambda *args: calls.append(fn.__name__) or fn(*args)
+
+    monkeypatch.setattr(inv, "check_admissible_prime", counting(inv.check_admissible_prime))
+    monkeypatch.setattr(inv, "is_prime", counting(inv.is_prime))
+    total = sum(1 for _ in inv.scan_triples(inv.ScanConfig(kmin=4, kmax=8, nmax=30, pmax=97)))
+    assert total > 0 and calls == []
+    inv.classify_triple(5, 12, 13)
+    assert calls == ["check_admissible_prime", "is_prime"]
+
+
+@pytest.fixture
+def cold_level_caches():
+    """Empty per-level caches, emptied again after the test patched them."""
+    caches = (inv._dimension_terms, inv._residue_core)
+    for cache in caches:
+        cache.cache_clear()
+    yield
+    for cache in caches:
+        cache.cache_clear()
+
+
+def test_scan_keeps_the_dimension_guards(monkeypatch, cold_level_caches):
+    """The genus and dim S_k(pN) EngineErrors still guard every pN a scan
+    touches, with the triples unchecked."""
+    box = inv.ScanConfig(kmin=12, kmax=12, nmax=1, pmax=13)
+    eps_inf = inv.eps_inf
+    # one cusp too many at every level pN > 1 makes 12 g non-integral there
+    monkeypatch.setattr(inv, "eps_inf", lambda level: eps_inf(level) + (level > 1))
+    with pytest.raises(EngineError, match="genus formula"):
+        list(inv.scan_triples(box))
+    monkeypatch.setattr(inv, "_dimension_terms", lambda level: (-1, 0, 0, 0))
+    with pytest.raises(EngineError, match="dimension formula"):
+        list(inv.scan_triples(box))
+
+
+def test_genus_reads_the_dimension_terms():
+    """The per-level tuple is the only cache of the genus and the elliptic
+    and cusp counts; index keeps its own."""
+    assert inv.genus(46) == inv._dimension_terms(46)[0] + 1 == 5
+    assert inv._dimension_terms(46)[1:] == (inv.eps2(46), inv.eps3(46), inv.eps_inf(46))
+    for name in ("genus", "eps2", "eps3", "eps_inf"):
+        assert not hasattr(getattr(inv, name), "cache_info"), name
+    assert hasattr(inv.index, "cache_info")
 
 
 # -- vanishing levels -----------------------------------------------------------
