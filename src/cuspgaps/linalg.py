@@ -26,12 +26,17 @@ def _strip_content(row: list[int]) -> list[int]:
 
 
 def make_primitive(row) -> list[int]:
-    """Scale a rational row to a primitive integer row with positive lead."""
-    den = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            den = den * x.denominator // gcd(den, x.denominator)
-    ints = _strip_content([int(x * den) for x in row])
+    """Scale a rational row to a primitive integer row with positive lead;
+    the result is always a new list."""
+    if all(type(x) is int for x in row):
+        ints = list(row)
+    else:
+        den = 1
+        for x in row:
+            if isinstance(x, Fraction):
+                den = den * x.denominator // gcd(den, x.denominator)
+        ints = [int(x * den) for x in row]
+    ints = _strip_content(ints)
     for x in ints:
         if x != 0:
             if x < 0:

@@ -23,6 +23,14 @@ to the echelon basis, as that RREF's first half is the basis itself.  The
 series pass (_independent_series) runs once per (level, weight,
 precision), and the basis and the transport both read it.
 
+Everything from the coset action to the echelon is integer arithmetic.
+Hecke images are the presentation's integer vectors D*v over its
+denominator D, so each series is D times a rational series and has the
+same primitive echelon row; the transport stacks D^2 [f | T_n f], and
+coordinates clear the basis leads once and certify span membership in
+integers.  Fractions are built only for the coordinates and operator
+entries that leave the engine.
+
 The coefficient-side Hecke rule a_n(T_m f), for any m, is here too
 (coefficient_image): the stability certificate uses it, and so do the
 operator stack's cross-checks and its reference operator.
@@ -33,7 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import repeat
+from math import gcd, lcm
 
 from ..arith import divisors
 from ..errors import EngineError, NotInSpanError
@@ -66,16 +75,28 @@ class SpaceBasis:
             raise ValueError(
                 f"need precision >= {self.pivots[-1]} to take coordinates, got {f.precision}"
             )
-        coords = tuple(
-            Fraction(f.coefficient(c), row.coefficient(c)) for c, row in zip(self.pivots, self.rows)
-        )
-        for n in range(1, upto + 1):
-            combo = sum(y * row.coefficient(n) for y, row in zip(coords, self.rows))
-            if combo != f.coefficient(n):
+        known = f.coeffs[:upto]
+        den = lcm(*(x.denominator for x in known))
+        return self._scaled_coordinates([x.numerator * (den // x.denominator) for x in known], den)
+
+    def _scaled_coordinates(self, series: list[int], den: int) -> tuple[Fraction, ...]:
+        """Coordinates of the series a_n = s_n / den, n = 1..len(series), for
+        integers s_n = series[n-1] reaching the last pivot.  With L the lcm
+        of the pivot leads, coordinate j is Y_j / (L den) for the integer
+        Y_j = s_(c_j) L / lead_j at pivot c_j, and span membership is
+        certified as sum_j Y_j b_j(n) = L s_n in integers for every n."""
+        leads = [row.coeffs[c - 1] for c, row in zip(self.pivots, self.rows)]
+        scale = lcm(*leads)
+        ys = [series[c - 1] * (scale // lead) for c, lead in zip(self.pivots, leads)]
+        columns = zip(*(row.coeffs for row in self.rows)) if self.rows else repeat(())
+        for n, (target, column) in enumerate(zip(series, columns), 1):
+            combo = sum(y * b for y, b in zip(ys, column))
+            if combo != scale * target:
                 raise NotInSpanError(
-                    f"q^{n} coefficient mismatch: span gives {combo}, form has {f.coefficient(n)}"
+                    f"q^{n} coefficient mismatch: span gives {Fraction(combo, scale * den)}, "
+                    f"form has {Fraction(target, den)}"
                 )
-        return coords
+        return tuple(Fraction(y, scale * den) for y in ys)
 
     def linear_combination(self, coords) -> QExpansion:
         out = [Fraction(0)] * self.precision
@@ -87,10 +108,11 @@ class SpaceBasis:
         return QExpansion(tuple(out), self.weight, self.level)
 
 
-def _hecke_image_quotient(pres: MSPresentation, x: dict, n: int) -> list[Fraction]:
-    """T_n applied to the combination x = {Manin symbol: coefficient}, in
-    generator coordinates: the coset images are summed as raw symbols and
-    reduced into the quotient once."""
+def _hecke_image_quotient(pres: MSPresentation, x: dict, n: int) -> list[int]:
+    """T_n applied to the integer combination x = {Manin symbol:
+    coefficient}, in generator coordinates scaled by the presentation's
+    denominator D: the coset images are summed as raw symbols and reduced
+    into the quotient once."""
     raw: dict = {}
     for a, b, d in hecke_cosets(n, pres.level):
         for t, c in x.items():
@@ -137,8 +159,10 @@ def _independent_series(level: int, weight: int, precision: int):
     over the cuspidal elements and i over cuspidal_functionals.  Returns
     the reduced echelon rows, as primitive integer vectors, and, for each
     x used, its Hecke images T_m x and the positions (among the chosen
-    coordinates) of the series that raised the rank.  qexpansion_basis
-    reads the rows, hecke_matrix_from_symbols the images."""
+    coordinates) of the series that raised the rank.  The images are the
+    integer vectors D T_m x of _hecke_image_quotient, so each series is D
+    times the rational one and has the same primitive echelon row.
+    qexpansion_basis reads the rows, hecke_matrix_from_symbols the images."""
     pres = build_presentation(level, weight)
     d = pres.cuspidal_dimension
     coords = cuspidal_functionals(pres)
@@ -221,8 +245,9 @@ def hecke_stability_certificate(basis: SpaceBasis) -> None:
                 )
 
 
-def _generator_images(pres: MSPresentation, n: int) -> list[list[Fraction]]:
-    """T_n of each generator of the presentation, in generator coordinates."""
+def _generator_images(pres: MSPresentation, n: int) -> list[list[int]]:
+    """T_n of each generator of the presentation, in generator coordinates
+    scaled by the presentation's denominator D."""
     return [_hecke_image_quotient(pres, {t: 1}, n) for t in pres.generators]
 
 
@@ -232,8 +257,8 @@ def hecke_operator_cuspidal(level: int, weight: int, n: int) -> list[list[Fracti
     pres = build_presentation(level, weight)
     solver = _cuspidal_solver(level, weight)
     cols = [solver(w) for w in mat_mul(pres.cuspidal_basis, _generator_images(pres, n))]
-    d = pres.cuspidal_dimension
-    return [[cols[j][i] for j in range(d)] for i in range(d)]
+    d, den = pres.cuspidal_dimension, pres.denominator
+    return [[cols[j][i] / den for j in range(d)] for i in range(d)]
 
 
 def hecke_matrix_from_symbols(basis: SpaceBasis, n: int) -> list[list[Fraction]]:
@@ -242,23 +267,26 @@ def hecke_matrix_from_symbols(basis: SpaceBasis, n: int) -> list[list[Fraction]]
 
     A series f(m) = (T_m x)_i of a cuspidal x has T_n f(m) = (T_n T_m x)_i
     = sum_g (T_m x)_g (T_n gen_g)_i, as T_n is linear on the generator
-    coordinates; so T_n is applied only to the generators.  Over the
-    independent series of _independent_series, the integral RREF of the
-    rows [f | T_n f] has row j = lambda_j [b_j | T_n b_j] for basis row b_j,
-    so T_n b_j is read off its second half.  The RREF's pivots must be the
-    basis pivots and its first halves integer multiples of the basis rows;
-    `coordinates` certifies that each T_n b_j lies in the span on every
-    known coefficient.  Any failure raises EngineError.
+    coordinates; so T_n is applied only to the generators.  Both kinds of
+    image are integer vectors scaled by the presentation's denominator D,
+    so each stacked row is D^2 [f | T_n f] in integers.  Over the
+    independent series of _independent_series, the integral RREF of these
+    rows has row j = lambda_j [b_j | T_n b_j] for basis row b_j, so T_n b_j
+    is read off its second half.  The RREF's pivots must be the basis
+    pivots and its first halves integer multiples of the basis rows; the
+    integer core of `coordinates` certifies that each T_n b_j lies in the
+    span on every known coefficient.  Any failure raises EngineError.
     """
     level, weight, prec = basis.level, basis.weight, basis.precision
     pres = build_presentation(level, weight)
+    den = pres.denominator
     coords = cuspidal_functionals(pres)
     images = _generator_images(pres, n)
     moved = [[w[i] for w in images] for i in coords]
     pairs = []
     for tm_x, raised in _independent_series(level, weight, prec)[1]:
         for r in raised:
-            f = [w[coords[r]] for w in tm_x]
+            f = [den * w[coords[r]] for w in tm_x]
             pairs.append(f + [sum(a * y for a, y in zip(moved[r], w)) for w in tm_x])
     rows, pivots = rref(pairs)
     if [c + 1 for c in pivots] != list(basis.pivots):
@@ -268,8 +296,7 @@ def hecke_matrix_from_symbols(basis: SpaceBasis, n: int) -> list[list[Fraction]]
         scale, rest = divmod(row[c], b.coeffs[c])
         if rest or row[:prec] != [scale * x for x in b.coeffs]:
             raise EngineError(f"basis row {j + 1} is not the series' echelon row at ({level}, {weight})")
-        image = QExpansion(tuple(Fraction(x, scale) for x in row[prec:]), weight, level)
-        cols.append(basis.coordinates(image))
+        cols.append(basis._scaled_coordinates(row[prec:], scale))
     return [[col[i] for col in cols] for i in range(basis.dimension)]
 
 

@@ -5,7 +5,11 @@ units of Z/NZ.  The canonical representative (c, d) of a class is (0, 1)
 or has c | N; either way gcd(c, d) = 1, so it lifts to the bottom row of an
 SL_2(Z) matrix.  Level 1 is no special case: every pair is (0, 0) mod 1,
 which normalizes to (0, 1), so P^1(Z/1Z) = [(0, 1)].  The normalization
-follows Stein, Algorithm 8.29.
+follows Stein, Algorithm 8.29; it runs only while the space is built.
+Lookups go through one dense table over all N^2 pairs mod N, filled by
+spreading each representative over its orbit under the units (Cremona,
+Algorithms for Modular Elliptic Curves, ch. 2), so index() is a single
+list access.
 """
 
 from __future__ import annotations
@@ -38,9 +42,16 @@ class P1:
     def __init__(self, level: int):
         if level < 1:
             raise ValueError("level must be >= 1")
-        self.level = level
+        n = self.level = level
         self._reps = sorted({self.normalize(u, v) for u, v in self._candidates()})
-        self._index = {rep: i for i, rep in enumerate(self._reps)}
+        # table[u * N + v] is the index of the class of (u, v), or -1 when
+        # gcd(u, v, N) > 1; scaling by units covers every point of a class
+        table = [-1] * (n * n)
+        units = [s for s in range(n) if gcd(s, n) == 1]
+        for i, (c, d) in enumerate(self._reps):
+            for s in units:
+                table[s * c % n * n + s * d % n] = i
+        self._table = table
 
     def _candidates(self):
         n = self.level
@@ -93,7 +104,17 @@ class P1:
         return (g, best)
 
     def index(self, u: int, v: int) -> int:
-        return self._index[self.normalize(u, v)]
+        """Position of the class of (u, v) among the representatives.
+
+        Raises ValueError when gcd(u, v, N) > 1 (not a point of P^1).
+        """
+        n = self.level
+        u %= n
+        v %= n
+        i = self._table[u * n + v]
+        if i < 0:
+            raise ValueError(f"({u}, {v}) is not a point of P^1(Z/{n})")
+        return i
 
 
 @lru_cache(maxsize=None)

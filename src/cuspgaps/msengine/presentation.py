@@ -15,19 +15,20 @@ lives only while the presentation is built: it leaves one fold table that
 sends each Manin symbol to (live column, sign), or to None if the symbol
 is zero.  The three-term relations are eliminated by exact integer echelon
 reduction; each pivot column is stored as an integer row over the free
-columns (the generators), scaled by one common denominator D, the lcm of
-the leads of the primitive integer RREF rows.  Reducing a
-combination of symbols into the quotient therefore sums integers and
-divides by D once.  The cuspidal subspace is the kernel of the boundary
-map to cusp classes (cusps taken modulo Gamma_0(N) and negation, which is
-what the star quotient sees), kept as primitive integer vectors.  Its
-dimension must equal dim S_k(Gamma_0(N)); a mismatch raises EngineError
-since it would mean a presentation convention bug.
+columns (the generators), scaled by one common denominator D (the
+`denominator` attribute), the lcm of the leads of the primitive integer
+RREF rows.  Reducing a combination of symbols into the quotient therefore
+sums integers only: raw_to_quotient returns the integer vector D*v of the
+generator coordinates v, and callers divide by D only where a rational
+value leaves the engine.  The cuspidal subspace is the kernel of the
+boundary map to cusp classes (cusps taken modulo Gamma_0(N) and negation,
+which is what the star quotient sees), kept as primitive integer vectors.
+Its dimension must equal dim S_k(Gamma_0(N)); a mismatch raises
+EngineError since it would mean a presentation convention bug.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -172,7 +173,7 @@ class MSPresentation:
             (pc, [(gi, -row[f] * (den // row[pc])) for gi, f in enumerate(free_cols) if row[f]])
             for row, pc in zip(reduced, pivots)
         ]
-        self._den = den
+        self.denominator = den
         self.generators = [live_roots[c] for c in free_cols]  # root symbol per generator
         self.dimension = len(free_cols)
 
@@ -227,23 +228,25 @@ class MSPresentation:
 
     # -- quotient coordinates ----------------------------------------------
 
-    def raw_to_quotient(self, raw: dict) -> list[Fraction]:
-        """A combination {Manin symbol: coefficient} in generator coordinates:
-        fold the symbols into live columns, add the integer row of each
-        non-zero pivot column, and divide by the common denominator once."""
+    def raw_to_quotient(self, raw: dict) -> list[int]:
+        """An integer combination {Manin symbol: coefficient} in generator
+        coordinates, scaled by the denominator D: fold the symbols into live
+        columns, then add the integer row of each non-zero pivot column.
+        The result is the integer vector D*v; a generator maps to D*e_i."""
         acc = [0] * (self.dimension + len(self._pivot_rows))
         fold = self._fold
         for t, val in raw.items():
             if val and fold[t] is not None:
                 col, s = fold[t]
                 acc[col] += s * val
-        out = [acc[c] * self._den for c in self._free_cols]
+        den = self.denominator
+        out = [acc[c] * den for c in self._free_cols]
         for pc, row in self._pivot_rows:
             a = acc[pc]
             if a:
                 for gi, e in row:
                     out[gi] += a * e
-        return [Fraction(x, self._den) for x in out]
+        return out
 
     # -- matrix action and Hecke operators -----------------------------------
 

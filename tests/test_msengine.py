@@ -1,13 +1,14 @@
 """Modular symbols engine: P^1, presentations, the action, Hecke, bases."""
 
 import dataclasses
+from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cuspgaps.errors import EngineError
+from cuspgaps.errors import EngineError, NotInSpanError
 from cuspgaps.invariants import cusp_dim, sturm_bound, valence_bound
 from cuspgaps.msengine import (
     build_presentation,
@@ -20,6 +21,7 @@ from cuspgaps.msengine import (
     qexpansion_basis,
 )
 from cuspgaps.msengine.action import mat_mul2
+from cuspgaps.msengine.p1 import P1
 from cuspgaps.oracles import delta_expansion, eta_expand, EtaProduct, tau, victor_miller_basis
 from cuspgaps.qexp import QExpansion
 
@@ -54,6 +56,27 @@ def test_p1_rejects_non_points():
     p1 = p1_space(6)
     with pytest.raises(ValueError):
         p1.normalize(2, 4)  # gcd(2, 4, 6) = 2
+
+
+@pytest.mark.parametrize("level", range(1, 61))
+def test_p1_table_matches_normalize(level):
+    """The lookup table agrees with normalize on every pair mod N: index is
+    the position of the canonical representative, and a non-point raises
+    the same ValueError from both, for any integer lift of the pair."""
+    p1 = P1(level)
+    position = {rep: i for i, rep in enumerate(p1)}
+    for u in range(level):
+        for v in range(level):
+            if gcd(gcd(u, v), level) == 1:
+                want = position[p1.normalize(u, v)]
+                assert p1.index(u, v) == want
+                assert p1.index(u - 3 * level, v + level) == want
+            else:
+                message = f"({u}, {v}) is not a point of P^1(Z/{level})"
+                for call in (p1.normalize, p1.index):
+                    with pytest.raises(ValueError) as err:
+                        call(u + level, v - 2 * level)
+                    assert str(err.value) == message
 
 
 @given(st.integers(min_value=2, max_value=40), st.data())
@@ -118,15 +141,49 @@ def _relations(pres, t):
 @pytest.mark.parametrize("level,weight", RELATION_SPACES)
 def test_quotient_kills_every_relation(level, weight):
     """raw_to_quotient vanishes on the two-term, star and three-term
-    relation of every Manin symbol, and sends each generator to its unit
-    vector."""
+    relation of every Manin symbol, and sends each generator to D times its
+    unit vector, D the presentation's denominator."""
     pres = build_presentation(level, weight)
+    den = pres.denominator
+    assert type(den) is int and den >= 1
     zero = [0] * pres.dimension
     for t in range(pres.ncols):
         for raw in _relations(pres, t):
             assert pres.raw_to_quotient(raw) == zero, (t, raw)
     for gi, t in enumerate(pres.generators):
-        assert pres.raw_to_quotient({t: 1}) == [int(gj == gi) for gj in range(pres.dimension)]
+        assert pres.raw_to_quotient({t: 1}) == [den * int(gj == gi) for gj in range(pres.dimension)]
+
+
+def _fraction_quotient(pres, raw):
+    """Reference reduction in Fractions: each symbol folds to +-1 times a
+    live column, a free column is its generator's unit vector, and a pivot
+    column is its stored integer row divided by D."""
+    gen_of = {col: gi for gi, col in enumerate(pres._free_cols)}
+    pivot_row = dict(pres._pivot_rows)
+    out = [Fraction(0)] * pres.dimension
+    for t, val in raw.items():
+        if pres._fold[t] is None:
+            continue
+        col, sign = pres._fold[t]
+        if col in gen_of:
+            out[gen_of[col]] += sign * val
+        else:
+            for gi, e in pivot_row[col]:
+                out[gi] += Fraction(sign * val * e, pres.denominator)
+    return out
+
+
+@given(st.sampled_from(RELATION_SPACES), st.data())
+@settings(max_examples=60, deadline=None)
+def test_quotient_is_the_fraction_fold_scaled_by_d(space, data):
+    """On random integer combinations of Manin symbols, raw_to_quotient
+    returns integers that, divided by D, are the Fraction reduction."""
+    pres = build_presentation(*space)
+    symbol = st.integers(0, pres.ncols - 1)
+    raw = data.draw(st.dictionaries(symbol, st.integers(-50, 50), max_size=12))
+    got = pres.raw_to_quotient(raw)
+    assert all(type(x) is int for x in got)
+    assert [Fraction(x, pres.denominator) for x in got] == _fraction_quotient(pres, raw)
 
 
 @pytest.mark.parametrize("level,weight", RELATION_SPACES + [(11, 2), (5, 12), (36, 4)])
@@ -142,9 +199,9 @@ def test_cuspidal_basis_is_primitive_integral(level, weight):
 # -- the action -------------------------------------------------------------------
 
 def _act(pres, vec, delta):
-    """delta . (vector in generator coordinates), in generator coordinates:
-    the raw images of the generators under act_symbol_raw, summed and
-    reduced once by raw_to_quotient."""
+    """delta . (integer vector in generator coordinates), in generator
+    coordinates scaled by D: the raw images of the generators under
+    act_symbol_raw, summed and reduced once by raw_to_quotient."""
     raw = {}
     for t, val in zip(pres.generators, vec):
         if val:
@@ -157,7 +214,7 @@ def test_act_identity():
     pres = build_presentation(5, 12)
     ident = ((1, 0), (0, 1))
     for v in pres.cuspidal_basis:
-        assert _act(pres, v, ident) == list(v)
+        assert _act(pres, v, ident) == [pres.denominator * x for x in v]
 
 
 entry = st.integers(min_value=-3, max_value=3)
@@ -190,7 +247,7 @@ def test_act_composition_with_group_element(d1, words):
     x = pres.cuspidal_basis[0]
     lhs = _act(pres, _act(pres, x, d1), g)
     rhs = _act(pres, x, mat_mul2(g, d1))
-    assert lhs == rhs
+    assert lhs == [pres.denominator * y for y in rhs]
 
 
 @given(st.lists(st.booleans(), max_size=8))
@@ -200,7 +257,7 @@ def test_act_group_invariance(words):
     pres = build_presentation(6, 4)
     g = _gamma0_element(6, words)
     for v in pres.cuspidal_basis:
-        assert _act(pres, v, g) == list(v)
+        assert _act(pres, v, g) == [pres.denominator * x for x in v]
 
 
 def test_act_scalar_matrices():
@@ -208,7 +265,7 @@ def test_act_scalar_matrices():
     pres = build_presentation(5, 6)
     v = pres.cuspidal_basis[0]
     out = _act(pres, v, ((3, 0), (0, 3)))
-    assert out == [3 ** (6 - 2) * x for x in v]
+    assert out == [pres.denominator * 3 ** (6 - 2) * x for x in v]
 
 
 def test_hecke_cosets_shape():
@@ -413,10 +470,74 @@ def test_coordinates_roundtrip():
 
 
 def test_coordinates_rejects_foreign_vector():
-    from cuspgaps.errors import NotInSpanError
-    from cuspgaps.qexp import QExpansion
-
     b = qexpansion_basis(5, 12, 40)
     bad = QExpansion(tuple([1] * 40), 12, 5)
     with pytest.raises(NotInSpanError):
         b.coordinates(bad)
+
+
+def _fraction_coordinates(basis, f):
+    """The coordinates algorithm in Fractions, kept as the reference: each
+    coordinate is a_c(f) / lead at its pivot c, and the span is re-summed
+    in Fractions on every jointly known coefficient."""
+    coords = tuple(
+        Fraction(f.coefficient(c), row.coefficient(c)) for c, row in zip(basis.pivots, basis.rows)
+    )
+    for n in range(1, min(f.precision, basis.precision) + 1):
+        combo = sum(y * row.coefficient(n) for y, row in zip(coords, basis.rows))
+        if combo != f.coefficient(n):
+            raise NotInSpanError(
+                f"q^{n} coefficient mismatch: span gives {combo}, form has {f.coefficient(n)}"
+            )
+    return coords
+
+
+COORDINATE_SPACES = [(5, 12, 40), (11, 2, 12), (19, 16, 37), (1, 24, 10)]
+
+
+@given(st.sampled_from(COORDINATE_SPACES), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_coordinates_match_the_fraction_reference(space, integral, data):
+    """The integer coordinates equal the Fraction reference on random span
+    members, with integer or Fraction combination coefficients and at any
+    precision that reaches the last pivot; a perturbed coefficient raises
+    NotInSpanError with the reference's text."""
+    b = qexpansion_basis(*space)
+    entry = st.integers(-10**6, 10**6) if integral else st.fractions(max_denominator=10**4)
+    ys = data.draw(st.lists(entry, min_size=b.dimension, max_size=b.dimension))
+    coeffs = tuple(sum(y * row.coeffs[i] for y, row in zip(ys, b.rows)) for i in range(b.precision))
+    assert all(type(c) is int for c in coeffs) == integral or not any(ys)
+    # beyond the basis precision nothing is known, so those coefficients are free
+    prec = data.draw(st.integers(b.pivots[-1], b.precision + 3))
+    unknown = max(0, prec - b.precision)
+    extra = data.draw(st.lists(entry, min_size=unknown, max_size=unknown))
+    f = QExpansion(coeffs[:prec] + tuple(extra), b.weight, b.level)
+    got = b.coordinates(f)
+    assert got == _fraction_coordinates(b, f) == tuple(ys)
+    assert all(type(y) is Fraction for y in got)
+
+    # a change at a pivot only moves the coordinates; elsewhere it leaves the span
+    n = data.draw(st.sampled_from([m for m in range(1, b.precision + 1) if m not in b.pivots]))
+    bump = data.draw(entry.filter(bool))
+    bad = QExpansion(coeffs[: n - 1] + (coeffs[n - 1] + bump,) + coeffs[n:], b.weight, b.level)
+    with pytest.raises(NotInSpanError) as want:
+        _fraction_coordinates(b, bad)
+    with pytest.raises(NotInSpanError) as err:
+        b.coordinates(bad)
+    assert str(err.value) == str(want.value)
+
+
+def test_coordinates_of_the_zero_space():
+    """With d = 0 the only member is 0, whose coordinates are (); anything
+    else fails at its first non-zero coefficient, as in the reference."""
+    b = qexpansion_basis(1, 4, 6)
+    assert b.dimension == 0
+    assert b.coordinates(QExpansion((0,) * 6, 4, 1)) == ()
+    assert b.coordinates(QExpansion((Fraction(0),) * 9, 4, 1)) == ()
+    bad = QExpansion((0, 0, Fraction(-3, 7), 1, 0, 0), 4, 1)
+    with pytest.raises(NotInSpanError) as want:
+        _fraction_coordinates(b, bad)
+    with pytest.raises(NotInSpanError) as err:
+        b.coordinates(bad)
+    message = "q^3 coefficient mismatch: span gives 0, form has -3/7"
+    assert str(err.value) == str(want.value) == message
