@@ -73,7 +73,17 @@ def write_basis(basis: SpaceBasis, directory: str | Path) -> Path:
 
 
 def read_basis(path: str | Path) -> SpaceBasis:
+    """The basis in a cache file and its sidecar.  Anything in them that
+    does not parse or does not have the echelon shape raises EngineError;
+    an OSError (a missing or unreadable file) passes through."""
     path = Path(path)
+    try:
+        return _parse_basis(path)
+    except ValueError as exc:  # also bad UTF-8 and bad JSON
+        raise EngineError(f"corrupt cache file {path}: {exc}") from exc
+
+
+def _parse_basis(path: Path) -> SpaceBasis:
     lines = path.read_text().splitlines()
     if not lines:
         raise EngineError(f"empty cache file {path}")
@@ -107,6 +117,8 @@ def read_basis(path: str | Path) -> SpaceBasis:
     meta_path = Path(str(path) + ".meta.json")
     if meta_path.exists():
         meta = json.loads(meta_path.read_text())
+        if not isinstance(meta, dict):
+            raise EngineError(f"sidecar of {path} is not a JSON object")
         if meta.get("pivots") != pivots:
             raise EngineError(f"sidecar pivots {meta.get('pivots')} disagree with rows {pivots}")
     return SpaceBasis(level, weight, precision, tuple(rows), tuple(pivots))

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 verification failure (a JSON witness is printed),
-2 usage or precondition error, 3 engine error (an internal certificate
-failed or a cache file is corrupt).  All output is deterministic for fixed
-inputs; the MFCACHE environment variable overrides --cache.
+2 usage or precondition error (among them a cache path that cannot be read
+or written), 3 engine error (an internal certificate failed or a cache
+file is corrupt).  All output is deterministic for fixed inputs; the
+MFCACHE environment variable overrides --cache.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EngineError as exc:

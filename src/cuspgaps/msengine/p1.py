@@ -1,15 +1,18 @@
 """The projective line P^1(Z/NZ): enumeration and canonical representatives.
 
 Classes are orbits of pairs (u, v) with gcd(u, v, N) = 1 under scaling by
-units of Z/NZ.  The canonical representative (c, d) of a class is (0, 1)
-or has c | N; either way gcd(c, d) = 1, so it lifts to the bottom row of an
-SL_2(Z) matrix.  Level 1 is no special case: every pair is (0, 0) mod 1,
-which normalizes to (0, 1), so P^1(Z/1Z) = [(0, 1)].  The normalization
-follows Stein, Algorithm 8.29; it runs only while the space is built.
-Lookups go through one dense table over all N^2 pairs mod N, filled by
-spreading each representative over its orbit under the units (Cremona,
-Algorithms for Modular Elliptic Curves, ch. 2), so index() is a single
-list access.
+units of Z/NZ, and the canonical representative of a class is its least
+pair in lexicographic order.  One sweep over the pairs mod N, in that
+order, builds the representatives and a dense lookup table over all N^2
+pairs together: the first point met that the table does not yet hold is
+the least pair of a new class, and its orbit under the units is filled in
+at once (Cremona, Algorithms for Modular Elliptic Curves, ch. 2).  index()
+and normalize() are then single list reads.  The least pair (c, d) of a
+class is (0, 1) or has c | N, so gcd(c, d) = 1 and it lifts to the bottom
+row of an SL_2(Z) matrix.  The class of (0, 1), whose points are the
+(0, s) with s a unit, is entered before the sweep, which then starts at
+u = 1; at level 1 that class is the one point (0, 0), so
+P^1(Z/1Z) = [(0, 1)] with no other special case.
 """
 
 from __future__ import annotations
@@ -17,53 +20,30 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from ..arith import xgcd
-
-
-def _lift_unit(a: int, d: int, n: int) -> int:
-    """Lift a unit a modulo d (with d | n) to a unit modulo n."""
-    # split n = n1 * n2 with n1 supported on primes of d and gcd(n2, d) = 1
-    n1, n2 = 1, n
-    g = gcd(n2, d)
-    while g > 1:
-        n1 *= g
-        n2 //= g
-        g = gcd(n2, g)
-    if n2 == 1:
-        return a % n
-    # any lift of a mod d is a unit mod n1; CRT with 1 mod n2
-    g, x, y = xgcd(n1, n2)
-    return ((a % n1) * y * n2 + x * n1) % n
+from ..invariants import check_level
 
 
 class P1:
     """Enumerated P^1(Z/NZ) with constant-time index lookup."""
 
     def __init__(self, level: int):
-        if level < 1:
-            raise ValueError("level must be >= 1")
-        n = self.level = level
-        self._reps = sorted({self.normalize(u, v) for u, v in self._candidates()})
-        # table[u * N + v] is the index of the class of (u, v), or -1 when
-        # gcd(u, v, N) > 1; scaling by units covers every point of a class
-        table = [-1] * (n * n)
+        n = self.level = check_level(level)
         units = [s for s in range(n) if gcd(s, n) == 1]
-        for i, (c, d) in enumerate(self._reps):
-            for s in units:
-                table[s * c % n * n + s * d % n] = i
+        # table[u * N + v] is the index of the class of (u, v), or -1 when
+        # gcd(u, v, N) > 1; the class of (0, 1) is the points (0, s)
+        table = [-1] * (n * n)
+        for s in units:
+            table[s] = 0
+        reps = [(0, 1)]
+        for u in range(1, n):
+            g = gcd(u, n)
+            for v in range(n):
+                if table[u * n + v] < 0 and gcd(g, v) == 1:
+                    for s in units:
+                        table[s * u % n * n + s * v % n] = len(reps)
+                    reps.append((u, v))
+        self._reps = reps
         self._table = table
-
-    def _candidates(self):
-        n = self.level
-        # (1, v) covers all classes with unit first coordinate; (c, v) with
-        # c | N, c > 1 covers the rest
-        for v in range(n):
-            yield 1, v
-        for c in range(2, n + 1):
-            if n % c == 0:
-                for v in range(n):
-                    if gcd(gcd(c, v), n) == 1:
-                        yield c, v
 
     def __len__(self) -> int:
         return len(self._reps)
@@ -79,29 +59,7 @@ class P1:
 
         Raises ValueError when gcd(u, v, N) > 1 (not a point of P^1).
         """
-        n = self.level
-        u %= n
-        v %= n
-        if gcd(gcd(u, v), n) != 1:
-            raise ValueError(f"({u}, {v}) is not a point of P^1(Z/{n})")
-        if u == 0:
-            return (0, 1)
-        g, s, _ = xgcd(u, n)
-        # s*u == g (mod n); s is a unit mod n/g
-        s = _lift_unit(s % (n // g), n // g, n)
-        u1, v1 = g, s * v % n
-        if g == 1:
-            return (1, v1)
-        # the stabilizer of the first coordinate g scales v by units
-        # congruent to 1 mod n/g; take the minimum
-        best = v1
-        for j in range(1, g):
-            t = 1 + j * (n // g)
-            if gcd(t, n) == 1:
-                cand = t * v1 % n
-                if cand < best:
-                    best = cand
-        return (g, best)
+        return self._reps[self.index(u, v)]
 
     def index(self, u: int, v: int) -> int:
         """Position of the class of (u, v) among the representatives.
@@ -117,7 +75,7 @@ class P1:
         return i
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def p1_space(level: int) -> P1:
     return P1(level)
 

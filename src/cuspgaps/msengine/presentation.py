@@ -10,21 +10,26 @@ these symbols by the standard two-term and three-term relations
 
 together with the star identification x = x.iota (the plus quotient; the
 star involution acts by [P, (c:d)] -> (-1)^i [P, (-c:d)] for even weight).
-Two-term and star relations are absorbed into a signed union-find, which
-lives only while the presentation is built: it leaves one fold table that
-sends each Manin symbol to (live column, sign), or to None if the symbol
-is zero.  The three-term relations are eliminated by exact integer echelon
-reduction; each pivot column is stored as an integer row over the free
-columns (the generators), scaled by one common denominator D (the
-`denominator` attribute), the lcm of the leads of the primitive integer
-RREF rows.  Reducing a combination of symbols into the quotient therefore
-sums integers only: raw_to_quotient returns the integer vector D*v of the
-generator coordinates v, and callers divide by D only where a rational
-value leaves the engine.  The cuspidal subspace is the kernel of the
-boundary map to cusp classes (cusps taken modulo Gamma_0(N) and negation,
-which is what the star quotient sees), kept as primitive integer vectors.
-Its dimension must equal dim S_k(Gamma_0(N)); a mismatch raises
-EngineError since it would mean a presentation convention bug.
+sigma and iota are commuting involutions of the symbols up to sign, so the
+two-term and star relations tie each symbol x exactly to its orbit
+{x, x.sigma, x.iota, x.sigma.iota} under <sigma, iota>.  One pass in
+symbol order folds each orbit into one live column, headed by its least
+symbol, or to zero when the relations force x = -x; it leaves one fold
+table that sends each Manin symbol to (live column, sign), or to None if
+the symbol is zero.  The three-term relations are eliminated by exact
+integer echelon reduction; each pivot column is stored as an integer row
+over the free columns (the generators), scaled by one common denominator D
+(the `denominator` attribute), the lcm of the leads of the primitive
+integer RREF rows.  Reducing a combination of symbols into the quotient
+therefore sums integers only: raw_to_quotient returns the integer vector
+D*v of the generator coordinates v, and callers divide by D only where a
+rational value leaves the engine.  The cuspidal subspace is the kernel of
+the boundary map to cusp classes (cusps taken modulo Gamma_0(N) and
+negation, which is what the star quotient sees).  The cusp of a lift's
+g(oo) depends only on its P^1 class, so the cusp classes are orbits on
+P^1 too, read off the same lookup table.  The kernel is kept as primitive
+integer vectors.  Its dimension must equal dim S_k(Gamma_0(N)); a mismatch
+raises EngineError since it would mean a presentation convention bug.
 """
 
 from __future__ import annotations
@@ -37,53 +42,10 @@ from ..errors import EngineError
 from ..invariants import check_level, check_weight, cusp_dim
 from ..linalg import Echelonizer, kernel_basis
 from .action import Mat2, act_path, expand_monomial, mat_adjugate, mat_det, mat_mul2
-from .p1 import p1_space
+from .p1 import P1, p1_space
 
 TAU: Mat2 = ((0, -1), (1, -1))
 TAU2: Mat2 = ((-1, 1), (-1, 0))
-
-
-class _SignedUnionFind:
-    """Union-find tracking x = +/- y identifications and forced zeros."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.sign = [1] * n
-        self.zero = [False] * n
-
-    def find(self, x: int) -> tuple[int, int]:
-        chain = []
-        while self.parent[x] != x:
-            chain.append(x)
-            x = self.parent[x]
-        root = x
-        acc = 1  # cumulative sign from node to root, compressed as we return
-        for y in reversed(chain):
-            acc *= self.sign[y]
-            self.parent[y] = root
-            self.sign[y] = acc
-        return root, acc if chain else 1
-
-    def union(self, x: int, y: int, s: int) -> None:
-        """Impose value(x) = s * value(y)."""
-        rx, sx = self.find(x)
-        ry, sy = self.find(y)
-        if rx == ry:
-            if sx != s * sy:
-                self.zero[rx] = True
-            return
-        rel = sx * s * sy  # value(rx) = rel * value(ry), and symmetrically
-        # keep the smaller index as root for deterministic generators
-        if rx < ry:
-            self.parent[ry] = rx
-            self.sign[ry] = rel
-            if self.zero[ry]:
-                self.zero[rx] = True
-        else:
-            self.parent[rx] = ry
-            self.sign[rx] = rel
-            if self.zero[rx]:
-                self.zero[ry] = True
 
 
 def _sl2_lift(c: int, d: int) -> Mat2:
@@ -94,14 +56,24 @@ def _sl2_lift(c: int, d: int) -> Mat2:
     return ((x, -y), (c, d))
 
 
-def _cusps_equivalent(p: tuple[int, int], q: tuple[int, int], level: int) -> bool:
-    """Gamma_0(N)-equivalence of cusps u1/v1, u2/v2 in lowest terms
-    (Cremona's criterion: s1 v2 == s2 v1 mod gcd(v1 v2, N))."""
-    u1, v1 = p
-    u2, v2 = q
-    s1 = xgcd(u1, v1)[1]
-    s2 = xgcd(u2, v2)[1]
-    return (s1 * v2 - s2 * v1) % gcd(level, v1 * v2) == 0
+def _cusp_classes(p1: P1) -> list[int]:
+    """The cusp class of g_j(oo) for each class j of P^1, labelled by the
+    least j in it.  With g_j = (a, b; c, d), the cusp a/c depends only on
+    j = (c:d), and the cusps modulo Gamma_0(N) and negation are the orbits
+    of (c:d) -> (c:c+d) and (c:d) -> (-c:d); g_j(0) = g_j S(oo) is the
+    cusp of the class (d:-c)."""
+    cusp = [-1] * len(p1)
+    for j in range(len(p1)):
+        if cusp[j] < 0:
+            cusp[j] = j
+            stack = [j]
+            while stack:
+                c, d = p1[stack.pop()]
+                for y in (p1.index(c, c + d), p1.index(-c, d)):
+                    if cusp[y] < 0:
+                        cusp[y] = j
+                        stack.append(y)
+    return cusp
 
 
 class MSPresentation:
@@ -124,29 +96,33 @@ class MSPresentation:
 
     def _build_quotient(self) -> None:
         n_p1, deg = self.n_p1, self.degree
-        uf = _SignedUnionFind(self.ncols)
+        sigma = [self.p1.index(d, -c) for c, d in self.p1]
+        iota = [self.p1.index(-c, d) for c, d in self.p1]
 
-        for j in range(n_p1):
-            c, d = self.p1[j]
-            j_sigma = self.p1.index(d, -c)
-            j_star = self.p1.index(-c, d)
-            for i in range(deg + 1):
-                t = i * n_p1 + j
-                # x . sigma = (-1)^i [X^(deg-i) Y^i, (d:-c)]
-                sign_sigma = -1 if i % 2 else 1
-                # relation x + x.sigma = 0  =>  x = -(x.sigma)
-                uf.union(t, (deg - i) * n_p1 + j_sigma, -sign_sigma)
-                # star: x = (-1)^i [X^i Y^(deg-i), (-c:d)]
-                uf.union(t, i * n_p1 + j_star, sign_sigma)
-
-        roots = sorted({uf.find(t)[0] for t in range(self.ncols)})
-        live_roots = [r for r in roots if not uf.zero[r]]
-        col_of_root = {r: idx for idx, r in enumerate(live_roots)}
-        width = len(live_roots)
-        fold: list[tuple[int, int] | None] = []
+        # sigma and iota commute, so the symbols tied to x by the two-term
+        # and star relations are its orbit {x, x.sigma, x.iota, x.sigma.iota},
+        # on which value(y) = sign * value(x); each orbit is folded when its
+        # least symbol, its root, is met, and is zero when one symbol is
+        # reached with both signs
+        fold: list[tuple[int, int] | None] = [None] * self.ncols
+        live_roots: list[int] = []
         for t in range(self.ncols):
-            r, s = uf.find(t)
-            fold.append(None if uf.zero[r] else (col_of_root[r], s))
+            i, j = divmod(t, n_p1)
+            s = -1 if i % 2 else 1
+            # x + x.sigma = 0 with x.sigma = (-1)^i [X^(deg-i) Y^i, (d:-c)],
+            # and x = x.iota = (-1)^i [X^i Y^(deg-i), (-c:d)]
+            orbit = {
+                (t, 1),
+                ((deg - i) * n_p1 + sigma[j], -s),
+                (i * n_p1 + iota[j], s),
+                ((deg - i) * n_p1 + iota[sigma[j]], -1),
+            }
+            symbols = {sym for sym, _ in orbit}
+            if min(symbols) == t and len(symbols) == len(orbit):
+                for sym, sign in orbit:
+                    fold[sym] = (len(live_roots), sign)
+                live_roots.append(t)
+        width = len(live_roots)
 
         ech = Echelonizer(width)
         for j in range(n_p1):
@@ -186,37 +162,20 @@ class MSPresentation:
                     yield dx * self.n_p1 + jj, coeff
 
     def _build_cuspidal(self) -> None:
-        deg = self.degree
-        cusp_reps: list[tuple[int, int]] = []
-
-        def cusp_class(pair: tuple[int, int]) -> int:
-            num, den = pair
-            g = gcd(abs(num), abs(den))
-            if g > 1:
-                num, den = num // g, den // g
-            if den < 0:
-                num, den = -num, -den
-            for idx, rep in enumerate(cusp_reps):
-                if _cusps_equivalent(rep, (num, den), self.level) or _cusps_equivalent(
-                    rep, (-num, den), self.level
-                ):
-                    return idx
-            cusp_reps.append((num, den))
-            return len(cusp_reps) - 1
-
+        p1 = self.p1
+        cusp = _cusp_classes(p1)
         rows: dict[int, list[int]] = {}
         for gen_idx, root in enumerate(self.generators):
             i, j = divmod(root, self.n_p1)
-            (a, b), (c, d) = self._lifts[j]
-            if i == deg:
-                cls = cusp_class((a, c))
-                rows.setdefault(cls, [0] * self.dimension)[gen_idx] += 1
+            c, d = p1[j]
+            # the boundary of [X^i Y^(k-2-i), g_j] is [g_j(oo)] if i = k-2,
+            # minus [g_j(0)] if i = 0
+            if i == self.degree:
+                rows.setdefault(cusp[j], [0] * self.dimension)[gen_idx] += 1
             if i == 0:
-                cls = cusp_class((b, d))
-                rows.setdefault(cls, [0] * self.dimension)[gen_idx] -= 1
+                rows.setdefault(cusp[p1.index(d, -c)], [0] * self.dimension)[gen_idx] -= 1
 
-        boundary = [rows[idx] for idx in sorted(rows)]
-        self.cusp_count = len(cusp_reps)
+        boundary = list(rows.values())
         self.cuspidal_basis = [tuple(v) for v in kernel_basis(boundary, width=self.dimension)]
         self.cuspidal_dimension = len(self.cuspidal_basis)
         expected = cusp_dim(self.level, self.weight)

@@ -191,6 +191,49 @@ def test_cache_rejects_rows_that_are_not_the_echelon_basis(tmp_path, capsys, cor
     assert message in err
 
 
+def _token(path):
+    header, row = path.read_text().splitlines()
+    path.write_text(f"{header}\n1x {row}\n")
+
+
+def _byte(path):
+    path.write_bytes(path.read_bytes() + b"\xff\n")
+
+
+def _meta(path):
+    path.with_name(path.name + ".meta.json").write_text('{"pivots": [1,')
+
+
+def _meta_list(path):
+    path.with_name(path.name + ".meta.json").write_text("[1]\n")
+
+
+@pytest.mark.parametrize(
+    "corrupt, code, message",
+    [
+        (_token, 3, "invalid literal for int()"),
+        (_byte, 3, "can't decode byte 0xff"),
+        (_meta, 3, "Expecting value"),
+        (_meta_list, 3, "is not a JSON object"),
+        (None, 2, "File exists"),
+    ],
+    ids=["non-integer-token", "non-utf8-byte", "malformed-meta", "meta-not-an-object", "cache-is-a-file"],
+)
+def test_cache_failures_exit_with_their_code(tmp_path, capsys, corrupt, code, message):
+    """A cache file that does not parse is corrupt (exit 3, an engine
+    error); a cache path that is a regular file cannot be used (exit 2).
+    Neither ends in a traceback."""
+    cache_dir = tmp_path / "cache"
+    if corrupt is None:
+        cache_dir.write_text("not a directory\n")
+    else:
+        corrupt(write_basis(qexpansion_basis(1, 12, 20), cache_dir))
+    code_got, out, err = run_cli(capsys, "basis", "1", "12", "--prec", "20", "--cache", str(cache_dir))
+    assert code_got == code and out == ""
+    assert err.startswith("engine error: " if code == 3 else "error: ")
+    assert message in err
+
+
 def test_basis_rejects_precision_zero(capsys):
     code, out, err = run_cli(capsys, "basis", "11", "2", "--prec", "0")
     assert code == 2 and out == ""

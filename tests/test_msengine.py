@@ -58,19 +58,45 @@ def test_p1_rejects_non_points():
         p1.normalize(2, 4)  # gcd(2, 4, 6) = 2
 
 
-@pytest.mark.parametrize("level", range(1, 61))
-def test_p1_table_matches_normalize(level):
-    """The lookup table agrees with normalize on every pair mod N: index is
-    the position of the canonical representative, and a non-point raises
-    the same ValueError from both, for any integer lift of the pair."""
-    p1 = P1(level)
-    position = {rep: i for i, rep in enumerate(p1)}
+@pytest.mark.parametrize("level", [True, 0, -3, 2.5, "7"])
+def test_p1_rejects_bad_levels(level):
+    """P1 and p1_space validate the level as every other entry point does,
+    even after P^1(Z/1Z) is cached (True == 1 as a cache key)."""
+    p1_space(1)
+    for build in (P1, p1_space):
+        with pytest.raises(ValueError, match="level must be a positive integer"):
+            build(level)
+
+
+def _least_pairs(level):
+    """Brute-force reference: the least pair in lexicographic order of each
+    orbit of points (u, v) mod N under the units, keyed by every point."""
+    units = [s for s in range(level) if gcd(s, level) == 1]
+    least = {}
     for u in range(level):
         for v in range(level):
             if gcd(gcd(u, v), level) == 1:
-                want = position[p1.normalize(u, v)]
-                assert p1.index(u, v) == want
-                assert p1.index(u - 3 * level, v + level) == want
+                least[u, v] = min((s * u % level, s * v % level) for s in units)
+    return least
+
+
+@pytest.mark.parametrize("level", range(1, 61))
+def test_p1_table_matches_normalize(level):
+    """The representatives are the sorted least pairs of the unit orbits,
+    and index and normalize agree with a brute-force orbit search on every
+    pair mod N, for any integer lift of the pair; a non-point raises the
+    same ValueError from both.  At level 1 the one pair (0, 0) is written
+    (0, 1)."""
+    p1 = P1(level)
+    least = _least_pairs(level)
+    reps = [(c % level, d % level) for c, d in p1]
+    assert reps == sorted(set(least.values()))
+    for u in range(level):
+        for v in range(level):
+            if (u, v) in least:
+                want = reps.index(least[u, v])
+                assert p1.index(u, v) == p1.index(u - 3 * level, v + level) == want
+                assert p1.normalize(u + level, v) == p1[want]
             else:
                 message = f"({u}, {v}) is not a point of P^1(Z/{level})"
                 for call in (p1.normalize, p1.index):
@@ -136,6 +162,86 @@ def _relations(pres, t):
         combo((t, 1), (i * n + pres.p1.index(-c, d), -sign)),
         combo(*tau_terms),
     ]
+
+
+def _live(pres, raw):
+    """A raw combination folded into live columns, zeros dropped."""
+    out = {}
+    for t, val in raw.items():
+        if pres._fold[t] is not None:
+            col, sign = pres._fold[t]
+            out[col] = out.get(col, 0) + sign * val
+    return {col: val for col, val in out.items() if val}
+
+
+@given(st.integers(1, 60), st.sampled_from([2, 4, 6, 8, 10, 12]))
+@settings(max_examples=25, deadline=None)
+def test_fold_satisfies_the_two_term_and_star_relations(level, weight):
+    """The <sigma, iota> orbit fold satisfies x = -x.sigma and x = x.iota
+    on every Manin symbol, with nothing left in the live columns."""
+    pres = build_presentation(level, weight)
+    for t in range(pres.ncols):
+        two_term, star, _ = _relations(pres, t)
+        assert _live(pres, two_term) == {} and _live(pres, star) == {}, t
+
+
+def _cusps_equivalent(p, q, level):
+    """Gamma_0(N)-equivalence of cusps u1/v1, u2/v2 in lowest terms
+    (Cremona's criterion: s1 v2 == s2 v1 mod gcd(v1 v2, N))."""
+    from cuspgaps.arith import xgcd
+
+    (u1, v1), (u2, v2) = p, q
+    s1 = xgcd(u1, v1)[1]
+    s2 = xgcd(u2, v2)[1]
+    return (s1 * v2 - s2 * v1) % gcd(level, v1 * v2) == 0
+
+
+@pytest.mark.parametrize("level", range(1, 201))
+def test_cusp_orbits_match_cremonas_criterion(level):
+    """The cusp classes read off P^1 as orbits are the classes of the cusps
+    g_j(oo) = a/c modulo Gamma_0(N) and negation, by Cremona's criterion."""
+    from cuspgaps.msengine.presentation import _cusp_classes, _sl2_lift
+
+    p1 = p1_space(level)
+    labels = _cusp_classes(p1)
+    reps = []  # one cusp a/c per class found by the criterion
+    criterion = []
+    for c, d in p1:
+        (a, _), _ = _sl2_lift(c, d)
+        g = gcd(a, c)
+        cusp = (a // g, c // g)
+        for idx, rep in enumerate(reps):
+            if _cusps_equivalent(rep, cusp, level) or _cusps_equivalent(rep, (-cusp[0], cusp[1]), level):
+                criterion.append(idx)
+                break
+        else:
+            criterion.append(len(reps))
+            reps.append(cusp)
+    pairs = set(zip(labels, criterion))
+    assert len(pairs) == len(set(labels)) == len(reps)
+
+
+PRESENTATION_DIGEST = "7d8ac145cc344cbb85c881a0f9f39424759b9bea4a6f0d31b765342d04d2f941"
+
+
+def test_presentation_tables_are_pinned():
+    """The P^1 representatives, lifts, fold, pivot rows, denominator,
+    generators and cuspidal basis of every (N, k), N <= 30 and
+    k in {2, 4, 6, 12}, hash to the digest the union-find and Stein
+    normalizer builds gave."""
+    import hashlib
+
+    from cuspgaps.msengine.presentation import MSPresentation
+
+    h = hashlib.sha256()
+    for level in range(1, 31):
+        for weight in (2, 4, 6, 12):
+            p = MSPresentation(level, weight)
+            h.update(repr((
+                list(p.p1), p._lifts, p._fold, p._free_cols, p._pivot_rows,
+                p.denominator, p.generators, p.cuspidal_basis,
+            )).encode())
+    assert h.hexdigest() == PRESENTATION_DIGEST
 
 
 @pytest.mark.parametrize("level,weight", RELATION_SPACES)
