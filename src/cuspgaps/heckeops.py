@@ -11,25 +11,23 @@ a_n(U_p f) = a_(pn)(f) on the coefficients that are known, by the one
 coefficient-side Hecke rule (msengine.coefficient_image).
 
 The old/new split reads the p-new block off U_p: on p-new forms
-U_p = -p^(k/2-1) w_p, so U_p^2 = p^(k-2) there, while on an old pair
-{g, V_p g} the roots of U_p have absolute value p^((k-1)/2) by Deligne's
-bound, so U_p^2 - p^(k-2) is invertible on the old span.  The p-new block
-is therefore exactly ker(U_p^2 - p^(k-2)).  The split builds the level-N
-basis itself and certifies, where each fact's data is made, that the
-oldform vectors are independent, that U_p V_p g = g and U_p g stays in
-the old span on every old pair, that the kernel has dimension
-dim S_k(pN) - 2 dim S_k(N), and that old + new is a direct sum.
+U_p = -p^(k/2-1) w_p with w_p = +-1, so the block is the sum of the
+eigenspaces U_p = +-r, r = p^(k/2-1), which is ker(U_p^2 - r^2); on an old
+pair {g, V_p g} the roots of U_p have absolute value p^((k-1)/2) by
+Deligne's bound, so U_p^2 - r^2 is invertible on the old span.  The split
+builds the level-N basis itself and certifies, where each fact's data is
+made, that the oldform vectors are independent, that U_p V_p g = g and
+U_p g stays in the old span on every old pair, that the new block has
+dimension dim S_k(pN) - 2 dim S_k(N), and that old + new is a direct sum.
 
-The Atkin-Lehner involution W_p is read off its column images: on an old
-pair (g, V_p g) coming from level N it swaps the two (with factors
-p^(k/2) and p^(-k/2)), and on the p-new block it is -p^(1-k/2) U_p, so
-W_p C = Z for the matrix C of old pairs and new vectors and the matrix Z
-of their images.  A q-expansion at infinity does not determine the slash
-action of the defining matrix directly, so this assembly is the
-computational route; it checks that W_p commutes with T_ell for the
-least prime ell not dividing pN, and failure aborts.  The trace map to
-level N is Tr(f) = f + p^(1-k/2) (f|W_p)|U_p, and S is the kernel of
-f -> f|W_p + p^(1-k/2) f|U_p.
+W_p and the trace map to level N, Tr = 1 + p^(1-k/2) U_p W_p, are each
+read off their images on the old pairs (g, V_p g) and the new vectors by
+one exact solve (linalg.solve_columns): W_p swaps g and V_p g (with
+factors p^(k/2) and p^(-k/2)) and is -U_p / r = -+1 on the two eigenspaces.
+A q-expansion at infinity does not determine the slash action of the
+defining matrix directly, so this assembly is the computational route; it
+checks that W_p commutes with T_ell for the least prime ell not dividing
+pN, and failure aborts.  S is the kernel of f -> f|W_p + p^(1-k/2) f|U_p.
 """
 
 from __future__ import annotations
@@ -52,9 +50,10 @@ from .linalg import (
     Echelonizer,
     kernel_basis,
     make_primitive,
-    mat_inverse,
+    mat_inverse,  # noqa: F401  unused here; bench/layers.py patches heckeops.mat_inverse by name
     mat_mul,
     mat_vec,
+    solve_columns,
 )
 from .msengine import SpaceBasis, coefficient_image, hecke_matrix_from_symbols, qexpansion_basis
 from .qexp import QExpansion
@@ -186,6 +185,7 @@ class OldNewSplit:
     lower: SpaceBasis
     old_pairs: tuple  # ((coords g_i, coords V_p g_i), ...)
     new_vectors: tuple
+    new_signs: tuple  # the W_p eigenvalue, +-1, of each new vector
     up: OperatorMatrix
 
     @property
@@ -196,26 +196,28 @@ class OldNewSplit:
     def new_dimension(self) -> int:
         return len(self.new_vectors)
 
+    @property
+    def columns(self) -> list:
+        """The certified ambient basis g_1, V_p g_1, ..., then the new vectors."""
+        return [c for pair in self.old_pairs for c in pair] + list(self.new_vectors)
+
 
 def old_new_split(level: int, weight: int, p: int, ambient: SpaceBasis) -> OldNewSplit:
     """Split S_k(pN) into the old span {g, V_p g} and the p-new block
-    ker(U_p^2 - p^(k-2)).
+    ker(U_p - r) + ker(U_p + r), r = p^(k/2-1), where W_p = -1 and +1.
 
-    On p-new forms U_p = -p^(k/2-1) w_p, so U_p^2 = p^(k-2) there.  On each
-    old pair {g, V_p g} the roots of U_p have absolute value p^((k-1)/2)
-    (Deligne), so U_p^2 - p^(k-2) is invertible on the old span.  The
-    certificates are checked here and raise EngineError: the oldform
-    vectors are independent; on every old pair U_p V_p g = g exactly and
-    U_p g lies in the old span, which checks the transported U_p on the
-    old block; the kernel has dimension dim S_k(pN) - 2 dim S_k(N); and
-    old + new is a direct sum.  Two facts are therefore not checked again:
-    U_p maps the kernel into itself, so it cannot mix the new block into
-    the old one; and 2 dim S_k(N) independent old vectors plus
-    dim S_k(pN) - 2 dim S_k(N) new vectors, each added independently,
-    span the ambient space.
-    The level-N basis is built here, to max(sturm_bound(N, k) + 10,
-    c_max + 1) coefficients, where c_max is the last ambient pivot: taking
-    ambient coordinates needs every pivot.
+    On p-new forms U_p = -p^(k/2-1) w_p with w_p = +-1.  As x - r and x + r
+    are coprime the block is ker(U_p^2 - r^2), and on each old pair the
+    roots of U_p have absolute value p^((k-1)/2) (Deligne), so U_p^2 - r^2
+    is invertible on the old span.  The certificates are checked here and
+    raise EngineError: the oldform vectors are independent; on every old
+    pair U_p V_p g = g exactly and U_p g lies in the old span, which checks
+    the transported U_p on the old block; the kernels have dimension
+    dim S_k(pN) - 2 dim S_k(N) together; and old + new is a direct sum, so
+    the old and new vectors span the ambient space.  The level-N basis
+    is built here, to max(sturm_bound(N, k) + 10, c_max + 1) coefficients,
+    where c_max is the last ambient pivot: taking ambient coordinates needs
+    every pivot.
     """
     check_level(level)
     check_weight(weight)
@@ -243,70 +245,64 @@ def old_new_split(level: int, weight: int, p: int, ambient: SpaceBasis) -> OldNe
             raise EngineError(f"U_{p} V_{p} g != g on old pair {i}")
         if not whole.contains(mat_vec(u, cg)):
             raise EngineError(f"U_{p} g leaves the old span on old pair {i}")
-    u2 = mat_mul(u, u)
-    shift = p ** (weight - 2)
-    for i in range(dim_pn):
-        u2[i][i] -= shift
-    new_vectors = tuple(tuple(v) for v in kernel_basis(u2, width=dim_pn))
+    r = p ** (weight // 2 - 1)
+    new_vectors, new_signs = [], []
+    for sign in (1, -1):  # U_p = sign * r on this kernel, so W_p = -sign
+        shifted = [[x - sign * r * (i == j) for j, x in enumerate(row)] for i, row in enumerate(u)]
+        kernel = kernel_basis(shifted, width=dim_pn)
+        new_vectors += [tuple(v) for v in kernel]
+        new_signs += [-sign] * len(kernel)
     if len(new_vectors) != dim_pn - 2 * lower.dimension:
-        raise EngineError(
-            f"new space dimension {len(new_vectors)} != {dim_pn} - 2*{lower.dimension}"
-        )
+        raise EngineError(f"new space dimension {len(new_vectors)} != {dim_pn} - 2*{lower.dimension}")
     for v in new_vectors:
         if whole.add(list(v)) is None:
             raise EngineError("old + new is not a direct sum")
-    return OldNewSplit(level, weight, p, big, lower, tuple(old_pairs), new_vectors, up)
+    return OldNewSplit(level, weight, p, big, lower, tuple(old_pairs), tuple(new_vectors), tuple(new_signs), up)
 
 
 # -- Atkin-Lehner, trace, and the subspace S ----------------------------------
 
 def atkin_lehner(split: OldNewSplit) -> OperatorMatrix:
-    """W_p on ambient coordinates, read off its column images: W_p C = Z,
-    where C's columns are the old pairs (g, V_p g) and the new vectors v,
-    and Z's columns are p^(k/2) V_p g, p^(-k/2) g and -p^(1-k/2) U_p v.
+    """W_p on ambient coordinates, read off its images on split.columns by
+    one solve: p^(k/2) V_p g for g, p^(-k/2) g for V_p g, and w v for a new
+    vector v, where w = -U_p / p^(k/2-1) = +-1 is its sign in new_signs.
 
     Aborts with AssemblyError("Atkin-Lehner assembly failed") if W_p does
     not commute with T_ell for the least prime ell not dividing pN (T_ell
     taken from the symbols like U_p), which would signal a wrong split.
     W_p^2 = 1 is not checked: it holds by construction of the images.
     """
-    k, p = split.weight, split.prime
-    half = p ** (k // 2)
-    scale = -Fraction(p, half)  # -p^(1-k/2)
-    u = split.up.matrix
-    c_cols, z_cols = [], []
+    p = split.prime
+    half = p ** (split.weight // 2)
+    images = []
     for cg, cvg in split.old_pairs:
-        c_cols += [cg, cvg]
-        z_cols += [[half * x for x in cvg], [Fraction(x, half) for x in cg]]
-    for v in split.new_vectors:
-        c_cols.append(v)
-        z_cols.append([scale * x for x in mat_vec(u, v)])
-    c = [list(row) for row in zip(*c_cols)]
-    z = [list(row) for row in zip(*z_cols)]
-    w = mat_mul(z, mat_inverse(c))
-    level = split.ambient.level
-    ell = next(q for q in count(2) if is_prime(q) and level % q != 0)
+        images += [[half * x for x in cvg], [Fraction(x, half) for x in cg]]
+    images += [[sign * x for x in v] for v, sign in zip(split.new_vectors, split.new_signs)]
+    w = solve_columns(split.columns, images)
+    ell = next(q for q in count(2) if is_prime(q) and split.ambient.level % q != 0)
     t = _symbol_operator(split.ambient, ell, f"T_{ell}").matrix
     if mat_mul(w, t) != mat_mul(t, w):
         raise AssemblyError(f"Atkin-Lehner assembly failed: W_{p} does not commute with T_{ell}")
     return OperatorMatrix(tuple(tuple(row) for row in w))
 
 
-def trace_matrix(split: OldNewSplit, w: OperatorMatrix) -> OperatorMatrix:
-    """Tr = 1 + p^(1-k/2) U_p W_p on ambient coordinates.
+def trace_matrix(split: OldNewSplit) -> OperatorMatrix:
+    """Tr = 1 + p^(1-k/2) U_p W_p on ambient coordinates, read off its
+    images on split.columns by one solve: (p+1) g for g,
+    V_p g + p^(1-k) U_p g for V_p g, and 0 for a new vector v.
 
-    Two facts about Tr follow from certificates that run elsewhere, so they
-    are not checked again.  Tr g = (p+1) g on level-N forms: W_p g =
-    p^(k/2) V_p g exactly, by construction, so Tr g = g + p U_p V_p g,
-    and U_p V_p g = g is checked by the split.  rank Tr = dim S_k(N):
-    W_p^2 = 1 gives Tr W_p = W_p + p^(1-k/2) U_p, so rank Tr = dim S_k(pN)
-    - dim S, and subspace_s_basis checks dim S."""
+    These follow exactly from W_p's images, the split's certificate
+    U_p V_p g = g and its kernels U_p v = +-p^(k/2-1) v, so nothing is
+    checked again; nor is rank Tr = dim S_k(N): W_p^2 = 1 gives
+    Tr W_p = W_p + p^(1-k/2) U_p, so rank Tr = dim S_k(pN) - dim S, and
+    subspace_s_basis checks dim S."""
     k, p = split.weight, split.prime
-    scale = Fraction(p, p ** (k // 2))
-    uw = mat_mul(split.up.matrix, w.matrix)
-    d = split.ambient.dimension
-    mat = [[(Fraction(i == j) + scale * uw[i][j]) for j in range(d)] for i in range(d)]
-    return OperatorMatrix(tuple(tuple(r) for r in mat))
+    images = []
+    for cg, cvg in split.old_pairs:
+        ug = split.up.apply(cg)
+        images += [[(p + 1) * x for x in cg], [x + Fraction(y, p ** (k - 1)) for x, y in zip(cvg, ug)]]
+    images += [[0] * len(v) for v in split.new_vectors]
+    return OperatorMatrix(tuple(tuple(r) for r in solve_columns(split.columns, images)))
 
 
 def subspace_s_basis(split: OldNewSplit, w: OperatorMatrix) -> tuple:
@@ -314,12 +310,8 @@ def subspace_s_basis(split: OldNewSplit, w: OperatorMatrix) -> tuple:
     coordinates; its dimension must be dim S_k(pN) - dim S_k(N)."""
     k, p = split.weight, split.prime
     scale = Fraction(p, p ** (k // 2))
-    d = split.ambient.dimension
-    mat = [
-        [w.matrix[i][j] + scale * split.up.matrix[i][j] for j in range(d)]
-        for i in range(d)
-    ]
-    kernel = kernel_basis(mat, width=d)
+    mat = [[x + scale * y for x, y in zip(wr, ur)] for wr, ur in zip(w.matrix, split.up.matrix)]
+    kernel = kernel_basis(mat, width=split.ambient.dimension)
     expected = split.ambient.dimension - split.lower.dimension
     if len(kernel) != expected:
         raise EngineError(f"dim S = {len(kernel)} != {expected}")
@@ -360,7 +352,7 @@ def required_ambient_precision(level: int, weight: int, p: int) -> int:
     return sturm_bound(p * level, weight)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)
 def build_operator_stack(level: int, weight: int, p: int) -> OperatorStack:
     """Compute bases, the old/new split, W_p, U_p, Tr and S for (N, k, p).
     Each certificate runs once, in the stage that makes its data."""
@@ -369,8 +361,7 @@ def build_operator_stack(level: int, weight: int, p: int) -> OperatorStack:
     check_odd_prime(level, p)
     ambient = qexpansion_basis(p * level, weight, required_ambient_precision(level, weight, p))
     split = old_new_split(level, weight, p, ambient)
-    lower = split.lower
     w = atkin_lehner(split)
-    tr = trace_matrix(split, w)
+    tr = trace_matrix(split)
     s_vecs = subspace_s_basis(split, w)
-    return OperatorStack(level, weight, p, ambient, lower, split, split.up, w, tr, s_vecs)
+    return OperatorStack(level, weight, p, ambient, split.lower, split, split.up, w, tr, s_vecs)

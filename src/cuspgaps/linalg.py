@@ -2,7 +2,7 @@
 
 Matrices are lists of row lists holding ints or Fractions.  The one
 elimination is Echelonizer, an incremental row-echelon accumulator over Z,
-behind rank, span membership, reduced bases, kernels and inverses.  Its
+behind rank, span membership, reduced bases, kernels and solve_columns.  Its
 reduced rows and kernel vectors are primitive integer vectors with positive
 lead, each a multiple of the one over Q.  Nothing here touches floating point.
 """
@@ -151,12 +151,20 @@ def mat_vec(a, v) -> list[Fraction]:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
-def mat_inverse(a) -> list[list[Fraction]]:
-    """Inverse of a square rational matrix, read off the integral RREF of
-    [A | I]: row i of the inverse is row[n:] / row[i].  Raises EngineError
-    if A is singular, i.e. if the pivots are not 0..n-1."""
-    n = len(a)
-    rows, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
+def solve_columns(columns, images) -> list[list[Fraction]]:
+    """The matrix A with A c_j = z_j for columns c_j in Q^n and images z_j,
+    read off the integral RREF of the rows [c_j | z_j], whose row i is
+    lead * [e_i | column i of A].  Raises EngineError unless the pivots are
+    0..n-1: the c_j must span Q^n and one A must meet every image."""
+    n = len(columns[0]) if columns else 0
+    rows, pivots = rref([list(c) + list(z) for c, z in zip(columns, images, strict=True)])
     if pivots != list(range(n)):
         raise EngineError("matrix is singular")
-    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)]
+    m = len(images[0]) if n else 0
+    return [[Fraction(row[n + r], row[i]) for i, row in enumerate(rows)] for r in range(m)]
+
+
+def mat_inverse(a) -> list[list[Fraction]]:
+    """Inverse of a square rational matrix: the solve sending column j to e_j."""
+    n = len(a)
+    return solve_columns(list(zip(*a)), [[int(i == j) for j in range(n)] for i in range(n)])

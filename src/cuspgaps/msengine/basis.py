@@ -152,7 +152,7 @@ def _cuspidal_elements(pres: MSPresentation):
         yield _combination(pres, vec)
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=16, typed=True)
 def _independent_series(level: int, weight: int, precision: int):
     """The one series pass of a space: add the series m -> (T_m x)_i for
     m = 1..precision to an echelon until its rank is d = dim S_k, x running
@@ -188,7 +188,7 @@ def _independent_series(level: int, weight: int, precision: int):
     return ech.reduced_rows(), used
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def qexpansion_basis(level: int, weight: int, precision: int) -> SpaceBasis:
     """Canonical integral echelon basis of S_k(Gamma_0(N)) to the given
     precision (which must be at least the Sturm bound)."""

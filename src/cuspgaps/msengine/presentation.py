@@ -239,7 +239,7 @@ def hecke_cosets(n: int, level: int) -> list[tuple[int, int, int]]:
     return out
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def build_presentation(level: int, weight: int) -> MSPresentation:
     """Cached presentation of the plus quotient for (N, k)."""
     return MSPresentation(level, weight)

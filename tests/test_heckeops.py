@@ -28,8 +28,8 @@ from cuspgaps.heckeops import (
     up_matrix,
 )
 from cuspgaps.invariants import cusp_dim, sturm_bound, valence_bound
-from cuspgaps.linalg import Echelonizer, mat_inverse, mat_mul, rank
-from cuspgaps.msengine import hecke_matrix_from_symbols, qexpansion_basis
+from cuspgaps.linalg import Echelonizer, kernel_basis, mat_inverse, mat_mul, rank
+from cuspgaps.msengine import build_presentation, hecke_matrix_from_symbols, qexpansion_basis
 from cuspgaps.oracles import delta_expansion
 from cuspgaps.qexp import QExpansion
 
@@ -179,8 +179,6 @@ def test_trace_rank_and_new_block(level, weight, p):
 
 def test_kernel_of_trace_maps_onto_s(stack5):
     """f -> f|W_p carries ker(Tr) bijectively onto S."""
-    from cuspgaps.linalg import kernel_basis
-
     tr = [list(r) for r in stack5.trace.matrix]
     ker = kernel_basis(tr)
     assert len(ker) == len(stack5.s_basis)
@@ -388,3 +386,50 @@ def test_split_certifies_up_on_the_old_pairs(monkeypatch, perturb, message):
     monkeypatch.setattr(heckeops, "up_matrix", lambda ambient, p: heckeops.OperatorMatrix(wrong))
     with pytest.raises(EngineError, match=message):
         old_new_split(1, 24, 5, split.ambient)
+
+
+# -- the stack against its dense formulas ----------------------------------------------
+
+REFERENCE_STACKS = [(1, 12, 5), (2, 4, 7), (1, 24, 5), (3, 6, 5), (1, 12, 13)]
+
+
+def _shifted(m, c):
+    return [[x - c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
+
+
+@pytest.mark.parametrize("level,weight,p", REFERENCE_STACKS)
+def test_trace_is_one_plus_up_times_w(level, weight, p):
+    """Tr, read off its column images, is exactly 1 + p^(1-k/2) U_p W_p."""
+    stack = build_operator_stack(level, weight, p)
+    uw = mat_mul(stack.up.matrix, stack.atkin_lehner.matrix)
+    scale = Fraction(p, p ** (weight // 2))
+    want = _shifted([[scale * x for x in row] for row in uw], -1)
+    assert [list(row) for row in stack.trace.matrix] == want
+
+
+@pytest.mark.parametrize("level,weight,p", REFERENCE_STACKS)
+def test_new_vectors_span_the_up_squared_kernel(level, weight, p):
+    """The two U_p eigenspaces U_p = +-p^(k/2-1) together span
+    ker(U_p^2 - p^(k-2)), and each new vector lies in the one its W_p sign
+    names: U_p v = -w p^(k/2-1) v."""
+    stack = build_operator_stack(level, weight, p)
+    new = [list(v) for v in stack.split.new_vectors]
+    r = p ** (weight // 2 - 1)
+    u = [list(row) for row in stack.up.matrix]
+    kernel = kernel_basis(_shifted(mat_mul(u, u), r * r), width=len(u))
+    assert len(new) == len(kernel) == rank(new + kernel)
+    for v, sign in zip(new, stack.split.new_signs, strict=True):
+        assert stack.up.apply(v) == [-sign * r * x for x in v]
+
+
+@pytest.mark.parametrize("build,warm,bad", [
+    (build_presentation, (1, 12), [(True, 12), (1.0, 12), (1, 12.0)]),
+    (qexpansion_basis, (1, 12, 20), [(True, 12, 20), (1.0, 12, 20), (1, 12.0, 20)]),
+    (build_operator_stack, (1, 12, 5), [(True, 12, 5), (1.0, 12, 5), (1, 12.0, 5), (1, 12, 5.0)]),
+])
+def test_cached_builders_validate_bool_and_float_arguments(build, warm, bad):
+    """A cached (1, 12, ...) does not answer for True or 1.0 in its place."""
+    build(*warm)
+    for args in bad:
+        with pytest.raises(ValueError):
+            build(*args)

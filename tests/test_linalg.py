@@ -1,4 +1,4 @@
-"""Exact linear algebra: echelon, rank, kernel, inverse."""
+"""Exact linear algebra: echelon, rank, kernel, the column solve, inverse."""
 
 from fractions import Fraction
 from math import gcd
@@ -17,6 +17,7 @@ from cuspgaps.linalg import (
     mat_vec,
     rank,
     rref,
+    solve_columns,
 )
 
 small_matrix = st.integers(min_value=1, max_value=5).flatmap(
@@ -176,3 +177,62 @@ def test_singular_inverse_raises(data):
     dependent = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(rows) + 1)]
     with pytest.raises(EngineError, match="singular"):
         mat_inverse(rows[:at] + [dependent] + rows[at:])
+
+
+rational = st.one_of(small_int, small_fraction)
+
+
+def _inverse_from_rref(a):
+    """The read-off mat_inverse used before solve_columns: row i of the
+    inverse is row[n:] / row[i] in the integral RREF of [A | I]."""
+    n = len(a)
+    rows, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
+    assert pivots == list(range(n))
+    return [[Fraction(x, row[i]) for x in row[n:]] for i, row in enumerate(rows)]
+
+
+@given(
+    st.tuples(sizes, sizes).flatmap(
+        lambda nm: st.tuples(
+            st.one_of(_matrix(small_int, nm[0], nm[0]), _matrix(small_fraction, nm[0], nm[0])),
+            _matrix(rational, nm[0], nm[1]),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_solve_columns_meets_every_image(data):
+    """On a random invertible integer or Fraction system, the solved A
+    sends each column c_j exactly to its image z_j."""
+    columns, images = data
+    assume(rank(columns) == len(columns))
+    a = solve_columns(columns, images)
+    assert len(a) == len(images[0])
+    for c, z in zip(columns, images):
+        assert mat_vec(a, c) == z
+
+
+@given(
+    st.integers(min_value=1, max_value=4).flatmap(
+        lambda n: st.tuples(
+            st.one_of(_matrix(small_int, n, n + 1), _matrix(small_fraction, n, n + 1)),
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n),
+            st.integers(min_value=0, max_value=n),
+            _matrix(rational, n + 1, 2),
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_solve_columns_rejects_dependent_columns(data):
+    """n + 1 columns of Q^(n+1), one a combination of the others, do not
+    fix A, whatever the images."""
+    columns, coeffs, at, images = data
+    dependent = [sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(len(columns) + 1)]
+    with pytest.raises(EngineError, match="singular"):
+        solve_columns(columns[:at] + [dependent] + columns[at:], images)
+
+
+@given(square_matrix)
+@settings(max_examples=200, deadline=None)
+def test_inverse_matches_the_rref_read_off(a):
+    assume(rank(a) == len(a))
+    assert mat_inverse(a) == _inverse_from_rref(a)
