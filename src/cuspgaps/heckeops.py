@@ -6,9 +6,8 @@ level pN, T_p is U_p, and the series map of msengine.basis carries it to
 the echelon basis (hecke_matrix_from_symbols), over the series pass that
 built the basis.  So the ambient basis is needed only to the Sturm bound
 of S_k(pN), which by Sturm's theorem also fixes every pivot and p-adic
-valuation the stack reports; U_p is cross-checked against
-a_n(U_p f) = a_(pn)(f) on the coefficients that are known, by the one
-coefficient-side Hecke rule (msengine.coefficient_image).
+valuation the stack reports.  The transport checks U_p against
+a_n(U_p f) = a_(pn)(f) on the coefficients that are known.
 
 The old/new split reads the p-new block off U_p: on p-new forms
 U_p = -p^(k/2-1) w_p with w_p = +-1, so the block is the sum of the
@@ -83,7 +82,9 @@ def coefficient_valuation(f: QExpansion, p: int):
     """v_p(f) = min over known coefficients of v_p(a_n); +inf for the zero
     truncation.  Computed over the finitely many known coefficients, which
     determines the true infimum once the precision reaches the Sturm bound
-    of an ambient space containing f."""
+    of an ambient space containing f.  p must be an int >= 2."""
+    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
+        raise ValueError(f"p must be an integer >= 2, got {p!r}")
     best = None
     for c in f.coeffs:
         if c == 0:
@@ -130,29 +131,16 @@ class OperatorMatrix:
         return mat_vec(self.matrix, list(coords))
 
 
-def _symbol_operator(ambient: SpaceBasis, ell: int, label: str) -> OperatorMatrix:
-    """T_ell (prime ell) on the ambient basis, transported from the modular
-    symbols; cross-checked against the coefficient rule on the floor(B/ell)
-    coefficients known for every basis row, and a mismatch raises
-    EngineError."""
-    mat = hecke_matrix_from_symbols(ambient, ell)
-    for j, row in enumerate(ambient.rows):
-        known = coefficient_image(row, ell)
-        image = ambient.linear_combination([r[j] for r in mat])
-        if list(image.coeffs[: len(known)]) != known:
-            raise EngineError(f"{label} from symbols disagrees with the coefficients of basis row {j + 1}")
-    return OperatorMatrix(tuple(tuple(r) for r in mat))
-
-
 def up_matrix(ambient: SpaceBasis, p: int) -> OperatorMatrix:
     """U_p on the ambient basis of S_k(pN), where p divides the level.
 
     At such a level T_p is U_p on modular symbols, so U_p is read off the
     symbols (hecke_matrix_from_symbols) at the basis's own precision; the
-    Sturm bound of the ambient space is enough."""
+    Sturm bound of the ambient space is enough.  The transport itself
+    checks U_p against a_n(U_p f) = a_(pn)(f) and raises EngineError."""
     if ambient.level % p != 0:
         raise ValueError(f"U_{p} needs {p} to divide the level {ambient.level}")
-    return _symbol_operator(ambient, p, f"U_{p}")
+    return OperatorMatrix(tuple(tuple(r) for r in hecke_matrix_from_symbols(ambient, p)))
 
 
 def hecke_matrix_on_basis(basis: SpaceBasis, ell: int) -> OperatorMatrix:
@@ -280,7 +268,7 @@ def atkin_lehner(split: OldNewSplit) -> OperatorMatrix:
     images += [[sign * x for x in v] for v, sign in zip(split.new_vectors, split.new_signs)]
     w = solve_columns(split.columns, images)
     ell = next(q for q in count(2) if is_prime(q) and split.ambient.level % q != 0)
-    t = _symbol_operator(split.ambient, ell, f"T_{ell}").matrix
+    t = hecke_matrix_from_symbols(split.ambient, ell)
     if mat_mul(w, t) != mat_mul(t, w):
         raise AssemblyError(f"Atkin-Lehner assembly failed: W_{p} does not commute with T_{ell}")
     return OperatorMatrix(tuple(tuple(row) for row in w))

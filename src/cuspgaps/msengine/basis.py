@@ -19,9 +19,11 @@ sum_g (T_m x)_g (T_n gen_g)_i: the only new Hecke images are T_n of the
 presentation's generators.  Only the first `precision` coefficients of
 each series are ever needed, so no operator asks for more than the basis
 already has.  One integral RREF of the rows [f | T_n f] then carries T_n
-to the echelon basis, as that RREF's first half is the basis itself.  The
-series pass (_independent_series) runs once per (level, weight,
-precision), and the basis and the transport both read it.
+to the echelon basis, as that RREF's first half is the basis itself; its
+certificates are the pivots, the first halves, span membership, and the
+coefficient rule on the floor(B/n) coefficients of each T_n b_j that the
+basis determines.  The series pass (_independent_series) runs once per
+(level, weight, precision), and the basis and the transport both read it.
 
 Everything from the coset action to the echelon is integer arithmetic.
 Hecke images are the presentation's integer vectors D*v over its
@@ -32,8 +34,8 @@ integers.  Fractions are built only for the coordinates and operator
 entries that leave the engine.
 
 The coefficient-side Hecke rule a_n(T_m f), for any m, is here too
-(coefficient_image): the stability certificate uses it, and so do the
-operator stack's cross-checks and its reference operator.
+(coefficient_image): the stability certificate and the transport's
+cross-check use it, and so does the operator stack's reference operator.
 """
 
 from __future__ import annotations
@@ -191,7 +193,9 @@ def _independent_series(level: int, weight: int, precision: int):
 @lru_cache(maxsize=64, typed=True)
 def qexpansion_basis(level: int, weight: int, precision: int) -> SpaceBasis:
     """Canonical integral echelon basis of S_k(Gamma_0(N)) to the given
-    precision (which must be at least the Sturm bound)."""
+    precision (an int, at least the Sturm bound)."""
+    if not isinstance(precision, int) or isinstance(precision, bool):
+        raise ValueError(f"precision must be an integer, got {precision!r}")
     bound = sturm_bound(level, weight)
     if precision < bound:
         raise ValueError(f"precision {precision} is below the Sturm bound {bound}")
@@ -273,9 +277,11 @@ def hecke_matrix_from_symbols(basis: SpaceBasis, n: int) -> list[list[Fraction]]
     independent series of _independent_series, the integral RREF of these
     rows has row j = lambda_j [b_j | T_n b_j] for basis row b_j, so T_n b_j
     is read off its second half.  The RREF's pivots must be the basis
-    pivots and its first halves integer multiples of the basis rows; the
-    integer core of `coordinates` certifies that each T_n b_j lies in the
-    span on every known coefficient.  Any failure raises EngineError.
+    pivots and its first halves integer multiples of the basis rows; each
+    second half must start with lambda_j a_m(T_n b_j), m = 1..floor(B/n),
+    by the coefficient rule (coefficient_image); and the integer core of
+    `coordinates` certifies that each T_n b_j lies in the span on every
+    known coefficient.  Any failure raises EngineError.
     """
     level, weight, prec = basis.level, basis.weight, basis.precision
     pres = build_presentation(level, weight)
@@ -296,6 +302,9 @@ def hecke_matrix_from_symbols(basis: SpaceBasis, n: int) -> list[list[Fraction]]
         scale, rest = divmod(row[c], b.coeffs[c])
         if rest or row[:prec] != [scale * x for x in b.coeffs]:
             raise EngineError(f"basis row {j + 1} is not the series' echelon row at ({level}, {weight})")
+        known = coefficient_image(b, n)
+        if row[prec : prec + len(known)] != [scale * a for a in known]:
+            raise EngineError(f"T_{n} from symbols disagrees with the coefficients of basis row {j + 1}")
         cols.append(basis._scaled_coordinates(row[prec:], scale))
     return [[col[i] for col in cols] for i in range(basis.dimension)]
 

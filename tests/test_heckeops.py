@@ -88,6 +88,14 @@ def test_valuation_example():
     assert normalize_p(f, 5).coeffs == (1, 5)
 
 
+@pytest.mark.parametrize("p", [1, 0, -1, True, False, 5.0, "5"])
+def test_valuation_rejects_a_bad_prime(p):
+    """n % 1 == 0 for every n, so p = 1 (and -1, True) would never leave the
+    valuation loop; p is refused before it."""
+    with pytest.raises(ValueError, match="p must be an integer >= 2"):
+        coefficient_valuation(QExpansion((5, 25), 2, 1), p)
+
+
 def test_valuation_zero_series():
     assert coefficient_valuation(QExpansion((0, 0), 2, 1), 5) == math.inf
     with pytest.raises(ValueError):
@@ -302,12 +310,19 @@ def test_symbol_hecke_matrix_matches_coefficient_side(level, weight):
         assert hecke_matrix_from_symbols(small, n) == want, n
 
 
-def test_up_matrix_cross_check_catches_a_wrong_transport(monkeypatch):
+def test_transport_cross_check_catches_doubled_generator_images(monkeypatch):
+    """Doubling every T_5 gen_g doubles each T_5 b_j, which stays in the
+    span and keeps every pivot; only the coefficient rule a_n(U_5 f) =
+    a_(5n)(f), checked inside the transport, refuses it."""
+    from cuspgaps.msengine import basis as basis_mod
+
     ambient = qexpansion_basis(5, 12, sturm_bound(5, 12))
-    true = hecke_matrix_from_symbols(ambient, 5)
-    monkeypatch.setattr(heckeops, "hecke_matrix_from_symbols",
-                        lambda basis, n: [[2 * x for x in row] for row in true])
-    with pytest.raises(EngineError):
+    real = basis_mod._generator_images
+    monkeypatch.setattr(basis_mod, "_generator_images",
+                        lambda pres, n: [[2 * x for x in row] for row in real(pres, n)])
+    with pytest.raises(EngineError, match="disagrees with the coefficients"):
+        hecke_matrix_from_symbols(ambient, 5)
+    with pytest.raises(EngineError, match="disagrees with the coefficients"):
         up_matrix(ambient, 5)
 
 

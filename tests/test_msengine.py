@@ -536,6 +536,12 @@ def test_basis_rejects_low_precision():
         qexpansion_basis(11, 2, 2)  # sturm bound is 3
 
 
+@pytest.mark.parametrize("precision", [20.0, True, "20"])
+def test_basis_rejects_a_precision_that_is_not_an_int(precision):
+    with pytest.raises(ValueError, match="precision must be an integer"):
+        qexpansion_basis(1, 12, precision)
+
+
 def test_basis_pivots_within_valence_bound():
     for level, weight in [(1, 12), (5, 12), (11, 2), (14, 4), (17, 14), (49, 4), (98, 2)]:
         b = qexpansion_basis(level, weight, sturm_bound(level, weight) + 10)
