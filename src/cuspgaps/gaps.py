@@ -34,7 +34,7 @@ from .invariants import (
     valence_bound,
     vanishing_order_bound,
 )
-from .linalg import Echelonizer
+from .linalg import Echelonizer, mat_vec
 from .msengine import qexpansion_basis
 
 
@@ -130,7 +130,7 @@ def verify_order_bound(level: int, weight: int, p: int) -> VerificationReport:
     )
     hyp = []
     for f in forms:
-        fw = stack.ambient.linear_combination(stack.atkin_lehner.apply(stack.ambient.coordinates(f)))
+        fw = stack.ambient.linear_combination(mat_vec(stack.atkin_lehner, stack.ambient.coordinates(f)))
         hyp.append(coefficient_valuation(fw, p))
     need = 1 - weight // 2
     checks.append(

@@ -27,6 +27,9 @@ A q-expansion at infinity does not determine the slash action of the
 defining matrix directly, so this assembly is the computational route; it
 checks that W_p commutes with T_ell for the least prime ell not dividing
 pN, and failure aborts.  S is the kernel of f -> f|W_p + p^(1-k/2) f|U_p.
+
+The operators are plain exact matrices: tuples of Fraction rows on ambient
+coordinate columns, applied and multiplied by linalg.mat_vec and mat_mul.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from itertools import count
 from .arith import is_prime
 from .errors import AssemblyError, EngineError
 from .invariants import (
+    check_index,
     check_level,
     check_odd_prime,
     check_weight,
@@ -63,7 +67,8 @@ INFINITE_VALUATION = math.inf
 # -- coefficient operators ---------------------------------------------------
 
 def apply_Up(f: QExpansion, p: int) -> QExpansion:
-    """U_p: a_n -> a_(pn); output precision floor(B/p)."""
+    """U_p: a_n -> a_(pn); output precision floor(B/p).  p must be an int >= 1."""
+    check_index("p", p, 1)
     if f.precision < p:
         raise ValueError(f"U_{p} needs precision >= {p}, got {f.precision}")
     out = tuple(f.coefficient(p * n) for n in range(1, f.precision // p + 1))
@@ -71,7 +76,8 @@ def apply_Up(f: QExpansion, p: int) -> QExpansion:
 
 
 def apply_Vp(f: QExpansion, p: int) -> QExpansion:
-    """V_p: q -> q^p; output precision p*B."""
+    """V_p: q -> q^p; output precision p*B.  p must be an int >= 1."""
+    check_index("p", p, 1)
     out = [0] * (p * f.precision)
     for n in range(1, f.precision + 1):
         out[p * n - 1] = f.coefficient(n)
@@ -83,8 +89,7 @@ def coefficient_valuation(f: QExpansion, p: int):
     truncation.  Computed over the finitely many known coefficients, which
     determines the true infimum once the precision reaches the Sturm bound
     of an ambient space containing f.  p must be an int >= 2."""
-    if not isinstance(p, int) or isinstance(p, bool) or p < 2:
-        raise ValueError(f"p must be an integer >= 2, got {p!r}")
+    check_index("p", p, 2)
     best = None
     for c in f.coeffs:
         if c == 0:
@@ -107,8 +112,8 @@ def _int_valuation(n: int, p: int) -> int:
     return v
 
 
-def normalize_p(f: QExpansion, p: int) -> QExpansion:
-    """Rescale f to primitive integer coefficients (so v_p(f) = 0)."""
+def normalize_p(f: QExpansion) -> QExpansion:
+    """Rescale f to primitive integer coefficients (so v_p(f) = 0 for every p)."""
     if f.is_zero():
         raise ValueError("cannot normalize the zero expansion")
     ints = make_primitive(list(f.coeffs))
@@ -117,33 +122,20 @@ def normalize_p(f: QExpansion, p: int) -> QExpansion:
 
 # -- operators in basis coordinates -------------------------------------------
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Exact rational matrix acting on coordinate columns of a SpaceBasis."""
-
-    matrix: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.matrix)
-
-    def apply(self, coords):
-        return mat_vec(self.matrix, list(coords))
-
-
-def up_matrix(ambient: SpaceBasis, p: int) -> OperatorMatrix:
+def up_matrix(ambient: SpaceBasis, p: int) -> tuple:
     """U_p on the ambient basis of S_k(pN), where p divides the level.
 
     At such a level T_p is U_p on modular symbols, so U_p is read off the
     symbols (hecke_matrix_from_symbols) at the basis's own precision; the
     Sturm bound of the ambient space is enough.  The transport itself
     checks U_p against a_n(U_p f) = a_(pn)(f) and raises EngineError."""
+    check_index("p", p, 2)
     if ambient.level % p != 0:
         raise ValueError(f"U_{p} needs {p} to divide the level {ambient.level}")
-    return OperatorMatrix(tuple(tuple(r) for r in hecke_matrix_from_symbols(ambient, p)))
+    return tuple(tuple(r) for r in hecke_matrix_from_symbols(ambient, p))
 
 
-def hecke_matrix_on_basis(basis: SpaceBasis, ell: int) -> OperatorMatrix:
+def hecke_matrix_on_basis(basis: SpaceBasis, ell: int) -> tuple:
     """T_ell on basis coordinates via the coefficient rule
     (msengine.coefficient_image); the reference for the symbol side."""
     max_pivot = basis.pivots[-1] if basis.pivots else 0
@@ -153,9 +145,7 @@ def hecke_matrix_on_basis(basis: SpaceBasis, ell: int) -> OperatorMatrix:
         basis.coordinates(QExpansion(tuple(coefficient_image(row, ell)), basis.weight, basis.level))
         for row in basis.rows
     ]
-    d = basis.dimension
-    mat = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
-    return OperatorMatrix(mat)
+    return tuple(zip(*cols))
 
 
 # -- old/new decomposition ----------------------------------------------------
@@ -174,7 +164,7 @@ class OldNewSplit:
     old_pairs: tuple  # ((coords g_i, coords V_p g_i), ...)
     new_vectors: tuple
     new_signs: tuple  # the W_p eigenvalue, +-1, of each new vector
-    up: OperatorMatrix
+    up: tuple
 
     @property
     def old_dimension(self) -> int:
@@ -226,8 +216,7 @@ def old_new_split(level: int, weight: int, p: int, ambient: SpaceBasis) -> OldNe
         if whole.add(list(cg)) is None or whole.add(list(cvg)) is None:
             raise EngineError("oldform vectors are dependent")
 
-    up = up_matrix(big, p)
-    u = up.matrix
+    u = up_matrix(big, p)
     for i, (cg, cvg) in enumerate(old_pairs, 1):
         if mat_vec(u, cvg) != list(cg):
             raise EngineError(f"U_{p} V_{p} g != g on old pair {i}")
@@ -245,12 +234,12 @@ def old_new_split(level: int, weight: int, p: int, ambient: SpaceBasis) -> OldNe
     for v in new_vectors:
         if whole.add(list(v)) is None:
             raise EngineError("old + new is not a direct sum")
-    return OldNewSplit(level, weight, p, big, lower, tuple(old_pairs), tuple(new_vectors), tuple(new_signs), up)
+    return OldNewSplit(level, weight, p, big, lower, tuple(old_pairs), tuple(new_vectors), tuple(new_signs), u)
 
 
 # -- Atkin-Lehner, trace, and the subspace S ----------------------------------
 
-def atkin_lehner(split: OldNewSplit) -> OperatorMatrix:
+def atkin_lehner(split: OldNewSplit) -> tuple:
     """W_p on ambient coordinates, read off its images on split.columns by
     one solve: p^(k/2) V_p g for g, p^(-k/2) g for V_p g, and w v for a new
     vector v, where w = -U_p / p^(k/2-1) = +-1 is its sign in new_signs.
@@ -271,10 +260,10 @@ def atkin_lehner(split: OldNewSplit) -> OperatorMatrix:
     t = hecke_matrix_from_symbols(split.ambient, ell)
     if mat_mul(w, t) != mat_mul(t, w):
         raise AssemblyError(f"Atkin-Lehner assembly failed: W_{p} does not commute with T_{ell}")
-    return OperatorMatrix(tuple(tuple(row) for row in w))
+    return tuple(tuple(row) for row in w)
 
 
-def trace_matrix(split: OldNewSplit) -> OperatorMatrix:
+def trace_matrix(split: OldNewSplit) -> tuple:
     """Tr = 1 + p^(1-k/2) U_p W_p on ambient coordinates, read off its
     images on split.columns by one solve: (p+1) g for g,
     V_p g + p^(1-k) U_p g for V_p g, and 0 for a new vector v.
@@ -287,18 +276,18 @@ def trace_matrix(split: OldNewSplit) -> OperatorMatrix:
     k, p = split.weight, split.prime
     images = []
     for cg, cvg in split.old_pairs:
-        ug = split.up.apply(cg)
+        ug = mat_vec(split.up, cg)
         images += [[(p + 1) * x for x in cg], [x + Fraction(y, p ** (k - 1)) for x, y in zip(cvg, ug)]]
     images += [[0] * len(v) for v in split.new_vectors]
-    return OperatorMatrix(tuple(tuple(r) for r in solve_columns(split.columns, images)))
+    return tuple(tuple(r) for r in solve_columns(split.columns, images))
 
 
-def subspace_s_basis(split: OldNewSplit, w: OperatorMatrix) -> tuple:
+def subspace_s_basis(split: OldNewSplit, w) -> tuple:
     """Exact kernel basis of f -> f|W_p + p^(1-k/2) f|U_p in ambient
     coordinates; its dimension must be dim S_k(pN) - dim S_k(N)."""
     k, p = split.weight, split.prime
     scale = Fraction(p, p ** (k // 2))
-    mat = [[x + scale * y for x, y in zip(wr, ur)] for wr, ur in zip(w.matrix, split.up.matrix)]
+    mat = [[x + scale * y for x, y in zip(wr, ur)] for wr, ur in zip(w, split.up)]
     kernel = kernel_basis(mat, width=split.ambient.dimension)
     expected = split.ambient.dimension - split.lower.dimension
     if len(kernel) != expected:
@@ -316,20 +305,20 @@ class OperatorStack:
     ambient: SpaceBasis
     lower: SpaceBasis
     split: OldNewSplit
-    up: OperatorMatrix
-    atkin_lehner: OperatorMatrix
-    trace: OperatorMatrix
+    up: tuple  # each operator a tuple of Fraction rows on ambient coordinates
+    atkin_lehner: tuple
+    trace: tuple
     s_basis: tuple
 
     def trace_expansion(self, f: QExpansion) -> QExpansion:
         """Tr(f) as a q-expansion, certified to lie in the level-N span."""
         coords = self.ambient.coordinates(f)
-        image = self.ambient.linear_combination(self.trace.apply(coords))
+        image = self.ambient.linear_combination(mat_vec(self.trace, coords))
         self.lower.coordinates(image.truncate(min(image.precision, self.lower.precision)))
         return QExpansion(image.coeffs, self.weight, self.level)
 
     def s_basis_expansions(self) -> list[QExpansion]:
-        return [normalize_p(self.ambient.linear_combination(v), self.prime) for v in self.s_basis]
+        return [normalize_p(self.ambient.linear_combination(v)) for v in self.s_basis]
 
 
 def required_ambient_precision(level: int, weight: int, p: int) -> int:

@@ -41,6 +41,12 @@ def check_level(n) -> int:
     return n
 
 
+def check_index(name: str, n, least: int) -> int:
+    if not isinstance(n, int) or isinstance(n, bool) or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+    return n
+
+
 def check_weight(k) -> int:
     if not isinstance(k, int) or isinstance(k, bool) or k < 2 or k % 2 != 0:
         raise ValueError(f"weight must be an even integer >= 2, got {k!r}")

@@ -4,13 +4,16 @@ Matrices are lists of row lists holding ints or Fractions.  The one
 elimination is Echelonizer, an incremental row-echelon accumulator over Z,
 behind rank, span membership, reduced bases, kernels and solve_columns.  Its
 reduced rows and kernel vectors are primitive integer vectors with positive
-lead, each a multiple of the one over Q.  Nothing here touches floating point.
+lead, each a multiple of the one over Q.  The two products, mat_mul and
+mat_vec, clear each factor's denominators once and sum in integers, then
+divide once per entry.  Nothing here touches floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import EngineError
 
@@ -25,17 +28,20 @@ def _strip_content(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
+def clear_denominators(rows) -> tuple[list[list[int]], int]:
+    """(integer rows, den) with rows = integer rows / den, den the lcm of
+    every entry's denominator."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row] for row in rows], den
+
+
 def make_primitive(row) -> list[int]:
     """Scale a rational row to a primitive integer row with positive lead;
     the result is always a new list."""
     if all(type(x) is int for x in row):
         ints = list(row)
     else:
-        den = 1
-        for x in row:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // gcd(den, x.denominator)
-        ints = [int(x * den) for x in row]
+        (ints,), _ = clear_denominators([row])
     ints = _strip_content(ints)
     for x in ints:
         if x != 0:
@@ -141,14 +147,20 @@ def kernel_basis(matrix, width: int | None = None) -> list[list[int]]:
 
 
 def mat_mul(a, b) -> list[list[Fraction]]:
+    """a b as Fractions, summed in integers over one common denominator."""
     if a and b and len(a[0]) != len(b):
         raise ValueError("matrix shape mismatch")
-    bt = list(zip(*b)) if b else []
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    a, da = clear_denominators(a)
+    bt, db = clear_denominators(list(zip(*b)))
+    den = da * db
+    return [[Fraction(sum(map(mul, row, col)), den) for col in bt] for row in a]
 
 
 def mat_vec(a, v) -> list[Fraction]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
+    a, da = clear_denominators(a)
+    (v,), dv = clear_denominators([v])
+    den = da * dv
+    return [Fraction(sum(map(mul, row, v)), den) for row in a]
 
 
 def solve_columns(columns, images) -> list[list[Fraction]]:

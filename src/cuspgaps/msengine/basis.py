@@ -49,7 +49,7 @@ from math import gcd, lcm
 from ..arith import divisors
 from ..errors import EngineError, NotInSpanError
 from ..invariants import sturm_bound, valence_bound
-from ..linalg import Echelonizer, mat_mul, rref
+from ..linalg import Echelonizer, clear_denominators, mat_mul, mat_vec, rref
 from ..qexp import QExpansion
 from .presentation import MSPresentation, build_presentation, hecke_cosets
 
@@ -77,9 +77,8 @@ class SpaceBasis:
             raise ValueError(
                 f"need precision >= {self.pivots[-1]} to take coordinates, got {f.precision}"
             )
-        known = f.coeffs[:upto]
-        den = lcm(*(x.denominator for x in known))
-        return self._scaled_coordinates([x.numerator * (den // x.denominator) for x in known], den)
+        (series,), den = clear_denominators([f.coeffs[:upto]])
+        return self._scaled_coordinates(series, den)
 
     def _scaled_coordinates(self, series: list[int], den: int) -> tuple[Fraction, ...]:
         """Coordinates of the series a_n = s_n / den, n = 1..len(series), for
@@ -101,13 +100,9 @@ class SpaceBasis:
         return tuple(Fraction(y, scale * den) for y in ys)
 
     def linear_combination(self, coords) -> QExpansion:
-        out = [Fraction(0)] * self.precision
-        for y, row in zip(coords, self.rows):
-            if y:
-                for idx, c in enumerate(row.coeffs):
-                    if c:
-                        out[idx] += y * c
-        return QExpansion(tuple(out), self.weight, self.level)
+        """sum_j coords[j] b_j, with Fraction coefficients."""
+        columns = [[row.coeffs[n] for row in self.rows] for n in range(self.precision)]
+        return QExpansion(tuple(mat_vec(columns, coords)), self.weight, self.level)
 
 
 def _hecke_image_quotient(pres: MSPresentation, x: dict, n: int) -> list[int]:
@@ -318,17 +313,14 @@ def _cuspidal_solver(level: int, weight: int):
     from ..linalg import mat_inverse  # imported per call, so a patch of linalg.mat_inverse is seen
 
     pres = build_presentation(level, weight)
-    d = pres.cuspidal_dimension
-    basis = pres.cuspidal_basis
     chosen = cuspidal_functionals(pres)
-    inv = mat_inverse([[basis[j][i] for j in range(d)] for i in chosen])
+    c = [[v[i] for v in pres.cuspidal_basis] for i in range(pres.dimension)]
+    inv = mat_inverse([c[i] for i in chosen])
 
     def solve(w) -> list[Fraction]:
-        y = [sum(inv[i][j] * w[chosen[j]] for j in range(d)) for i in range(d)]
-        # consistency: w must equal C y everywhere
-        for i in range(pres.dimension):
-            if sum(basis[j][i] * y[j] for j in range(d)) != w[i]:
-                raise EngineError("vector is not in the cuspidal subspace")
+        y = mat_vec(inv, [w[i] for i in chosen])
+        if mat_vec(c, y) != list(w):
+            raise EngineError("vector is not in the cuspidal subspace")
         return y
 
     return solve

@@ -39,7 +39,7 @@ from math import gcd, lcm
 
 from ..arith import xgcd
 from ..errors import EngineError
-from ..invariants import check_level, check_weight, cusp_dim
+from ..invariants import check_index, check_level, check_weight, cusp_dim
 from ..linalg import Echelonizer, kernel_basis
 from .action import Mat2, act_path, expand_monomial, mat_adjugate, mat_det, mat_mul2
 from .p1 import P1, p1_space
@@ -229,8 +229,7 @@ class MSPresentation:
 def hecke_cosets(n: int, level: int) -> list[tuple[int, int, int]]:
     """Upper-triangular coset data (a, b, d) with ad = n, 0 <= b < d and
     gcd(a, N) = 1, defining T_n = sum of (a, b; 0, d) actions."""
-    if n < 1:
-        raise ValueError("Hecke index must be >= 1")
+    check_index("Hecke index", n, 1)
     out = []
     for a in range(1, n + 1):
         if n % a == 0 and gcd(a, level) == 1:

@@ -110,7 +110,7 @@ def test_criterion_3_inequality_atlas():
 def _operator_identity_suite(level: int, weight: int, p: int) -> str:
     stack = build_operator_stack(level, weight, p)
     d = stack.ambient.dimension
-    w = [list(r) for r in stack.atkin_lehner.matrix]
+    w = [list(r) for r in stack.atkin_lehner]
     assert mat_mul(w, w) == [[int(i == j) for j in range(d)] for i in range(d)], "W_p^2 != 1"
     for g in stack.lower.rows:
         assert apply_Up(apply_Vp(g, p), p).agrees_with(g), "U_p V_p != 1"

@@ -78,6 +78,49 @@ def test_mat_vec():
     assert mat_vec([[1, 2], [3, 4]], [1, 1]) == [3, 7]
 
 
+def _plain_mat_mul(a, b):
+    """The one-line Fraction sum the integer product replaced."""
+    bt = list(zip(*b)) if b else []
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def _plain_mat_vec(a, v):
+    return [sum(x * y for x, y in zip(row, v)) for row in a]
+
+
+_ints = st.integers(min_value=-10**6, max_value=10**6)
+_fractions = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**4)
+
+
+@st.composite
+def _factors(draw):
+    """(a, b, v) with a n x m, b m x l and v of length m, all entries drawn
+    from one of: ints, Fractions, or both mixed; n, m, l may be 0."""
+    entries = draw(st.sampled_from([_ints, _fractions, st.one_of(_ints, _fractions)]))
+    n, m, width = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+
+    def matrix(rows, cols):
+        return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+
+    return matrix(n, m), matrix(m, width), matrix(1, m)[0]
+
+
+@given(_factors())
+@settings(max_examples=300, deadline=None)
+def test_products_equal_the_plain_fraction_sums(factors):
+    a, b, v = factors
+    product, image = mat_mul(a, b), mat_vec(a, v)
+    assert product == _plain_mat_mul(a, b)
+    assert image == _plain_mat_vec(a, v)
+    assert all(type(x) is Fraction for row in product for x in row)
+    assert all(type(x) is Fraction for x in image)
+
+
+def test_mat_mul_shape_mismatch():
+    with pytest.raises(ValueError, match="matrix shape mismatch"):
+        mat_mul([[1, 2]], [[Fraction(1, 2), 3]])
+
+
 sizes = st.integers(min_value=1, max_value=5)
 small_int = st.integers(min_value=-9, max_value=9)
 small_fraction = st.fractions(min_value=-9, max_value=9, max_denominator=6)

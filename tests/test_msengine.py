@@ -465,7 +465,7 @@ def test_symbol_hecke_trace_matches_coefficient_side(level, weight, ell):
     from cuspgaps.heckeops import hecke_matrix_on_basis
 
     symbols = hecke_operator_cuspidal(level, weight, ell)
-    coefficients = hecke_matrix_on_basis(qexpansion_basis(level, weight, 60), ell).matrix
+    coefficients = hecke_matrix_on_basis(qexpansion_basis(level, weight, 60), ell)
     assert sum(symbols[i][i] for i in range(len(symbols))) == sum(
         coefficients[i][i] for i in range(len(coefficients))
     )
@@ -579,6 +579,35 @@ def test_coordinates_roundtrip():
     f = b.linear_combination([1, -2, 3, 0, 5])
     coords = b.coordinates(f)
     assert list(coords) == [1, -2, 3, 0, 5]
+
+
+def test_linear_combination_of_an_empty_basis():
+    """d = 0: the empty combination is the zero expansion, in Fractions."""
+    f = qexpansion_basis(4, 4, 20).linear_combination([])
+    assert f.coeffs == (0,) * 20
+    assert all(type(c) is Fraction for c in f.coeffs)
+
+
+def test_cuspidal_solver_checks_membership():
+    """At (11, 2) the cuspidal subspace is spanned by (0, 1) in the two
+    generator coordinates; (1, 0) lies outside it."""
+    from cuspgaps.msengine.basis import _cuspidal_solver
+
+    solve = _cuspidal_solver(11, 2)
+    assert solve([0, 1]) == [1]
+    with pytest.raises(EngineError, match="not in the cuspidal subspace"):
+        solve([1, 0])
+
+
+@pytest.mark.parametrize("n", [0, -1, True, 2.0, "2"])
+def test_hecke_index_must_be_a_positive_int(n):
+    """A bool, a float or n < 1 is a caller mistake, not T_1 or a TypeError."""
+    with pytest.raises(ValueError, match="Hecke index must be an integer >= 1"):
+        hecke_cosets(n, 11)
+    with pytest.raises(ValueError, match="Hecke index must be an integer >= 1"):
+        hecke_matrix_from_symbols(qexpansion_basis(11, 2, 3), n)
+    with pytest.raises(ValueError, match="Hecke index must be an integer >= 1"):
+        hecke_operator_cuspidal(11, 2, n)
 
 
 def test_coordinates_rejects_foreign_vector():
