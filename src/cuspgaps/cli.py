@@ -22,8 +22,11 @@ from .invariants import CSV_HEADER, LevelInvariants, ScanConfig, scan_triples
 from .msengine import qexpansion_basis
 
 
+_JSON = json.JSONEncoder(sort_keys=True)  # json.dumps(obj, sort_keys=True), built once
+
+
 def _print_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    print(_JSON.encode(obj))
 
 
 def _cache_dir(args) -> str | None:
@@ -69,7 +72,7 @@ def cmd_scan(args) -> int:
     if not args.csv and not args.json:
         _print_json(summary)
     else:
-        print(json.dumps(summary, sort_keys=True), file=sys.stderr)
+        print(_JSON.encode(summary), file=sys.stderr)
     for rep in violations[:10]:
         _print_json(rep.as_dict())
     return 0 if not violations else 1
@@ -114,7 +117,7 @@ def cmd_verify(args) -> int:
             if check.informational and not check.passed:
                 print(
                     f"note: {check.name}: stated value differs from computed value "
-                    f"({json.dumps(check.witness, sort_keys=True)})",
+                    f"({_JSON.encode(check.witness)})",
                     file=sys.stderr,
                 )
     return 0 if all(r.passed for r in reports) else 1

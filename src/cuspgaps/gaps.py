@@ -34,7 +34,7 @@ from .invariants import (
     valence_bound,
     vanishing_order_bound,
 )
-from .linalg import Echelonizer, mat_vec
+from .linalg import Echelonizer, mat_mul
 from .msengine import qexpansion_basis
 
 
@@ -128,10 +128,11 @@ def verify_order_bound(level: int, weight: int, p: int) -> VerificationReport:
     checks.append(
         Check("normalized_v_p_zero", all(v == 0 for v in vals), {"valuations": [str(v) for v in vals]})
     )
-    hyp = []
-    for f in forms:
-        fw = stack.ambient.linear_combination(mat_vec(stack.atkin_lehner, stack.ambient.coordinates(f)))
-        hyp.append(coefficient_valuation(fw, p))
+    # W_p on the coordinates of every S form by one product, and their
+    # q-expansions by one more
+    coords = [stack.ambient.coordinates(f) for f in forms]
+    w_coords = mat_mul(stack.atkin_lehner, list(zip(*coords)))
+    hyp = [coefficient_valuation(fw, p) for fw in stack.ambient.linear_combinations(w_coords)]
     need = 1 - weight // 2
     checks.append(
         Check(

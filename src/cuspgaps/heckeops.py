@@ -138,6 +138,7 @@ def up_matrix(ambient: SpaceBasis, p: int) -> tuple:
 def hecke_matrix_on_basis(basis: SpaceBasis, ell: int) -> tuple:
     """T_ell on basis coordinates via the coefficient rule
     (msengine.coefficient_image); the reference for the symbol side."""
+    check_index("Hecke index", ell, 1)
     max_pivot = basis.pivots[-1] if basis.pivots else 0
     if basis.precision // ell < max_pivot:
         raise ValueError(f"T_{ell} needs precision >= {ell * max_pivot}")
@@ -318,7 +319,7 @@ class OperatorStack:
         return QExpansion(image.coeffs, self.weight, self.level)
 
     def s_basis_expansions(self) -> list[QExpansion]:
-        return [normalize_p(self.ambient.linear_combination(v)) for v in self.s_basis]
+        return [normalize_p(f) for f in self.ambient.linear_combinations(list(zip(*self.s_basis)))]
 
 
 def required_ambient_precision(level: int, weight: int, p: int) -> int:

@@ -33,6 +33,21 @@ coordinates clear the basis leads once and certify span membership in
 integers.  Fractions are built only for the coordinates and operator
 entries that leave the engine.
 
+Merel's symbols x = X^i Y^(k-2-i) {0, oo} = [X^i Y^(k-2-i), (0:1)] share
+their coset work across m.  The lift of (0:1) is the identity, so
+(a, b; 0, d) . x = (X^i Y^(k-2-i) | (d, -b; 0, a)) {b/d, oo}: the path and
+the bottom rows of its unimodular pieces M do not depend on a, and each
+piece expands as ((dM_00 - bM_10) X + (dM_01 - bM_11) Y)^i times
+a^(k-2-i) (M_10 X + M_11 Y)^(k-2-i).  So (a, b; 0, d) . x is
+a^(k-2-i) (1, b; 0, d) . x term by term, and with one reduced coset sum
+S_d = D sum_(0 <= b < d) (1, b; 0, d) . x per d,
+
+    D T_m x = sum over a | m, gcd(a, N) = 1 of a^(k-2-i) S_(m/a),
+
+which takes the series pass from sum_(m <= B) sigma(m) coset actions per
+element to B(B+1)/2.  Kernel vectors and the generators have other lifts,
+and take T_m coset by coset.
+
 The coefficient-side Hecke rule a_n(T_m f), for any m, is here too
 (coefficient_image): the stability certificate and the transport's
 cross-check use it, and so does the operator stack's reference operator.
@@ -48,7 +63,7 @@ from math import gcd, lcm
 
 from ..arith import divisors
 from ..errors import EngineError, NotInSpanError
-from ..invariants import sturm_bound, valence_bound
+from ..invariants import check_index, sturm_bound, valence_bound
 from ..linalg import Echelonizer, clear_denominators, mat_mul, mat_vec, rref
 from ..qexp import QExpansion
 from .presentation import MSPresentation, build_presentation, hecke_cosets
@@ -104,18 +119,47 @@ class SpaceBasis:
         columns = [[row.coeffs[n] for row in self.rows] for n in range(self.precision)]
         return QExpansion(tuple(mat_vec(columns, coords)), self.weight, self.level)
 
+    def linear_combinations(self, coords) -> list[QExpansion]:
+        """sum_j coords[j][r] b_j for each column r of the coordinate matrix
+        coords (one row per basis row), by one product."""
+        columns = [[row.coeffs[n] for row in self.rows] for n in range(self.precision)]
+        return [QExpansion(tuple(c), self.weight, self.level) for c in zip(*mat_mul(columns, coords))]
 
-def _hecke_image_quotient(pres: MSPresentation, x: dict, n: int) -> list[int]:
-    """T_n applied to the integer combination x = {Manin symbol:
-    coefficient}, in generator coordinates scaled by the presentation's
-    denominator D: the coset images are summed as raw symbols and reduced
-    into the quotient once."""
+
+def _coset_image(pres: MSPresentation, x: dict, cosets) -> list[int]:
+    """The sum of (a, b; 0, d) . x over the coset data (a, b, d), for the
+    integer combination x = {Manin symbol: coefficient}, in generator
+    coordinates scaled by the presentation's denominator D: the coset
+    images are summed as raw symbols and reduced into the quotient once."""
     raw: dict = {}
-    for a, b, d in hecke_cosets(n, pres.level):
+    for a, b, d in cosets:
         for t, c in x.items():
             for col, cf in pres.act_symbol_raw(t, ((a, b), (0, d))).items():
                 raw[col] = raw.get(col, 0) + c * cf
     return pres.raw_to_quotient(raw)
+
+
+def _hecke_image_quotient(pres: MSPresentation, x: dict, n: int) -> list[int]:
+    """T_n x, scaled by D, over the cosets of hecke_cosets."""
+    return _coset_image(pres, x, hecke_cosets(n, pres.level))
+
+
+def _merel_images(pres: MSPresentation, x: dict, i: int, precision: int) -> list[list[int]]:
+    """D T_m x for m = 1..precision and Merel's symbol
+    x = [X^i Y^(k-2-i), (0:1)], whose lift is the identity, from one coset
+    sum S_d = D sum_(0 <= b < d) (1, b; 0, d) . x per d (see the module
+    docstring): T_m x = sum over a | m, gcd(a, N) = 1 of a^(k-2-i) S_(m/a),
+    summed in integers."""
+    sums = [_coset_image(pres, x, ((1, b, d) for b in range(d))) for d in range(1, precision + 1)]
+    images = []
+    for m in range(1, precision + 1):
+        acc = [0] * pres.dimension
+        for a in divisors(m):
+            if gcd(a, pres.level) == 1:
+                w = a ** (pres.degree - i)
+                acc = [u + w * s for u, s in zip(acc, sums[m // a - 1])]
+        images.append(acc)
+    return images
 
 
 def _combination(pres: MSPresentation, vec) -> dict:
@@ -138,15 +182,16 @@ def cuspidal_functionals(pres: MSPresentation) -> list[int]:
 
 
 def _cuspidal_elements(pres: MSPresentation):
-    """Cuspidal elements as symbol combinations.  First Merel's symbols
-    X^i Y^(k-2-i) {0, oo} for even 0 < i < k-2: their boundary vanishes and
-    each coset needs one continued fraction (odd i vanish in the plus
-    quotient).  Then the cuspidal kernel basis, which k = 2 and 4 need."""
+    """Cuspidal elements as pairs (symbol combination, i).  First Merel's
+    symbols X^i Y^(k-2-i) {0, oo} for even 0 < i < k-2: their boundary
+    vanishes and each coset needs one continued fraction (odd i vanish in
+    the plus quotient).  Then, with i = None, the cuspidal kernel basis,
+    which k = 2 and 4 need."""
     origin = pres.p1.index(0, 1)
     for i in range(2, pres.degree, 2):
-        yield {i * pres.n_p1 + origin: 1}
+        yield {i * pres.n_p1 + origin: 1}, i
     for vec in pres.cuspidal_basis:
-        yield _combination(pres, vec)
+        yield _combination(pres, vec), None
 
 
 @lru_cache(maxsize=16, typed=True)
@@ -157,18 +202,22 @@ def _independent_series(level: int, weight: int, precision: int):
     the reduced echelon rows, as primitive integer vectors, and, for each
     x used, its Hecke images T_m x and the positions (among the chosen
     coordinates) of the series that raised the rank.  The images are the
-    integer vectors D T_m x of _hecke_image_quotient, so each series is D
-    times the rational one and has the same primitive echelon row.
+    integer vectors D T_m x (of _merel_images for Merel's symbols, of
+    _hecke_image_quotient for kernel vectors), so each series is D times
+    the rational one and has the same primitive echelon row.
     qexpansion_basis reads the rows, hecke_matrix_from_symbols the images."""
     pres = build_presentation(level, weight)
     d = pres.cuspidal_dimension
     coords = cuspidal_functionals(pres)
     ech = Echelonizer(precision)
     used = []
-    for x in _cuspidal_elements(pres):
+    for x, merel in _cuspidal_elements(pres):
         if ech.rank == d:
             break
-        images = [_hecke_image_quotient(pres, x, m) for m in range(1, precision + 1)]
+        if merel is None:
+            images = [_hecke_image_quotient(pres, x, m) for m in range(1, precision + 1)]
+        else:
+            images = _merel_images(pres, x, merel, precision)
         raised = []
         for r, i in enumerate(coords):
             if ech.add([w[i] for w in images]) is not None:
@@ -215,6 +264,7 @@ def coefficient_image(f: QExpansion, m: int) -> list:
                      e^(k-1) a_(n m / e^2)(f).
 
     For a prime m dividing the level this is U_m."""
+    check_index("Hecke index", m, 1)
     return [
         sum(
             e ** (f.weight - 1) * f.coefficient(n * m // (e * e))

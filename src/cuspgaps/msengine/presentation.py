@@ -16,7 +16,12 @@ two-term and star relations tie each symbol x exactly to its orbit
 symbol order folds each orbit into one live column, headed by its least
 symbol, or to zero when the relations force x = -x; it leaves one fold
 table that sends each Manin symbol to (live column, sign), or to None if
-the symbol is zero.  The three-term relations are eliminated by exact
+the symbol is zero.  The three-term relations are imposed at one P^1
+class per orbit {j, j.tau, j.tau^2}: tau^3 = I, so the relation of
+[P|tau, j.tau] is that of [P, j], and as P runs over the polynomials of
+degree k-2 so does P|tau; the classes j.tau and j.tau^2 add no relation,
+and the row space, hence its integral RREF, is the one every class
+gives.  The relations are eliminated by exact
 integer echelon reduction; each pivot column is stored as an integer row
 over the free columns (the generators), scaled by one common denominator D
 (the `denominator` attribute), the lcm of the leads of the primitive
@@ -124,11 +129,16 @@ class MSPresentation:
                 live_roots.append(t)
         width = len(live_roots)
 
+        # the three-term relations of one class per tau-orbit, its least
         ech = Echelonizer(width)
+        seen = [False] * n_p1
         for j in range(n_p1):
+            if seen[j]:
+                continue
             c, d = self.p1[j]
             j_tau = self.p1.index(d, -c - d)
             j_tau2 = self.p1.index(-c - d, c)
+            seen[j] = seen[j_tau] = seen[j_tau2] = True
             for i in range(deg + 1):
                 row = [0] * width
                 for sym, coeff in self._three_term(i * n_p1 + j, i, j_tau, j_tau2):

@@ -79,6 +79,17 @@ def test_scan_csv_pinned(capsys):
     )
 
 
+def test_scan_json_pinned(capsys):
+    """The JSON lines of a 1620-triple box, byte for byte as json.dumps
+    printed them before the encoder was shared."""
+    code, out, _ = run_cli(capsys, "scan", "--json", "--kmax", "8", "--nmax", "40", "--pmax", "60")
+    assert code == 0
+    assert len(out.splitlines()) == 1620
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e8d0cca429815aa59b7d892bb5155e9b197b6b765f6063be1db9007b0a20ac2d"
+    )
+
+
 def test_gaps_and_wdim(capsys):
     code, out, _ = run_cli(capsys, "gaps", "5", "12")
     assert code == 0 and json.loads(out)["wdim"] == 0

@@ -244,6 +244,66 @@ def test_presentation_tables_are_pinned():
     assert h.hexdigest() == PRESENTATION_DIGEST
 
 
+def _all_class_quotient(pres):
+    """Reference for the tau-orbit reduction: the three-term relation of
+    every Manin symbol, at every P^1 class, folded and echelonized.
+    Returns (_pivot_rows, denominator, generators) as _build_quotient
+    stores them."""
+    from math import lcm
+
+    from cuspgaps.linalg import Echelonizer
+
+    roots = {}  # live column -> its least symbol
+    for t, f in enumerate(pres._fold):
+        if f is not None:
+            roots.setdefault(f[0], t)
+    width = len(roots)
+    ech = Echelonizer(width)
+    for t in range(pres.ncols):
+        row = [0] * width
+        for col, val in _live(pres, _relations(pres, t)[2]).items():
+            row[col] = val
+        if any(row):
+            ech.add(row)
+    pivots, reduced = ech.pivots(), ech.reduced_rows()
+    free = [c for c in range(width) if c not in set(pivots)]
+    den = lcm(*(row[pc] for row, pc in zip(reduced, pivots)))
+    pivot_rows = [
+        (pc, [(gi, -row[f] * (den // row[pc])) for gi, f in enumerate(free) if row[f]])
+        for row, pc in zip(reduced, pivots)
+    ]
+    return pivot_rows, den, [roots[c] for c in free]
+
+
+@given(st.integers(1, 60), st.sampled_from([2, 4, 6, 8, 12]))
+@settings(max_examples=20, deadline=None)
+def test_one_class_per_tau_orbit_gives_the_all_class_quotient(level, weight):
+    """Imposing the three-term relations at one P^1 class per tau-orbit
+    gives the same pivot rows, denominator and generators as imposing them
+    at every class."""
+    pres = build_presentation(level, weight)
+    assert _all_class_quotient(pres) == (pres._pivot_rows, pres.denominator, pres.generators)
+
+
+def test_quotient_echelonizes_one_class_per_tau_orbit(monkeypatch):
+    """At (19, 16) the 20 classes of P^1 form 8 tau-orbits (two of them
+    fixed points), so 8 * 15 = 120 three-term rows are formed, not 300;
+    two of them fold to zero, and 118 reach the echelon, not 294."""
+    from cuspgaps.linalg import Echelonizer
+    from cuspgaps.msengine import presentation
+
+    added = []
+
+    class Counting(Echelonizer):
+        def add(self, row):
+            added.append(row)
+            return super().add(row)
+
+    monkeypatch.setattr(presentation, "Echelonizer", Counting)
+    presentation.MSPresentation(19, 16)
+    assert len(added) == 118
+
+
 @pytest.mark.parametrize("level,weight", RELATION_SPACES)
 def test_quotient_kills_every_relation(level, weight):
     """raw_to_quotient vanishes on the two-term, star and three-term
@@ -380,6 +440,36 @@ def test_hecke_cosets_shape():
     assert len(cosets) == 12  # sigma_1(6) = 12, no divisor shares a factor with 5
     cosets_u5 = hecke_cosets(5, 5)
     assert cosets_u5 == [(1, b, 5) for b in range(5)]  # U_5: only a = 1 allowed
+
+
+@pytest.mark.parametrize("level,weight,precision", [(1, 12, 20), (10, 8, 20), (19, 16, 37)])
+def test_merel_images_are_the_hecke_images(level, weight, precision):
+    """The shared coset sums give T_m x = _hecke_image_quotient(x, m) for
+    every Merel symbol x and m <= B, also where the level excludes some a
+    from T_m (N = 10 excludes 2 and 5)."""
+    from cuspgaps.msengine import basis as basis_mod
+
+    pres = build_presentation(level, weight)
+    assert pres._lifts[pres.p1.index(0, 1)] == ((1, 0), (0, 1))
+    merel = [(x, i) for x, i in basis_mod._cuspidal_elements(pres) if i is not None]
+    assert [i for _, i in merel] == list(range(2, weight - 2, 2))
+    for x, i in merel:
+        images = basis_mod._merel_images(pres, x, i, precision)
+        assert images == [basis_mod._hecke_image_quotient(pres, x, m) for m in range(1, precision + 1)]
+
+
+def test_series_pass_acts_once_per_coset_sum(monkeypatch):
+    """At (19, 16, 37) one Merel symbol reaches rank 24, and its images
+    take one action per (1, b; 0, d), d <= 37: 37 * 38 / 2 = 703, where
+    T_1, ..., T_37 coset by coset took 1135."""
+    from cuspgaps.msengine import basis as basis_mod
+    from cuspgaps.msengine.presentation import MSPresentation
+
+    calls = []
+    real = MSPresentation.act_symbol_raw
+    monkeypatch.setattr(MSPresentation, "act_symbol_raw", lambda *a: calls.append(a) or real(*a))
+    basis_mod._independent_series.__wrapped__(19, 16, 37)
+    assert len(calls) == 703
 
 
 # -- Hecke eigenvalues and relations ------------------------------------------------
@@ -588,6 +678,16 @@ def test_linear_combination_of_an_empty_basis():
     assert all(type(c) is Fraction for c in f.coeffs)
 
 
+def test_linear_combinations_are_the_columns_combined():
+    """One product gives, column by column, what linear_combination gives;
+    no column gives no expansion, also on the zero space."""
+    b = qexpansion_basis(5, 12, 40)
+    columns = [[1, -2, 3, 0, 5], [Fraction(1, 3), 0, 0, 0, 0], [0] * 5]
+    assert b.linear_combinations([list(r) for r in zip(*columns)]) == [b.linear_combination(c) for c in columns]
+    assert b.linear_combinations([[] for _ in range(5)]) == []
+    assert qexpansion_basis(4, 4, 20).linear_combinations([]) == []
+
+
 def test_cuspidal_solver_checks_membership():
     """At (11, 2) the cuspidal subspace is spanned by (0, 1) in the two
     generator coordinates; (1, 0) lies outside it."""
@@ -608,6 +708,19 @@ def test_hecke_index_must_be_a_positive_int(n):
         hecke_matrix_from_symbols(qexpansion_basis(11, 2, 3), n)
     with pytest.raises(ValueError, match="Hecke index must be an integer >= 1"):
         hecke_operator_cuspidal(11, 2, n)
+
+
+@pytest.mark.parametrize("n", [0, -1, True, 2.0, "2"])
+def test_coefficient_side_hecke_index_must_be_a_positive_int(n):
+    """The coefficient rule and the operator it defines reject a bool, a
+    float or n < 1 too, instead of T_1, a ZeroDivisionError or a TypeError."""
+    from cuspgaps.heckeops import hecke_matrix_on_basis
+
+    b = qexpansion_basis(11, 2, 20)
+    with pytest.raises(ValueError, match="Hecke index must be an integer >= 1"):
+        coefficient_image(b.rows[0], n)
+    with pytest.raises(ValueError, match="Hecke index must be an integer >= 1"):
+        hecke_matrix_on_basis(b, n)
 
 
 def test_coordinates_rejects_foreign_vector():
