@@ -1,13 +1,14 @@
 """The operator stack on q-expansions of S_k(Gamma_0(pN)).
 
-V_p acts coefficientwise.  U_p is computed once per stack, as a matrix on
-the ambient echelon basis, and it is read off the modular symbols: at
-level pN, T_p is U_p, and the series map of msengine.basis carries it to
-the echelon basis (hecke_matrix_from_symbols), over the series pass that
-built the basis.  So the ambient basis is needed only to the Sturm bound
-of S_k(pN), which by Sturm's theorem also fixes every pivot and p-adic
-valuation the stack reports.  The transport checks U_p against
-a_n(U_p f) = a_(pn)(f) on the coefficients that are known.
+V_p acts coefficientwise.  U_p and T_ell, for the least prime ell not
+dividing pN, are computed once per stack, as matrices on the ambient
+echelon basis, and they are read off the modular symbols: at level pN,
+T_p is U_p, and one elimination over the series pass that built the basis
+carries both to the echelon basis (hecke_matrices_from_symbols).  So the
+ambient basis is needed only to the Sturm bound of S_k(pN), which by
+Sturm's theorem also fixes every pivot and p-adic valuation the stack
+reports.  The transport checks U_p against a_n(U_p f) = a_(pn)(f), and
+T_ell against its coefficient rule, on the coefficients that are known.
 
 The old/new split reads the p-new block off U_p: on p-new forms
 U_p = -p^(k/2-1) w_p with w_p = +-1, so the block is the sum of the
@@ -19,14 +20,14 @@ made, that the oldform vectors are independent, that U_p V_p g = g and
 U_p g stays in the old span on every old pair, that the new block has
 dimension dim S_k(pN) - 2 dim S_k(N), and that old + new is a direct sum.
 
-W_p and the trace map to level N, Tr = 1 + p^(1-k/2) U_p W_p, are each
-read off their images on the old pairs (g, V_p g) and the new vectors by
-one exact solve (linalg.solve_columns): W_p swaps g and V_p g (with
+W_p and the trace map to level N, Tr = 1 + p^(1-k/2) U_p W_p, are read
+together off their images on the old pairs (g, V_p g) and the new vectors
+by one exact solve (linalg.solve_columns): W_p swaps g and V_p g (with
 factors p^(k/2) and p^(-k/2)) and is -U_p / r = -+1 on the two eigenspaces.
 A q-expansion at infinity does not determine the slash action of the
 defining matrix directly, so this assembly is the computational route; it
-checks that W_p commutes with T_ell for the least prime ell not dividing
-pN, and failure aborts.  S is the kernel of f -> f|W_p + p^(1-k/2) f|U_p.
+checks that W_p commutes with the split's T_ell, and failure aborts.  S is
+the kernel of f -> f|W_p + p^(1-k/2) f|U_p.
 
 The operators are plain exact matrices: tuples of Fraction rows on ambient
 coordinate columns, applied and multiplied by linalg.mat_vec and mat_mul.
@@ -58,7 +59,7 @@ from .linalg import (
     mat_vec,
     solve_columns,
 )
-from .msengine import SpaceBasis, coefficient_image, hecke_matrix_from_symbols, qexpansion_basis
+from .msengine import SpaceBasis, coefficient_image, hecke_matrices_from_symbols, qexpansion_basis
 from .qexp import QExpansion
 
 INFINITE_VALUATION = math.inf
@@ -123,16 +124,14 @@ def normalize_p(f: QExpansion) -> QExpansion:
 # -- operators in basis coordinates -------------------------------------------
 
 def up_matrix(ambient: SpaceBasis, p: int) -> tuple:
-    """U_p on the ambient basis of S_k(pN), where p divides the level.
-
-    At such a level T_p is U_p on modular symbols, so U_p is read off the
-    symbols (hecke_matrix_from_symbols) at the basis's own precision; the
-    Sturm bound of the ambient space is enough.  The transport itself
-    checks U_p against a_n(U_p f) = a_(pn)(f) and raises EngineError."""
+    """U_p on the ambient basis of S_k(pN), where p divides the level: at
+    such a level T_p is U_p on modular symbols, so the transport reads it
+    off the symbols and checks it against a_n(U_p f) = a_(pn)(f).  The
+    stack transports U_p together with T_ell in old_new_split."""
     check_index("p", p, 2)
     if ambient.level % p != 0:
         raise ValueError(f"U_{p} needs {p} to divide the level {ambient.level}")
-    return tuple(tuple(r) for r in hecke_matrix_from_symbols(ambient, p))
+    return hecke_matrices_from_symbols(ambient, (p,))[0]
 
 
 def hecke_matrix_on_basis(basis: SpaceBasis, ell: int) -> tuple:
@@ -154,8 +153,8 @@ def hecke_matrix_on_basis(basis: SpaceBasis, ell: int) -> tuple:
 @dataclass(frozen=True)
 class OldNewSplit:
     """Coordinates (in the ambient echelon basis of S_k(pN)) of the oldform
-    span {g_i, V_p g_i} and of the p-new complement, with U_p on the
-    ambient basis."""
+    span {g_i, V_p g_i} and of the p-new complement, with U_p and T_ell,
+    ell the least prime not dividing pN, on the ambient basis."""
 
     level: int  # lower level N
     weight: int
@@ -166,6 +165,8 @@ class OldNewSplit:
     new_vectors: tuple
     new_signs: tuple  # the W_p eigenvalue, +-1, of each new vector
     up: tuple
+    ell: int
+    hecke_ell: tuple  # T_ell
 
     @property
     def old_dimension(self) -> int:
@@ -188,8 +189,9 @@ def old_new_split(level: int, weight: int, p: int, ambient: SpaceBasis) -> OldNe
     On p-new forms U_p = -p^(k/2-1) w_p with w_p = +-1.  As x - r and x + r
     are coprime the block is ker(U_p^2 - r^2), and on each old pair the
     roots of U_p have absolute value p^((k-1)/2) (Deligne), so U_p^2 - r^2
-    is invertible on the old span.  The certificates are checked here and
-    raise EngineError: the oldform vectors are independent; on every old
+    is invertible on the old span.  U_p and T_ell come from one transport.
+    The certificates are checked here and raise EngineError: the oldform
+    vectors are independent; on every old
     pair U_p V_p g = g exactly and U_p g lies in the old span, which checks
     the transported U_p on the old block; the kernels have dimension
     dim S_k(pN) - 2 dim S_k(N) together; and old + new is a direct sum, so
@@ -217,7 +219,8 @@ def old_new_split(level: int, weight: int, p: int, ambient: SpaceBasis) -> OldNe
         if whole.add(list(cg)) is None or whole.add(list(cvg)) is None:
             raise EngineError("oldform vectors are dependent")
 
-    u = up_matrix(big, p)
+    ell = next(q for q in count(2) if is_prime(q) and big.level % q != 0)
+    u, t = hecke_matrices_from_symbols(big, (p, ell))
     for i, (cg, cvg) in enumerate(old_pairs, 1):
         if mat_vec(u, cvg) != list(cg):
             raise EngineError(f"U_{p} V_{p} g != g on old pair {i}")
@@ -235,52 +238,46 @@ def old_new_split(level: int, weight: int, p: int, ambient: SpaceBasis) -> OldNe
     for v in new_vectors:
         if whole.add(list(v)) is None:
             raise EngineError("old + new is not a direct sum")
-    return OldNewSplit(level, weight, p, big, lower, tuple(old_pairs), tuple(new_vectors), tuple(new_signs), u)
+    return OldNewSplit(level, weight, p, big, lower, tuple(old_pairs), tuple(new_vectors), tuple(new_signs), u,
+                       ell, t)
 
 
 # -- Atkin-Lehner, trace, and the subspace S ----------------------------------
 
-def atkin_lehner(split: OldNewSplit) -> tuple:
-    """W_p on ambient coordinates, read off its images on split.columns by
-    one solve: p^(k/2) V_p g for g, p^(-k/2) g for V_p g, and w v for a new
-    vector v, where w = -U_p / p^(k/2-1) = +-1 is its sign in new_signs.
+def atkin_lehner(split: OldNewSplit) -> tuple[tuple, tuple]:
+    """(W_p, Tr) on ambient coordinates, read off one solve over
+    split.columns with each column's W_p and Tr images side by side.  W_p
+    sends g to p^(k/2) V_p g, V_p g to p^(-k/2) g, and a new vector v to
+    w v, where w = -U_p / p^(k/2-1) = +-1 is its sign in new_signs;
+    Tr = 1 + p^(1-k/2) U_p W_p sends g to (p+1) g, V_p g to
+    V_p g + p^(1-k) U_p g, and v to 0.
 
     Aborts with AssemblyError("Atkin-Lehner assembly failed") if W_p does
-    not commute with T_ell for the least prime ell not dividing pN (T_ell
-    taken from the symbols like U_p), which would signal a wrong split.
-    W_p^2 = 1 is not checked: it holds by construction of the images.
+    not commute with the split's T_ell, which would signal a wrong split.
+    W_p^2 = 1 is not checked: it holds by construction of the images.  Nor
+    is Tr: its images follow exactly from W_p's, the split's certificate
+    U_p V_p g = g and its kernels U_p v = +-p^(k/2-1) v; and W_p^2 = 1
+    gives Tr W_p = W_p + p^(1-k/2) U_p, so rank Tr = dim S_k(pN) - dim S,
+    which subspace_s_basis checks.
     """
-    p = split.prime
-    half = p ** (split.weight // 2)
-    images = []
-    for cg, cvg in split.old_pairs:
-        images += [[half * x for x in cvg], [Fraction(x, half) for x in cg]]
-    images += [[sign * x for x in v] for v, sign in zip(split.new_vectors, split.new_signs)]
-    w = solve_columns(split.columns, images)
-    ell = next(q for q in count(2) if is_prime(q) and split.ambient.level % q != 0)
-    t = hecke_matrix_from_symbols(split.ambient, ell)
-    if mat_mul(w, t) != mat_mul(t, w):
-        raise AssemblyError(f"Atkin-Lehner assembly failed: W_{p} does not commute with T_{ell}")
-    return tuple(tuple(row) for row in w)
-
-
-def trace_matrix(split: OldNewSplit) -> tuple:
-    """Tr = 1 + p^(1-k/2) U_p W_p on ambient coordinates, read off its
-    images on split.columns by one solve: (p+1) g for g,
-    V_p g + p^(1-k) U_p g for V_p g, and 0 for a new vector v.
-
-    These follow exactly from W_p's images, the split's certificate
-    U_p V_p g = g and its kernels U_p v = +-p^(k/2-1) v, so nothing is
-    checked again; nor is rank Tr = dim S_k(N): W_p^2 = 1 gives
-    Tr W_p = W_p + p^(1-k/2) U_p, so rank Tr = dim S_k(pN) - dim S, and
-    subspace_s_basis checks dim S."""
     k, p = split.weight, split.prime
+    half = p ** (k // 2)
     images = []
     for cg, cvg in split.old_pairs:
         ug = mat_vec(split.up, cg)
-        images += [[(p + 1) * x for x in cg], [x + Fraction(y, p ** (k - 1)) for x, y in zip(cvg, ug)]]
-    images += [[0] * len(v) for v in split.new_vectors]
-    return tuple(tuple(r) for r in solve_columns(split.columns, images))
+        images += [[half * x for x in cvg] + [(p + 1) * x for x in cg],
+                   [Fraction(x, half) for x in cg] + [x + Fraction(y, p ** (k - 1)) for x, y in zip(cvg, ug)]]
+    images += [[sign * x for x in v] + [0] * len(v) for v, sign in zip(split.new_vectors, split.new_signs)]
+    both = [tuple(row) for row in solve_columns(split.columns, images)]
+    w, tr = tuple(both[: len(both) // 2]), tuple(both[len(both) // 2 :])
+    if mat_mul(w, split.hecke_ell) != mat_mul(split.hecke_ell, w):
+        raise AssemblyError(f"Atkin-Lehner assembly failed: W_{p} does not commute with T_{split.ell}")
+    return w, tr
+
+
+def trace_matrix(split: OldNewSplit) -> tuple:
+    """Tr = 1 + p^(1-k/2) U_p W_p on ambient coordinates, from atkin_lehner."""
+    return atkin_lehner(split)[1]
 
 
 def subspace_s_basis(split: OldNewSplit, w) -> tuple:
@@ -339,7 +336,6 @@ def build_operator_stack(level: int, weight: int, p: int) -> OperatorStack:
     check_odd_prime(level, p)
     ambient = qexpansion_basis(p * level, weight, required_ambient_precision(level, weight, p))
     split = old_new_split(level, weight, p, ambient)
-    w = atkin_lehner(split)
-    tr = trace_matrix(split)
+    w, tr = atkin_lehner(split)
     s_vecs = subspace_s_basis(split, w)
     return OperatorStack(level, weight, p, ambient, split.lower, split, split.up, w, tr, s_vecs)

@@ -20,11 +20,7 @@ from .errors import EngineError
 
 def _strip_content(row: list[int]) -> list[int]:
     """The integer row divided by the gcd of its entries."""
-    g = 0
-    for x in row:
-        g = gcd(g, abs(x))
-        if g == 1:
-            return row
+    g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
 
 

@@ -4,7 +4,7 @@ Gamma_0(N) and integral echelon q-expansion bases of S_k(Gamma_0(N))."""
 from .basis import (
     SpaceBasis,
     coefficient_image,
-    hecke_matrix_from_symbols,
+    hecke_matrices_from_symbols,
     hecke_operator_cuspidal,
     hecke_stability_certificate,
     qexpansion_basis,
@@ -19,7 +19,7 @@ __all__ = [
     "build_presentation",
     "coefficient_image",
     "hecke_cosets",
-    "hecke_matrix_from_symbols",
+    "hecke_matrices_from_symbols",
     "hecke_operator_cuspidal",
     "hecke_stability_certificate",
     "p1_enumerate",

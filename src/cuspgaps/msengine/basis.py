@@ -18,17 +18,18 @@ commutative, so T_n f_(x,i) = f_(T_n x, i), whose m-th coefficient is
 sum_g (T_m x)_g (T_n gen_g)_i: the only new Hecke images are T_n of the
 presentation's generators.  Only the first `precision` coefficients of
 each series are ever needed, so no operator asks for more than the basis
-already has.  One integral RREF of the rows [f | T_n f] then carries T_n
-to the echelon basis, as that RREF's first half is the basis itself; its
-certificates are the pivots, the first halves, span membership, and the
-coefficient rule on the floor(B/n) coefficients of each T_n b_j that the
-basis determines.  The series pass (_independent_series) runs once per
-(level, weight, precision), and the basis and the transport both read it.
+already has.  One integral RREF of the rows [f | T_n1 f | T_n2 f ...]
+carries all the T_n asked for to the echelon basis, as its first block is
+the basis itself; the pivots and first blocks are certified once, span
+membership and the coefficient rule on the floor(B/n) coefficients of
+each T_n b_j that the basis determines once per n.  The series pass
+(_independent_series) runs once per (level, weight, precision), and the
+basis and the transport both read it.
 
 Everything from the coset action to the echelon is integer arithmetic.
 Hecke images are the presentation's integer vectors D*v over its
 denominator D, so each series is D times a rational series and has the
-same primitive echelon row; the transport stacks D^2 [f | T_n f], and
+same primitive echelon row; the transport stacks D^2 [f | T_n f ...], and
 coordinates clear the basis leads once and certify span membership in
 integers.  Fractions are built only for the coordinates and operator
 entries that leave the engine.
@@ -205,7 +206,7 @@ def _independent_series(level: int, weight: int, precision: int):
     integer vectors D T_m x (of _merel_images for Merel's symbols, of
     _hecke_image_quotient for kernel vectors), so each series is D times
     the rational one and has the same primitive echelon row.
-    qexpansion_basis reads the rows, hecke_matrix_from_symbols the images."""
+    qexpansion_basis reads the rows, hecke_matrices_from_symbols the images."""
     pres = build_presentation(level, weight)
     d = pres.cuspidal_dimension
     coords = cuspidal_functionals(pres)
@@ -310,48 +311,50 @@ def hecke_operator_cuspidal(level: int, weight: int, n: int) -> list[list[Fracti
     return [[cols[j][i] / den for j in range(d)] for i in range(d)]
 
 
-def hecke_matrix_from_symbols(basis: SpaceBasis, n: int) -> list[list[Fraction]]:
-    """T_n on the coordinates of an echelon basis of S_k(Gamma_0(N)),
-    transported from the modular symbols at the basis's own precision.
+def hecke_matrices_from_symbols(basis: SpaceBasis, ns) -> list[tuple]:
+    """T_n for each n in the sequence ns, as a tuple of Fraction rows on the
+    coordinates of an echelon basis of S_k(Gamma_0(N)), transported from
+    the modular symbols at the basis's own precision by one elimination.
 
     A series f(m) = (T_m x)_i of a cuspidal x has T_n f(m) = (T_n T_m x)_i
     = sum_g (T_m x)_g (T_n gen_g)_i, as T_n is linear on the generator
     coordinates; so T_n is applied only to the generators.  Both kinds of
     image are integer vectors scaled by the presentation's denominator D,
-    so each stacked row is D^2 [f | T_n f] in integers.  Over the
-    independent series of _independent_series, the integral RREF of these
-    rows has row j = lambda_j [b_j | T_n b_j] for basis row b_j, so T_n b_j
-    is read off its second half.  The RREF's pivots must be the basis
-    pivots and its first halves integer multiples of the basis rows; each
-    second half must start with lambda_j a_m(T_n b_j), m = 1..floor(B/n),
-    by the coefficient rule (coefficient_image); and the integer core of
-    `coordinates` certifies that each T_n b_j lies in the span on every
-    known coefficient.  Any failure raises EngineError.
+    so each stacked row is D^2 [f | T_n1 f | T_n2 f ...] in integers.  Over
+    the independent series of _independent_series, the integral RREF of
+    these rows has row j = lambda_j [b_j | T_n1 b_j | ...] for basis row
+    b_j, so each T_n b_j is read off its block.  The RREF's pivots must be
+    the basis pivots and its first blocks integer multiples of the basis
+    rows; each T_n block must start with lambda_j a_m(T_n b_j),
+    m = 1..floor(B/n), by the coefficient rule (coefficient_image); and the
+    integer core of `coordinates` certifies that each T_n b_j lies in the
+    span on every known coefficient.  Any failure raises EngineError.
     """
     level, weight, prec = basis.level, basis.weight, basis.precision
     pres = build_presentation(level, weight)
     den = pres.denominator
     coords = cuspidal_functionals(pres)
-    images = _generator_images(pres, n)
-    moved = [[w[i] for w in images] for i in coords]
-    pairs = []
+    moved = [[[w[i] for w in images] for i in coords] for images in (_generator_images(pres, n) for n in ns)]
+    stacked = []
     for tm_x, raised in _independent_series(level, weight, prec)[1]:
         for r in raised:
-            f = [den * w[coords[r]] for w in tm_x]
-            pairs.append(f + [sum(a * y for a, y in zip(moved[r], w)) for w in tm_x])
-    rows, pivots = rref(pairs)
+            stacked.append([den * w[coords[r]] for w in tm_x]
+                           + [sum(a * y for a, y in zip(m[r], w)) for m in moved for w in tm_x])
+    rows, pivots = rref(stacked)
     if [c + 1 for c in pivots] != list(basis.pivots):
         raise EngineError(f"the series' RREF pivots are not the basis pivots at ({level}, {weight})")
-    cols = []
+    cols = [[] for _ in ns]
     for j, (row, b, c) in enumerate(zip(rows, basis.rows, pivots)):
         scale, rest = divmod(row[c], b.coeffs[c])
         if rest or row[:prec] != [scale * x for x in b.coeffs]:
             raise EngineError(f"basis row {j + 1} is not the series' echelon row at ({level}, {weight})")
-        known = coefficient_image(b, n)
-        if row[prec : prec + len(known)] != [scale * a for a in known]:
-            raise EngineError(f"T_{n} from symbols disagrees with the coefficients of basis row {j + 1}")
-        cols.append(basis._scaled_coordinates(row[prec:], scale))
-    return [[col[i] for col in cols] for i in range(basis.dimension)]
+        for t, (n, ncols) in enumerate(zip(ns, cols), 1):
+            image = row[t * prec : (t + 1) * prec]
+            known = coefficient_image(b, n)
+            if image[: len(known)] != [scale * a for a in known]:
+                raise EngineError(f"T_{n} from symbols disagrees with the coefficients of basis row {j + 1}")
+            ncols.append(basis._scaled_coordinates(image, scale))
+    return [tuple(tuple(col[i] for col in ncols) for i in range(basis.dimension)) for ncols in cols]
 
 
 @lru_cache(maxsize=64)

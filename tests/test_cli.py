@@ -154,7 +154,7 @@ def test_find_cached_reads_only_the_file_it_returns(tmp_path, capsys):
     (tmp_path / cache_filename(11, 2, 100)).write_text("garbage\n")
     code, out, _ = run_cli(capsys, "basis", "11", "2", "--prec", "40", "--cache", str(tmp_path))
     assert code == 0 and out.startswith("MFBASIS v1 11 2 40 1\n")
-    with pytest.raises(EngineError):
+    with pytest.raises(EngineError, match="bad cache header in .*basis_N11_k2_B100.mfb: 'garbage'"):
         find_cached(tmp_path, 11, 2, 41)
 
 

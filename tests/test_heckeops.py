@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -29,7 +30,7 @@ from cuspgaps.heckeops import (
 )
 from cuspgaps.invariants import cusp_dim, sturm_bound, valence_bound
 from cuspgaps.linalg import Echelonizer, kernel_basis, mat_inverse, mat_mul, mat_vec, rank
-from cuspgaps.msengine import build_presentation, hecke_matrix_from_symbols, qexpansion_basis
+from cuspgaps.msengine import build_presentation, hecke_matrices_from_symbols, qexpansion_basis
 from cuspgaps.oracles import delta_expansion
 from cuspgaps.qexp import QExpansion
 
@@ -305,9 +306,8 @@ def test_symbol_hecke_matrix_matches_coefficient_side(level, weight):
     same route through the generator images as prime n."""
     small = qexpansion_basis(level, weight, sturm_bound(level, weight))
     big = qexpansion_basis(level, weight, 6 * (valence_bound(level, weight) + 1))
-    for n in (2, 3, 4, 6):
-        want = [list(r) for r in hecke_matrix_on_basis(big, n)]
-        assert hecke_matrix_from_symbols(small, n) == want, n
+    ns = (2, 3, 4, 6)
+    assert hecke_matrices_from_symbols(small, ns) == [hecke_matrix_on_basis(big, n) for n in ns]
 
 
 def test_transport_cross_check_catches_doubled_generator_images(monkeypatch):
@@ -321,32 +321,50 @@ def test_transport_cross_check_catches_doubled_generator_images(monkeypatch):
     monkeypatch.setattr(basis_mod, "_generator_images",
                         lambda pres, n: [[2 * x for x in row] for row in real(pres, n)])
     with pytest.raises(EngineError, match="disagrees with the coefficients"):
-        hecke_matrix_from_symbols(ambient, 5)
+        hecke_matrices_from_symbols(ambient, (5,))
     with pytest.raises(EngineError, match="disagrees with the coefficients"):
         up_matrix(ambient, 5)
 
 
-def test_up_matrix_catches_a_wrong_generator_image(monkeypatch):
-    """One wrong entry (T_5 gen_g)_i, on a coordinate i the series read and
-    a generator g that the first series image T_1 x = x involves, changes
-    a_1 of a transported series; the transport's certificates refuse it."""
+def _perturb_a_generator_image(monkeypatch, ambient, only=None):
+    """Make one entry (T_n gen_g)_i wrong, for every n or for n = only, on a
+    coordinate i the series read and a generator g that the first series
+    image T_1 x = x involves: that changes a_1 of a transported series."""
     from cuspgaps.msengine import basis as basis_mod
 
-    ambient = qexpansion_basis(5, 12, sturm_bound(5, 12))
-    pres = basis_mod.build_presentation(5, 12)
+    pres = basis_mod.build_presentation(ambient.level, ambient.weight)
     i = basis_mod.cuspidal_functionals(pres)[0]
-    x = basis_mod._independent_series(5, 12, ambient.precision)[1][0][0][0]
+    x = basis_mod._independent_series(ambient.level, ambient.weight, ambient.precision)[1][0][0][0]
     g = next(j for j, c in enumerate(x) if c)
     real = basis_mod._generator_images
 
     def perturbed(pres, n):
         images = real(pres, n)
-        images[g][i] += 1
+        if only in (None, n):
+            images[g][i] += 1
         return images
 
     monkeypatch.setattr(basis_mod, "_generator_images", perturbed)
-    with pytest.raises(EngineError):
+
+
+def test_up_matrix_catches_a_wrong_generator_image(monkeypatch):
+    """The transport's certificates refuse one wrong entry of T_5 gen_g."""
+    ambient = qexpansion_basis(5, 12, sturm_bound(5, 12))
+    _perturb_a_generator_image(monkeypatch, ambient)
+    with pytest.raises(EngineError, match="T_5 from symbols disagrees with the coefficients of basis row 1"):
         up_matrix(ambient, 5)
+
+
+def test_joint_transport_catches_a_wrong_image_under_its_second_index(monkeypatch):
+    """The stack transports U_5 and T_2 together at (1, 12, 5).  One wrong
+    entry of T_2 gen_g alone leaves U_5 untouched and is refused by the
+    coefficient rule of T_2."""
+    ambient = qexpansion_basis(5, 12, sturm_bound(5, 12))
+    u = up_matrix(ambient, 5)
+    _perturb_a_generator_image(monkeypatch, ambient, only=2)
+    assert hecke_matrices_from_symbols(ambient, (5,)) == [u]
+    with pytest.raises(EngineError, match="T_2 from symbols disagrees with the coefficients of basis row 1"):
+        hecke_matrices_from_symbols(ambient, (5, 2))
 
 
 @pytest.mark.parametrize("p", [0, -2, True, 2.0])
@@ -405,20 +423,91 @@ def test_atkin_lehner_rejects_mismatched_old_pairs():
         atkin_lehner(crossed)
 
 
+def _patch_up(monkeypatch, wrong):
+    """Make the split's joint transport hand back `wrong` as U_p, and the
+    true T_ell beside it."""
+    real = heckeops.hecke_matrices_from_symbols
+    monkeypatch.setattr(heckeops, "hecke_matrices_from_symbols", lambda basis, ns: [wrong] + real(basis, ns)[1:])
+
+
+def _up_changed_on(split, *changes):
+    """U_p + sum of image_delta phi_c over (column c, image_delta), where
+    phi_c is the row of C^-1 dual to c among the split's certified columns
+    C: U_p changed on c alone, by image_delta."""
+    columns = split.columns
+    phi = mat_inverse([list(row) for row in zip(*columns)])
+    u = [list(row) for row in split.up]
+    for column, delta in changes:
+        dual = phi[columns.index(column)]
+        u = [[x + d * y for x, y in zip(u_row, dual)] for u_row, d in zip(u, delta)]
+    return tuple(tuple(row) for row in u)
+
+
 @pytest.mark.parametrize("perturb,message", [("new", "leaves the old span"), ("pair", "U_5 V_5 g != g")])
 def test_split_certifies_up_on_the_old_pairs(monkeypatch, perturb, message):
     """At (1, 24, 5), with phi_1 and phi_2 the rows of C^-1 dual to g_1 and
     V_p g_1: U_p + n phi_1 sends g_1 to U_p g_1 + n for a new vector n, and
-    U_p + g_1 phi_2 sends V_p g_1 to 2 g_1.  The split rejects both."""
+    U_p + g_1 phi_2 sends V_p g_1 to 2 g_1.  The split rejects both, with
+    U_p handed to it by the joint transport."""
     split = build_operator_stack(1, 24, 5).split
-    (g1, vg1), (g2, vg2) = split.old_pairs
-    phi = mat_inverse([list(row) for row in zip(g1, vg1, g2, vg2, *split.new_vectors)])
-    col, row = (split.new_vectors[0], phi[0]) if perturb == "new" else (g1, phi[1])
-    u = split.up
-    wrong = tuple(tuple(x + c * y for x, y in zip(u_row, row)) for u_row, c in zip(u, col))
-    monkeypatch.setattr(heckeops, "up_matrix", lambda ambient, p: wrong)
+    (g1, vg1), _ = split.old_pairs
+    change = (g1, split.new_vectors[0]) if perturb == "new" else (vg1, g1)
+    _patch_up(monkeypatch, _up_changed_on(split, change))
     with pytest.raises(EngineError, match=message):
         old_new_split(1, 24, 5, split.ambient)
+
+
+def test_split_certifies_the_oldforms_are_independent(monkeypatch):
+    """A level-1 basis whose two rows are one form gives two equal old
+    pairs; the split refuses them before it transports anything."""
+    real = heckeops.qexpansion_basis
+
+    def doubled(level, weight, precision):
+        basis = real(level, weight, precision)
+        return dataclasses.replace(basis, rows=basis.rows[:1] * 2, pivots=basis.pivots[:1] * 2)
+
+    ambient = build_operator_stack(1, 24, 5).ambient
+    monkeypatch.setattr(heckeops, "qexpansion_basis", doubled)
+    with pytest.raises(EngineError, match="^oldform vectors are dependent$"):
+        old_new_split(1, 24, 5, ambient)
+
+
+def test_split_certifies_the_new_dimension(monkeypatch):
+    """Moving the U_p eigenvalue of one new vector n from +-r to +-r + 1
+    keeps every old-pair certificate but drops n from the kernels of
+    U_p -+ r: 6 new vectors where 11 - 2*2 = 7 are due."""
+    split = build_operator_stack(1, 24, 5).split
+    n = split.new_vectors[0]
+    _patch_up(monkeypatch, _up_changed_on(split, (n, n)))
+    with pytest.raises(EngineError, match=re.escape("new space dimension 6 != 11 - 2*2")):
+        old_new_split(1, 24, 5, split.ambient)
+
+
+def test_split_certifies_old_plus_new_is_direct(monkeypatch):
+    """U_p changed to send g_1 to r g_1, r = 5^11, puts g_1 in ker(U_p - r);
+    moving one new vector's eigenvalue off +-r as above keeps the kernel
+    count at 7 and U_p V_p g_1 = g_1.  Every earlier certificate passes,
+    and the old and new vectors fail to span S_24(Gamma_0(5))."""
+    split = build_operator_stack(1, 24, 5).split
+    (g1, _), _ = split.old_pairs
+    n = split.new_vectors[0]
+    r = 5**11
+    to_r = [r * x - y for x, y in zip(g1, mat_vec(split.up, g1))]
+    _patch_up(monkeypatch, _up_changed_on(split, (g1, to_r), (n, n)))
+    with pytest.raises(EngineError, match="^old \\+ new is not a direct sum$"):
+        old_new_split(1, 24, 5, split.ambient)
+
+
+@pytest.mark.parametrize("level,weight,p", [(1, 24, 5), (1, 12, 13)])
+def test_stack_makes_one_transport_and_one_solve(monkeypatch, level, weight, p):
+    """U_p and T_ell come from one transport, W_p and Tr from one solve."""
+    calls = []
+    for name in ("hecke_matrices_from_symbols", "solve_columns"):
+        real = getattr(heckeops, name)
+        monkeypatch.setattr(heckeops, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    stack = build_operator_stack.__wrapped__(level, weight, p)
+    assert sorted(calls) == ["hecke_matrices_from_symbols", "solve_columns"]
+    assert stack == build_operator_stack(level, weight, p)
 
 
 # -- the stack against its dense formulas ----------------------------------------------

@@ -255,6 +255,28 @@ def test_solve_columns_meets_every_image(data):
 
 
 @given(
+    st.tuples(sizes, sizes, sizes).flatmap(
+        lambda nml: st.tuples(
+            st.one_of(_matrix(small_int, nml[0], nml[0]), _matrix(small_fraction, nml[0], nml[0])),
+            _matrix(rational, nml[0], nml[1]),
+            _matrix(rational, nml[0], nml[2]),
+        )
+    )
+)
+@settings(max_examples=100, deadline=None)
+def test_solve_columns_on_joined_images_stacks_the_separate_solves(data):
+    """Solving for each column's two images side by side gives the two
+    separate solves, one above the other, entry types included: the stack
+    reads W_p and Tr off one solve this way."""
+    columns, first, second = data
+    assume(rank(columns) == len(columns))
+    joined = solve_columns(columns, [list(y) + list(z) for y, z in zip(first, second)])
+    separate = solve_columns(columns, first) + solve_columns(columns, second)
+    assert joined == separate
+    assert [type(x) for row in joined for x in row] == [type(x) for row in separate for x in row]
+
+
+@given(
     st.integers(min_value=1, max_value=4).flatmap(
         lambda n: st.tuples(
             st.one_of(_matrix(small_int, n, n + 1), _matrix(small_fraction, n, n + 1)),

@@ -14,7 +14,7 @@ from cuspgaps.msengine import (
     build_presentation,
     coefficient_image,
     hecke_cosets,
-    hecke_matrix_from_symbols,
+    hecke_matrices_from_symbols,
     hecke_operator_cuspidal,
     p1_enumerate,
     p1_space,
@@ -518,7 +518,7 @@ def test_zero_space_takes_the_general_path(level, weight):
     assert _independent_series.__wrapped__(level, weight, precision) == ([], [])
     b = qexpansion_basis(level, weight, precision)
     assert b.dimension == 0
-    assert hecke_matrix_from_symbols(b, 2) == []
+    assert hecke_matrices_from_symbols(b, (2, 3)) == [(), ()]
     hecke_stability_certificate(b)
 
 
@@ -565,7 +565,7 @@ def test_symbol_hecke_trace_matches_coefficient_side(level, weight, ell):
 def test_transport_reuses_the_series_pass(level, weight, monkeypatch):
     """T_n is carried to a basis over the series pass that built it, so the
     only new Hecke images are T_n of the presentation's generators, each
-    once: no series image T_m x is recomputed."""
+    once, n by n: no series image T_m x is recomputed."""
     from cuspgaps.msengine import basis as basis_mod
 
     b = qexpansion_basis.__wrapped__(level, weight, sturm_bound(level, weight))
@@ -573,9 +573,23 @@ def test_transport_reuses_the_series_pass(level, weight, monkeypatch):
     calls = []
     real = basis_mod._hecke_image_quotient
     monkeypatch.setattr(basis_mod, "_hecke_image_quotient", lambda *a: calls.append(a) or real(*a))
-    hecke_matrix_from_symbols(b, 2)
+    hecke_matrices_from_symbols(b, (2, 3))
     pres = basis_mod.build_presentation(level, weight)
-    assert [(x, n) for _, x, n in calls] == [({t: 1}, 2) for t in pres.generators]
+    assert [(x, n) for _, x, n in calls] == [({t: 1}, n) for n in (2, 3) for t in pres.generators]
+
+
+@given(
+    st.integers(min_value=1, max_value=30),
+    st.sampled_from([2, 4, 6, 8, 10, 12]),
+    st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=3),
+)
+@settings(max_examples=40, deadline=None)
+def test_joint_transport_is_the_transports_one_by_one(level, weight, ns):
+    """One elimination over [f | T_n1 f | T_n2 f ...] at the Sturm bound
+    gives, n by n, what the transport of each T_n alone gives: the RREF
+    over Q is unique, and each block divides out the scale of its row."""
+    b = qexpansion_basis(level, weight, sturm_bound(level, weight))
+    assert hecke_matrices_from_symbols(b, ns) == [hecke_matrices_from_symbols(b, (n,))[0] for n in ns]
 
 
 def _with_rows(basis, rows):
@@ -584,6 +598,12 @@ def _with_rows(basis, rows):
         rows=tuple(QExpansion(tuple(r), basis.weight, basis.level) for r in rows),
         pivots=tuple(next(i for i, x in enumerate(r) if x) + 1 for r in rows),
     )
+
+
+TRANSPORT_REFUSALS = {
+    "combined": r"basis row 1 is not the series' echelon row at \(13, 12\)",
+    "dropped": r"the series' RREF pivots are not the basis pivots at \(13, 12\)",
+}
 
 
 @pytest.mark.parametrize("corruption", ["combined", "dropped"])
@@ -597,8 +617,8 @@ def test_transport_rejects_a_basis_that_is_not_the_series_echelon(corruption):
         rows[0] = [x + y for x, y in zip(rows[0], rows[1])]
     else:
         rows.pop()
-    with pytest.raises(EngineError):
-        hecke_matrix_from_symbols(_with_rows(b, rows), 2)
+    with pytest.raises(EngineError, match=TRANSPORT_REFUSALS[corruption]):
+        hecke_matrices_from_symbols(_with_rows(b, rows), (2,))
 
 
 def test_transport_rejects_a_wrong_row_under_a_zero_operator():
@@ -606,11 +626,11 @@ def test_transport_rejects_a_wrong_row_under_a_zero_operator():
     lies in any span and `coordinates` cannot see a wrong basis row.  The
     check that each RREF row starts with a multiple of its basis row does."""
     b = qexpansion_basis(49, 2, sturm_bound(49, 2))
-    assert hecke_matrix_from_symbols(b, 3) == [[0]]
+    assert hecke_matrices_from_symbols(b, (3,)) == [((0,),)]
     wrong = list(b.rows[0].coeffs)
     wrong[1] += 1
     with pytest.raises(EngineError, match="not the series' echelon row"):
-        hecke_matrix_from_symbols(_with_rows(b, [wrong]), 3)
+        hecke_matrices_from_symbols(_with_rows(b, [wrong]), (3,))
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
@@ -705,7 +725,7 @@ def test_hecke_index_must_be_a_positive_int(n):
     with pytest.raises(ValueError, match="Hecke index must be an integer >= 1"):
         hecke_cosets(n, 11)
     with pytest.raises(ValueError, match="Hecke index must be an integer >= 1"):
-        hecke_matrix_from_symbols(qexpansion_basis(11, 2, 3), n)
+        hecke_matrices_from_symbols(qexpansion_basis(11, 2, 3), (2, n))
     with pytest.raises(ValueError, match="Hecke index must be an integer >= 1"):
         hecke_operator_cuspidal(11, 2, n)
 
