@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arith import is_prime
-from .heckeops import build_operator_stack, coefficient_valuation
+from .heckeops import build_operator_stack, coefficient_valuation, normalize_p
 from .invariants import (
     check_level,
     check_odd_prime,
@@ -118,21 +118,23 @@ def verify_order_bound(level: int, weight: int, p: int) -> VerificationReport:
     check_weight(weight)
     check_odd_prime(level, p)
     stack = build_operator_stack(level, weight, p)
-    pn = p * level
     dim_pn = stack.ambient.dimension
     bound = vanishing_order_bound(level, weight, p)
     checks = []
 
-    forms = stack.s_basis_expansions()
+    # the S forms and their W_p images, each by one product on S's own
+    # coordinates; normalizing f divides it by its content c, and
+    # v_p(c) = v_p(f), so the normalized form has
+    # v_p((f/c)|W_p) = v_p(f|W_p) - v_p(f)
+    s_coords = list(zip(*stack.s_basis))
+    raw = stack.ambient.linear_combinations(s_coords)
+    forms = [normalize_p(f) for f in raw]
     vals = [coefficient_valuation(f, p) for f in forms]
     checks.append(
         Check("normalized_v_p_zero", all(v == 0 for v in vals), {"valuations": [str(v) for v in vals]})
     )
-    # W_p on the coordinates of every S form by one product, and their
-    # q-expansions by one more
-    coords = [stack.ambient.coordinates(f) for f in forms]
-    w_coords = mat_mul(stack.atkin_lehner, list(zip(*coords)))
-    hyp = [coefficient_valuation(fw, p) for fw in stack.ambient.linear_combinations(w_coords)]
+    w_raw = stack.ambient.linear_combinations(mat_mul(stack.atkin_lehner, s_coords))
+    hyp = [coefficient_valuation(fw, p) - coefficient_valuation(f, p) for f, fw in zip(raw, w_raw)]
     need = 1 - weight // 2
     checks.append(
         Check(
@@ -143,9 +145,9 @@ def verify_order_bound(level: int, weight: int, p: int) -> VerificationReport:
     )
     # one echelon of S gives its pivots here and, with the gap rows added
     # below, the rank of S + W_k(pN)
-    ech = Echelonizer(min(f.precision for f in forms) if forms else 1)
+    ech = Echelonizer(stack.ambient.precision)
     for f in forms:
-        ech.add(list(f.coeffs[: ech.width]))
+        ech.add(list(f.coeffs))
     max_ord = max((c + 1 for c in ech.pivots()), default=0)
     checks.append(
         Check(
@@ -164,7 +166,7 @@ def verify_order_bound(level: int, weight: int, p: int) -> VerificationReport:
     # S and the gap space intersect trivially: their echelon ranks add up
     gap_rows = [row for row, c in zip(stack.ambient.rows, stack.ambient.pivots) if c > dim_pn]
     for g in gap_rows:
-        ech.add(list(g.coeffs[: ech.width]))
+        ech.add(list(g.coeffs))
     checks.append(
         Check(
             "s_meets_gap_space_trivially",

@@ -29,8 +29,11 @@ defining matrix directly, so this assembly is the computational route; it
 checks that W_p commutes with the split's T_ell, and failure aborts.  S is
 the kernel of f -> f|W_p + p^(1-k/2) f|U_p.
 
-The operators are plain exact matrices: tuples of Fraction rows on ambient
-coordinate columns, applied and multiplied by linalg.mat_vec and mat_mul.
+The stack is one record: OperatorStack is the OldNewSplit (the two bases,
+the old pairs, the new vectors and their signs, U_p and T_ell) with W_p,
+Tr and the kernel basis of S added.  The operators are plain exact
+matrices: tuples of Fraction rows on ambient coordinate columns, applied
+and multiplied by linalg.mat_vec and mat_mul.
 """
 
 from __future__ import annotations
@@ -68,12 +71,14 @@ INFINITE_VALUATION = math.inf
 # -- coefficient operators ---------------------------------------------------
 
 def apply_Up(f: QExpansion, p: int) -> QExpansion:
-    """U_p: a_n -> a_(pn); output precision floor(B/p).  p must be an int >= 1."""
+    """U_p: a_n -> a_(pn); output precision floor(B/p), output level
+    lcm(N, p), as U_p f lies on Gamma_0(pN) when p does not divide N.
+    p must be an int >= 1."""
     check_index("p", p, 1)
     if f.precision < p:
         raise ValueError(f"U_{p} needs precision >= {p}, got {f.precision}")
     out = tuple(f.coefficient(p * n) for n in range(1, f.precision // p + 1))
-    return QExpansion(out, f.weight, f.level)
+    return QExpansion(out, f.weight, math.lcm(f.level, p))
 
 
 def apply_Vp(f: QExpansion, p: int) -> QExpansion:
@@ -169,14 +174,6 @@ class OldNewSplit:
     hecke_ell: tuple  # T_ell
 
     @property
-    def old_dimension(self) -> int:
-        return 2 * len(self.old_pairs)
-
-    @property
-    def new_dimension(self) -> int:
-        return len(self.new_vectors)
-
-    @property
     def columns(self) -> list:
         """The certified ambient basis g_1, V_p g_1, ..., then the new vectors."""
         return [c for pair in self.old_pairs for c in pair] + list(self.new_vectors)
@@ -196,9 +193,10 @@ def old_new_split(level: int, weight: int, p: int, ambient: SpaceBasis) -> OldNe
     the transported U_p on the old block; the kernels have dimension
     dim S_k(pN) - 2 dim S_k(N) together; and old + new is a direct sum, so
     the old and new vectors span the ambient space.  The level-N basis
-    is built here, to max(sturm_bound(N, k) + 10, c_max + 1) coefficients,
-    where c_max is the last ambient pivot: taking ambient coordinates needs
-    every pivot.
+    is built here, to max(sturm_bound(N, k), c_max + 1) coefficients, where
+    c_max is the last ambient pivot: taking ambient coordinates of g and
+    V_p g needs every pivot, and the Sturm bound is the least precision a
+    basis is built to.
     """
     check_level(level)
     check_weight(weight)
@@ -207,7 +205,7 @@ def old_new_split(level: int, weight: int, p: int, ambient: SpaceBasis) -> OldNe
     if big.level != p * level or big.weight != weight:
         raise ValueError("ambient basis does not match (p*N, k)")
     c_max = big.pivots[-1] if big.pivots else 0
-    lower = qexpansion_basis(level, weight, max(sturm_bound(level, weight) + 10, c_max + 1))
+    lower = qexpansion_basis(level, weight, max(sturm_bound(level, weight), c_max + 1))
     dim_pn = big.dimension
 
     old_pairs = []
@@ -296,14 +294,10 @@ def subspace_s_basis(split: OldNewSplit, w) -> tuple:
 # -- the assembled stack -------------------------------------------------------
 
 @dataclass(frozen=True)
-class OperatorStack:
-    level: int
-    weight: int
-    prime: int
-    ambient: SpaceBasis
-    lower: SpaceBasis
-    split: OldNewSplit
-    up: tuple  # each operator a tuple of Fraction rows on ambient coordinates
+class OperatorStack(OldNewSplit):
+    """The split with W_p, Tr and the kernel basis of S, each operator a
+    tuple of Fraction rows on ambient coordinates."""
+
     atkin_lehner: tuple
     trace: tuple
     s_basis: tuple
@@ -314,9 +308,6 @@ class OperatorStack:
         image = self.ambient.linear_combination(mat_vec(self.trace, coords))
         self.lower.coordinates(image.truncate(min(image.precision, self.lower.precision)))
         return QExpansion(image.coeffs, self.weight, self.level)
-
-    def s_basis_expansions(self) -> list[QExpansion]:
-        return [normalize_p(f) for f in self.ambient.linear_combinations(list(zip(*self.s_basis)))]
 
 
 def required_ambient_precision(level: int, weight: int, p: int) -> int:
@@ -338,4 +329,4 @@ def build_operator_stack(level: int, weight: int, p: int) -> OperatorStack:
     split = old_new_split(level, weight, p, ambient)
     w, tr = atkin_lehner(split)
     s_vecs = subspace_s_basis(split, w)
-    return OperatorStack(level, weight, p, ambient, split.lower, split, split.up, w, tr, s_vecs)
+    return OperatorStack(**vars(split), atkin_lehner=w, trace=tr, s_basis=s_vecs)

@@ -2,7 +2,7 @@
 
 Matrices are lists of row lists holding ints or Fractions.  The one
 elimination is Echelonizer, an incremental row-echelon accumulator over Z,
-behind rank, span membership, reduced bases, kernels and solve_columns.  Its
+behind span membership, reduced bases, kernels and solve_columns.  Its
 reduced rows and kernel vectors are primitive integer vectors with positive
 lead, each a multiple of the one over Q.  The two products, mat_mul and
 mat_vec, clear each factor's denominators once and sum in integers, then
@@ -103,22 +103,13 @@ class Echelonizer:
         return rows
 
 
-def _echelon(matrix) -> Echelonizer:
-    ech = Echelonizer(len(matrix[0]) if matrix else 0)
-    for row in matrix:
-        ech.add(row)
-    return ech
-
-
 def rref(matrix) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form, rows as in Echelonizer.reduced_rows;
     returns (rows, pivot columns)."""
-    ech = _echelon(matrix)
+    ech = Echelonizer(len(matrix[0]) if matrix else 0)
+    for row in matrix:
+        ech.add(row)
     return ech.reduced_rows(), ech.pivots()
-
-
-def rank(matrix) -> int:
-    return _echelon(matrix).rank
 
 
 def kernel_basis(matrix, width: int | None = None) -> list[list[int]]:

@@ -9,7 +9,7 @@ from .basis import (
     hecke_stability_certificate,
     qexpansion_basis,
 )
-from .p1 import P1, p1_enumerate, p1_space
+from .p1 import P1, p1_space
 from .presentation import MSPresentation, build_presentation, hecke_cosets
 
 __all__ = [
@@ -22,7 +22,6 @@ __all__ = [
     "hecke_matrices_from_symbols",
     "hecke_operator_cuspidal",
     "hecke_stability_certificate",
-    "p1_enumerate",
     "p1_space",
     "qexpansion_basis",
 ]

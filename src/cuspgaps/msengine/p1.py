@@ -78,8 +78,3 @@ class P1:
 @lru_cache(maxsize=None, typed=True)
 def p1_space(level: int) -> P1:
     return P1(level)
-
-
-def p1_enumerate(level: int) -> list[tuple[int, int]]:
-    """Ordered list of canonical P^1(Z/NZ) representatives."""
-    return list(p1_space(level))

@@ -2,14 +2,12 @@
 
 A QExpansion stores the coefficients of q^1 .. q^B; the constant term is
 never tracked (everything here is a cusp expansion or is only used through
-coefficients of positive index).  Arithmetic keeps the minimum precision of
-its operands.
+coefficients of positive index).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -43,25 +41,3 @@ class QExpansion:
         if precision > self.precision:
             raise ValueError(f"cannot extend precision {self.precision} to {precision}")
         return QExpansion(self.coeffs[:precision], self.weight, self.level)
-
-    def __add__(self, other: "QExpansion") -> "QExpansion":
-        if self.weight != other.weight:
-            raise ValueError("cannot add expansions of different weights")
-        b = min(self.precision, other.precision)
-        coeffs = tuple(x + y for x, y in zip(self.coeffs[:b], other.coeffs[:b]))
-        return QExpansion(coeffs, self.weight, max(self.level, other.level))
-
-    def __sub__(self, other: "QExpansion") -> "QExpansion":
-        return self + (-1) * other
-
-    def __rmul__(self, scalar) -> "QExpansion":
-        return QExpansion(tuple(scalar * c for c in self.coeffs), self.weight, self.level)
-
-    def agrees_with(self, other: "QExpansion", upto: int | None = None) -> bool:
-        """Coefficientwise equality up to min precision (or an explicit bound)."""
-        b = min(self.precision, other.precision)
-        if upto is not None:
-            if upto > b:
-                raise ValueError("comparison bound exceeds known precision")
-            b = upto
-        return all(Fraction(x) == Fraction(y) for x, y in zip(self.coeffs[:b], other.coeffs[:b]))

@@ -113,9 +113,9 @@ def _operator_identity_suite(level: int, weight: int, p: int) -> str:
     w = [list(r) for r in stack.atkin_lehner]
     assert mat_mul(w, w) == [[int(i == j) for j in range(d)] for i in range(d)], "W_p^2 != 1"
     for g in stack.lower.rows:
-        assert apply_Up(apply_Vp(g, p), p).agrees_with(g), "U_p V_p != 1"
+        assert apply_Up(apply_Vp(g, p), p).coeffs == g.coeffs, "U_p V_p != 1"
         traced = stack.trace_expansion(g)
-        assert traced.agrees_with((p + 1) * g), "Tr != (p+1) on level-N forms"
+        assert all(x == (p + 1) * y for x, y in zip(traced.coeffs, g.coeffs)), "Tr != (p+1) on level-N forms"
     assert len(stack.s_basis) == d - stack.lower.dimension, "dim S wrong"
     report = verify_order_bound(level, weight, p)
     assert report.passed, f"order-bound report failed: {report.as_dict()}"

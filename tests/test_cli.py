@@ -4,13 +4,17 @@ import dataclasses
 import hashlib
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspgaps import cache as cache_mod
 from cuspgaps.cache import cache_filename, find_cached, read_basis, write_basis
 from cuspgaps.cli import main
 from cuspgaps.errors import EngineError
+from cuspgaps.invariants import cusp_dim, sturm_bound
 from cuspgaps.msengine import qexpansion_basis
 
 
@@ -145,6 +149,25 @@ def test_find_cached_truncates(tmp_path):
     assert got is not None and got.precision == 20
     assert got.rows[0].coeffs == basis.rows[0].coeffs[:20]
     assert find_cached(tmp_path, 11, 2, 40) is None
+
+
+SMALL_SPACES = [(n, k) for n in range(1, 16) for k in (2, 4, 6, 8) if cusp_dim(n, k) <= 3]
+
+
+@given(st.sampled_from(SMALL_SPACES), st.integers(min_value=0, max_value=12), st.data())
+@settings(max_examples=40, deadline=None)
+def test_cache_round_trip_and_prefix_stability(space, extra, data):
+    """A written basis reads back identical, and find_cached at any
+    precision from the Sturm bound to the written one is the engine's
+    basis at that precision."""
+    level, weight = space
+    bound = sturm_bound(level, weight)
+    basis = qexpansion_basis(level, weight, bound + extra)
+    with tempfile.TemporaryDirectory() as directory:
+        assert read_basis(write_basis(basis, directory)) == basis
+        assert find_cached(directory, level, weight, bound + extra) == basis
+        precision = data.draw(st.integers(min_value=bound, max_value=bound + extra))
+        assert find_cached(directory, level, weight, precision) == qexpansion_basis(level, weight, precision)
 
 
 def test_find_cached_reads_only_the_file_it_returns(tmp_path, capsys):

@@ -568,11 +568,18 @@ def test_scan_keeps_the_dimension_guards(monkeypatch, cold_level_caches):
     eps_inf = inv.eps_inf
     # one cusp too many at every level pN > 1 makes 12 g non-integral there
     monkeypatch.setattr(inv, "eps_inf", lambda level: eps_inf(level) + (level > 1))
-    with pytest.raises(EngineError, match="genus formula"):
+    with pytest.raises(EngineError, match="^genus formula gave non-integral or negative value -1/2 at level 13$"):
         list(inv.scan_triples(box))
     monkeypatch.setattr(inv, "_dimension_terms", lambda level: (-1, 0, 0, 0))
-    with pytest.raises(EngineError, match="dimension formula"):
+    with pytest.raises(EngineError, match=r"^dimension formula gave -11 < 0 at \(13, 12\)$"):
         list(inv.scan_triples(box))
+
+
+def test_cusp_dim_guards_a_negative_dimension(monkeypatch):
+    """g - 1 = -1 with no elliptic points or cusps gives dim S_4 = -3."""
+    monkeypatch.setattr(inv, "_dimension_terms", lambda level: (-1, 0, 0, 0))
+    with pytest.raises(EngineError, match=r"^dimension formula gave -3 < 0 at \(1, 4\)$"):
+        inv.cusp_dim(1, 4)
 
 
 def test_genus_reads_the_dimension_terms():

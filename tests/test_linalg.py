@@ -15,7 +15,6 @@ from cuspgaps.linalg import (
     mat_inverse,
     mat_mul,
     mat_vec,
-    rank,
     rref,
     solve_columns,
 )
@@ -47,7 +46,7 @@ def test_kernel_annihilates(m):
 @given(small_matrix)
 @settings(max_examples=200, deadline=None)
 def test_rank_nullity(m):
-    assert rank(m) + len(kernel_basis(m)) == len(m[0])
+    assert len(rref(m)[1]) + len(kernel_basis(m)) == len(m[0])
 
 
 @given(small_matrix)
@@ -200,7 +199,7 @@ def test_kernel_of_empty_matrix_is_integer_identity():
 @given(square_matrix)
 @settings(max_examples=200, deadline=None)
 def test_inverse_is_a_left_inverse(a):
-    assume(rank(a) == len(a))
+    assume(len(rref(a)[1]) == len(a))
     n = len(a)
     assert mat_mul(mat_inverse(a), a) == [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -218,7 +217,7 @@ def test_inverse_is_a_left_inverse(a):
 def test_singular_inverse_raises(data):
     rows, coeffs, at = data
     dependent = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(len(rows) + 1)]
-    with pytest.raises(EngineError, match="singular"):
+    with pytest.raises(EngineError, match="^matrix is singular$"):
         mat_inverse(rows[:at] + [dependent] + rows[at:])
 
 
@@ -247,7 +246,7 @@ def test_solve_columns_meets_every_image(data):
     """On a random invertible integer or Fraction system, the solved A
     sends each column c_j exactly to its image z_j."""
     columns, images = data
-    assume(rank(columns) == len(columns))
+    assume(len(rref(columns)[1]) == len(columns))
     a = solve_columns(columns, images)
     assert len(a) == len(images[0])
     for c, z in zip(columns, images):
@@ -269,7 +268,7 @@ def test_solve_columns_on_joined_images_stacks_the_separate_solves(data):
     separate solves, one above the other, entry types included: the stack
     reads W_p and Tr off one solve this way."""
     columns, first, second = data
-    assume(rank(columns) == len(columns))
+    assume(len(rref(columns)[1]) == len(columns))
     joined = solve_columns(columns, [list(y) + list(z) for y, z in zip(first, second)])
     separate = solve_columns(columns, first) + solve_columns(columns, second)
     assert joined == separate
@@ -292,12 +291,12 @@ def test_solve_columns_rejects_dependent_columns(data):
     fix A, whatever the images."""
     columns, coeffs, at, images = data
     dependent = [sum(c * col[i] for c, col in zip(coeffs, columns)) for i in range(len(columns) + 1)]
-    with pytest.raises(EngineError, match="singular"):
+    with pytest.raises(EngineError, match="^matrix is singular$"):
         solve_columns(columns[:at] + [dependent] + columns[at:], images)
 
 
 @given(square_matrix)
 @settings(max_examples=200, deadline=None)
 def test_inverse_matches_the_rref_read_off(a):
-    assume(rank(a) == len(a))
+    assume(len(rref(a)[1]) == len(a))
     assert mat_inverse(a) == _inverse_from_rref(a)

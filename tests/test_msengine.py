@@ -16,7 +16,6 @@ from cuspgaps.msengine import (
     hecke_cosets,
     hecke_matrices_from_symbols,
     hecke_operator_cuspidal,
-    p1_enumerate,
     p1_space,
     qexpansion_basis,
 )
@@ -31,16 +30,16 @@ from cuspgaps.qexp import QExpansion
 def test_p1_sizes():
     from cuspgaps.invariants import index
 
-    assert len(p1_enumerate(1)) == 1
-    assert len(p1_enumerate(46)) == 72 == index(46)
+    assert len(p1_space(1)) == 1
+    assert len(p1_space(46)) == 72 == index(46)
     for n in (2, 5, 12, 19, 29):
-        assert len(p1_enumerate(n)) == index(n)
+        assert len(p1_space(n)) == index(n)
 
 
 def test_p1_level1_is_one_class():
     """P^1(Z/1Z) takes the general path: every pair is (0, 0) mod 1 and
     normalizes to (0, 1), whose SL_2(Z) lift is the identity."""
-    assert p1_enumerate(1) == [(0, 1)]
+    assert list(p1_space(1)) == [(0, 1)]
     p1 = p1_space(1)
     for u, v in [(0, 0), (0, 1), (1, 0), (3, -7), (12, 5)]:
         assert p1.index(u, v) == 0
@@ -659,6 +658,42 @@ def test_basis_pivots_within_valence_bound():
         assert list(b.pivots) == sorted(set(b.pivots))
         if b.pivots:
             assert b.pivots[-1] <= valence_bound(level, weight)
+
+
+def _patch_series_rows(monkeypatch, change):
+    """Hand qexpansion_basis the series pass's reduced rows after change."""
+    from cuspgaps.msengine import basis as basis_mod
+
+    real = basis_mod._independent_series
+    monkeypatch.setattr(basis_mod, "_independent_series",
+                        lambda *args: (change(real(*args)[0]), real(*args)[1]))
+    return basis_mod.qexpansion_basis.__wrapped__
+
+
+def test_basis_certifies_the_valence_bound(monkeypatch):
+    """q Delta, the series row shifted one place, has its pivot at 2, past
+    the valence bound 1 of S_12(Gamma_0(1))."""
+    build = _patch_series_rows(monkeypatch, lambda rows: [[0] + rows[0][:-1]])
+    with pytest.raises(EngineError, match=r"^echelon pivots \[2\] violate the valence bound 1 at \(1, 12\)$"):
+        build(1, 12, 20)
+
+
+def test_basis_certifies_hecke_stability(monkeypatch):
+    """One wrong a_5 of the level-11 row keeps its pivot, but a_10(T_2 f)
+    = a_20 + 2 a_5 no longer equals a_2 a_10: T_2 f leaves the span."""
+    build = _patch_series_rows(monkeypatch, lambda rows: [row[:4] + [row[4] + 1] + row[5:] for row in rows])
+    with pytest.raises(EngineError, match=r"^Hecke stability certificate failed for T_2 at \(11, 2\)$"):
+        build(11, 2, 20)
+
+
+def test_presentation_certifies_the_cuspidal_dimension(monkeypatch):
+    """The boundary kernel is checked against the dimension formula."""
+    from cuspgaps.msengine import presentation as pres_mod
+
+    monkeypatch.setattr(pres_mod, "cusp_dim", lambda level, weight: 2)
+    with pytest.raises(EngineError, match=r"^cuspidal plus-subspace at \(11, 2\) has dimension 1, "
+                                          r"dimension formula gives 2$"):
+        pres_mod.MSPresentation(11, 2)
 
 
 def test_basis_extension_determinism():

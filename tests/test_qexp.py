@@ -1,14 +1,10 @@
-"""QExpansion arithmetic and precision bookkeeping."""
+"""QExpansion coefficients and precision bookkeeping."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cuspgaps.qexp import QExpansion
-
-coeff_lists = st.lists(st.integers(min_value=-50, max_value=50), min_size=1, max_size=30)
 
 
 def test_order_and_zero():
@@ -28,42 +24,17 @@ def test_coefficient_bounds():
         f.coefficient(0)
 
 
-@given(coeff_lists, coeff_lists)
-@settings(max_examples=200, deadline=None)
-def test_addition_min_precision(a, b):
-    f = QExpansion(tuple(a), 6, 1)
-    g = QExpansion(tuple(b), 6, 1)
-    h = f + g
-    assert h.precision == min(len(a), len(b))
-    for n in range(1, h.precision + 1):
-        assert h.coefficient(n) == f.coefficient(n) + g.coefficient(n)
-
-
-@given(coeff_lists, st.integers(min_value=-5, max_value=5))
-@settings(max_examples=200, deadline=None)
-def test_scalar_and_subtraction(a, c):
-    f = QExpansion(tuple(a), 8, 3)
-    g = c * f
-    assert all(g.coefficient(n) == c * f.coefficient(n) for n in range(1, len(a) + 1))
-    assert (f - f).is_zero()
-
-
-def test_weight_mismatch_rejected():
-    with pytest.raises(ValueError):
-        QExpansion((1,), 4, 1) + QExpansion((1,), 6, 1)
-
-
 def test_truncate_and_agrees():
     f = QExpansion((1, 2, 3, 4), 2, 11)
     t = f.truncate(2)
-    assert t.coeffs == (1, 2)
-    assert f.agrees_with(t)
-    assert f.agrees_with(QExpansion((1, 2, 3, 5), 2, 11), upto=3)
+    assert t.coeffs == (1, 2) == f.coeffs[: t.precision]
+    assert (t.weight, t.level) == (f.weight, f.level)
     with pytest.raises(ValueError):
         t.truncate(5)
 
 
 def test_fraction_coefficients():
     f = QExpansion((Fraction(1, 2), 1), 2, 1)
-    g = 2 * f
-    assert g.coefficient(1) == 1
+    assert f.coefficient(1) == Fraction(1, 2)
+    assert f.order() == 1
+
