@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 verification failure (a JSON witness is printed),
 2 usage or precondition error (among them a cache path that cannot be read
 or written), 3 engine error (an internal certificate failed or a cache
-file is corrupt).  All output is deterministic for fixed inputs; the
-MFCACHE environment variable overrides --cache.
+file is corrupt), 141 stdout closed early, as by `| head` (the SIGPIPE
+status).  All output is deterministic for fixed inputs; the MFCACHE
+environment variable overrides --cache.
 """
 
 from __future__ import annotations
@@ -192,7 +193,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return status
+    except BrokenPipeError:
+        # the reader closed stdout; devnull keeps the interpreter's last flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

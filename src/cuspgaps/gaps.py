@@ -20,7 +20,6 @@ enumerable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .arith import is_prime
 from .heckeops import build_operator_stack, coefficient_valuation, normalize_p
@@ -152,7 +151,7 @@ def verify_order_bound(level: int, weight: int, p: int) -> VerificationReport:
     checks.append(
         Check(
             "order_bound",
-            Fraction(max_ord) <= bound <= Fraction(dim_pn),
+            max_ord <= bound <= dim_pn,
             {"maxOrderOnS": max_ord, "sharpBound": str(bound), "dim": dim_pn},
         )
     )

@@ -20,18 +20,19 @@ made, that the oldform vectors are independent, that U_p V_p g = g and
 U_p g stays in the old span on every old pair, that the new block has
 dimension dim S_k(pN) - 2 dim S_k(N), and that old + new is a direct sum.
 
-W_p and the trace map to level N, Tr = 1 + p^(1-k/2) U_p W_p, are read
-together off their images on the old pairs (g, V_p g) and the new vectors
-by one exact solve (linalg.solve_columns): W_p swaps g and V_p g (with
-factors p^(k/2) and p^(-k/2)) and is -U_p / r = -+1 on the two eigenspaces.
-A q-expansion at infinity does not determine the slash action of the
-defining matrix directly, so this assembly is the computational route; it
-checks that W_p commutes with the split's T_ell, and failure aborts.  S is
-the kernel of f -> f|W_p + p^(1-k/2) f|U_p.
+W_p is read off its images on the old pairs (g, V_p g) and the new
+vectors by one exact solve (linalg.solve_columns): it swaps g and V_p g
+(with factors p^(k/2) and p^(-k/2)) and is -U_p / r = -+1 on the two
+eigenspaces.  A q-expansion at infinity does not determine the slash action
+of the defining matrix directly, so this assembly is the computational
+route; it checks that W_p commutes with the split's T_ell, and failure
+aborts.  S is the kernel of f -> f|W_p + p^(1-k/2) f|U_p.  The trace map to
+level N, Tr = 1 + p^(1-k/2) U_p W_p, is not part of the stack: trace_matrix
+forms that product on demand.
 
 The stack is one record: OperatorStack is the OldNewSplit (the two bases,
-the old pairs, the new vectors and their signs, U_p and T_ell) with W_p,
-Tr and the kernel basis of S added.  The operators are plain exact
+the old pairs, the new vectors and their signs, U_p and T_ell) with W_p
+and the kernel basis of S added.  The operators are plain exact
 matrices: tuples of Fraction rows on ambient coordinate columns, applied
 and multiplied by linalg.mat_vec and mat_mul.
 """
@@ -242,40 +243,33 @@ def old_new_split(level: int, weight: int, p: int, ambient: SpaceBasis) -> OldNe
 
 # -- Atkin-Lehner, trace, and the subspace S ----------------------------------
 
-def atkin_lehner(split: OldNewSplit) -> tuple[tuple, tuple]:
-    """(W_p, Tr) on ambient coordinates, read off one solve over
-    split.columns with each column's W_p and Tr images side by side.  W_p
-    sends g to p^(k/2) V_p g, V_p g to p^(-k/2) g, and a new vector v to
-    w v, where w = -U_p / p^(k/2-1) = +-1 is its sign in new_signs;
-    Tr = 1 + p^(1-k/2) U_p W_p sends g to (p+1) g, V_p g to
-    V_p g + p^(1-k) U_p g, and v to 0.
+def atkin_lehner(split: OldNewSplit) -> tuple:
+    """W_p on ambient coordinates, read off one solve over split.columns:
+    W_p sends g to p^(k/2) V_p g, V_p g to p^(-k/2) g, and a new vector v
+    to w v, where w = -U_p / p^(k/2-1) = +-1 is its sign in new_signs.
 
     Aborts with AssemblyError("Atkin-Lehner assembly failed") if W_p does
     not commute with the split's T_ell, which would signal a wrong split.
-    W_p^2 = 1 is not checked: it holds by construction of the images.  Nor
-    is Tr: its images follow exactly from W_p's, the split's certificate
-    U_p V_p g = g and its kernels U_p v = +-p^(k/2-1) v; and W_p^2 = 1
-    gives Tr W_p = W_p + p^(1-k/2) U_p, so rank Tr = dim S_k(pN) - dim S,
-    which subspace_s_basis checks.
+    W_p^2 = 1 is not checked: it holds by construction of the images.
     """
     k, p = split.weight, split.prime
     half = p ** (k // 2)
     images = []
     for cg, cvg in split.old_pairs:
-        ug = mat_vec(split.up, cg)
-        images += [[half * x for x in cvg] + [(p + 1) * x for x in cg],
-                   [Fraction(x, half) for x in cg] + [x + Fraction(y, p ** (k - 1)) for x, y in zip(cvg, ug)]]
-    images += [[sign * x for x in v] + [0] * len(v) for v, sign in zip(split.new_vectors, split.new_signs)]
-    both = [tuple(row) for row in solve_columns(split.columns, images)]
-    w, tr = tuple(both[: len(both) // 2]), tuple(both[len(both) // 2 :])
+        images += [[half * x for x in cvg], [Fraction(x, half) for x in cg]]
+    images += [[sign * x for x in v] for v, sign in zip(split.new_vectors, split.new_signs)]
+    w = tuple(tuple(row) for row in solve_columns(split.columns, images))
     if mat_mul(w, split.hecke_ell) != mat_mul(split.hecke_ell, w):
         raise AssemblyError(f"Atkin-Lehner assembly failed: W_{p} does not commute with T_{split.ell}")
-    return w, tr
+    return w
 
 
-def trace_matrix(split: OldNewSplit) -> tuple:
-    """Tr = 1 + p^(1-k/2) U_p W_p on ambient coordinates, from atkin_lehner."""
-    return atkin_lehner(split)[1]
+def trace_matrix(stack: OperatorStack) -> tuple:
+    """Tr = 1 + p^(1-k/2) U_p W_p on ambient coordinates, the trace to level N."""
+    p, k = stack.prime, stack.weight
+    scale = Fraction(p, p ** (k // 2))
+    uw = mat_mul(stack.up, stack.atkin_lehner)
+    return tuple(tuple(scale * x + (i == j) for j, x in enumerate(row)) for i, row in enumerate(uw))
 
 
 def subspace_s_basis(split: OldNewSplit, w) -> tuple:
@@ -295,17 +289,16 @@ def subspace_s_basis(split: OldNewSplit, w) -> tuple:
 
 @dataclass(frozen=True)
 class OperatorStack(OldNewSplit):
-    """The split with W_p, Tr and the kernel basis of S, each operator a
-    tuple of Fraction rows on ambient coordinates."""
+    """The split with W_p and the kernel basis of S, each a tuple of
+    Fraction rows on ambient coordinates."""
 
     atkin_lehner: tuple
-    trace: tuple
     s_basis: tuple
 
     def trace_expansion(self, f: QExpansion) -> QExpansion:
         """Tr(f) as a q-expansion, certified to lie in the level-N span."""
         coords = self.ambient.coordinates(f)
-        image = self.ambient.linear_combination(mat_vec(self.trace, coords))
+        image = self.ambient.linear_combination(mat_vec(trace_matrix(self), coords))
         self.lower.coordinates(image.truncate(min(image.precision, self.lower.precision)))
         return QExpansion(image.coeffs, self.weight, self.level)
 
@@ -320,13 +313,12 @@ def required_ambient_precision(level: int, weight: int, p: int) -> int:
 
 @lru_cache(maxsize=16, typed=True)
 def build_operator_stack(level: int, weight: int, p: int) -> OperatorStack:
-    """Compute bases, the old/new split, W_p, U_p, Tr and S for (N, k, p).
+    """Compute bases, the old/new split, U_p, W_p and S for (N, k, p).
     Each certificate runs once, in the stage that makes its data."""
     check_level(level)
     check_weight(weight)
     check_odd_prime(level, p)
     ambient = qexpansion_basis(p * level, weight, required_ambient_precision(level, weight, p))
     split = old_new_split(level, weight, p, ambient)
-    w, tr = atkin_lehner(split)
-    s_vecs = subspace_s_basis(split, w)
-    return OperatorStack(**vars(split), atkin_lehner=w, trace=tr, s_basis=s_vecs)
+    w = atkin_lehner(split)
+    return OperatorStack(**vars(split), atkin_lehner=w, s_basis=subspace_s_basis(split, w))

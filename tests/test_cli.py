@@ -4,7 +4,10 @@ import dataclasses
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -140,6 +143,18 @@ def test_engine_error_exits_3(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "basis", "11", "2")
     assert code == 3 and out == ""
     assert "engine error: series rank stalled" in err
+
+
+def test_closed_stdout_exits_141_quietly():
+    """`scan --csv | head -1`: once the reader closes the pipe, the CLI
+    exits 141, as a tool killed by SIGPIPE would, not 2 with "Broken pipe"."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "cuspgaps.cli", "scan", "--csv"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"k,N,p,")
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (141, b"")
 
 
 def test_find_cached_truncates(tmp_path):

@@ -26,10 +26,11 @@ from cuspgaps.heckeops import (
     normalize_p,
     old_new_split,
     required_ambient_precision,
+    trace_matrix,
     up_matrix,
 )
 from cuspgaps.invariants import cusp_dim, sturm_bound, valence_bound
-from cuspgaps.linalg import Echelonizer, kernel_basis, mat_inverse, mat_mul, mat_vec, rref
+from cuspgaps.linalg import Echelonizer, kernel_basis, mat_inverse, mat_mul, mat_vec, rref, solve_columns
 from cuspgaps.msengine import build_presentation, coefficient_image, hecke_matrices_from_symbols, qexpansion_basis
 from cuspgaps.oracles import delta_expansion
 from cuspgaps.qexp import QExpansion
@@ -197,7 +198,7 @@ def test_trace_rank_and_new_block(level, weight, p):
     rank Tr = dim S_k(N), Tr kills the new block, Tr = p + 1 on each old
     pair, and W_p C = Z column by column."""
     stack = build_operator_stack(level, weight, p)
-    tr, w = stack.trace, stack.atkin_lehner
+    tr, w = trace_matrix(stack), stack.atkin_lehner
     assert _rank([list(r) for r in tr]) == cusp_dim(level, weight)
     half = p ** (weight // 2)
     for cg, cvg in stack.old_pairs:
@@ -211,7 +212,7 @@ def test_trace_rank_and_new_block(level, weight, p):
 
 def test_kernel_of_trace_maps_onto_s(stack5):
     """f -> f|W_p carries ker(Tr) bijectively onto S."""
-    tr = [list(r) for r in stack5.trace]
+    tr = [list(r) for r in trace_matrix(stack5)]
     ker = kernel_basis(tr)
     assert len(ker) == len(stack5.s_basis)
     ech = Echelonizer(stack5.ambient.dimension)
@@ -448,7 +449,7 @@ def test_atkin_lehner_rejects_mismatched_old_pairs():
 def test_atkin_lehner_solve_rejects_dependent_columns():
     """With the first new vector repeated in place of the others, the
     split's columns no longer span S_24(Gamma_0(5)), and the one solve for
-    W_p and Tr refuses them."""
+    W_p refuses them."""
     split = build_operator_stack(1, 24, 5)
     repeated = (split.new_vectors[0],) * len(split.new_vectors)
     with pytest.raises(EngineError, match="^matrix is singular$"):
@@ -532,13 +533,16 @@ def test_split_certifies_old_plus_new_is_direct(monkeypatch):
 
 @pytest.mark.parametrize("level,weight,p", [(1, 24, 5), (1, 12, 13)])
 def test_stack_makes_one_transport_and_one_solve(monkeypatch, level, weight, p):
-    """U_p and T_ell come from one transport, W_p and Tr from one solve."""
+    """U_p and T_ell come from one transport, and W_p alone from one solve
+    whose images are as wide as the ambient space."""
     calls = []
     for name in ("hecke_matrices_from_symbols", "solve_columns"):
         real = getattr(heckeops, name)
-        monkeypatch.setattr(heckeops, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+        monkeypatch.setattr(heckeops, name, lambda *a, _real=real, _name=name: calls.append((_name, a)) or _real(*a))
     stack = build_operator_stack.__wrapped__(level, weight, p)
-    assert sorted(calls) == ["hecke_matrices_from_symbols", "solve_columns"]
+    assert sorted(name for name, _ in calls) == ["hecke_matrices_from_symbols", "solve_columns"]
+    (_, images), = [a for name, a in calls if name == "solve_columns"]
+    assert {len(z) for z in images} == {stack.ambient.dimension}
     assert stack == build_operator_stack(level, weight, p)
 
 
@@ -553,12 +557,17 @@ def _shifted(m, c):
 
 @pytest.mark.parametrize("level,weight,p", REFERENCE_STACKS)
 def test_trace_is_one_plus_up_times_w(level, weight, p):
-    """Tr, read off its column images, is exactly 1 + p^(1-k/2) U_p W_p."""
+    """trace_matrix's 1 + p^(1-k/2) U_p W_p is exactly the Tr read off its
+    own column images: g -> (p+1) g, V_p g -> V_p g + p^(1-k) U_p g, and
+    v -> 0 on the new vectors."""
     stack = build_operator_stack(level, weight, p)
-    uw = mat_mul(stack.up, stack.atkin_lehner)
-    scale = Fraction(p, p ** (weight // 2))
-    want = _shifted([[scale * x for x in row] for row in uw], -1)
-    assert [list(row) for row in stack.trace] == want
+    images = []
+    for cg, cvg in stack.old_pairs:
+        ug = mat_vec(stack.up, cg)
+        images += [[(p + 1) * x for x in cg], [x + Fraction(y, p ** (weight - 1)) for x, y in zip(cvg, ug)]]
+    images += [[0] * len(v) for v in stack.new_vectors]
+    want = solve_columns(stack.columns, images)
+    assert [list(row) for row in trace_matrix(stack)] == want
 
 
 @pytest.mark.parametrize("level,weight,p", REFERENCE_STACKS)

@@ -265,8 +265,7 @@ def test_solve_columns_meets_every_image(data):
 @settings(max_examples=100, deadline=None)
 def test_solve_columns_on_joined_images_stacks_the_separate_solves(data):
     """Solving for each column's two images side by side gives the two
-    separate solves, one above the other, entry types included: the stack
-    reads W_p and Tr off one solve this way."""
+    separate solves, one above the other, entry types included."""
     columns, first, second = data
     assume(len(rref(columns)[1]) == len(columns))
     joined = solve_columns(columns, [list(y) + list(z) for y, z in zip(first, second)])
