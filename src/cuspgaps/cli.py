@@ -109,9 +109,6 @@ def cmd_verify(args) -> int:
         reports = [gaps_mod.verify_weight2_nonweierstrass(args.level, args.prime)]
     elif args.what == "examples":
         reports = gaps_mod.verify_reference_examples()
-        if args.extended:
-            reports.append(gaps_mod.verify_order_bound(2, 12, 23))
-            reports.append(gaps_mod.verify_order_bound(1, 28, 29))
     for rep in reports:
         _print_json(rep.as_dict())
         for check in rep.checks:
@@ -184,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         vp.add_argument("prime", type=int)
         vp.set_defaults(func=cmd_verify)
     vp = vsub.add_parser("examples")
-    vp.add_argument("--extended", action="store_true", help="also certify the heavy operator stacks")
     vp.set_defaults(func=cmd_verify)
     return parser
 

@@ -175,11 +175,15 @@ def cusp_dim(level: int, weight: int) -> int:
 
 def sturm_bound(level: int, weight: int) -> int:
     """Coefficient count determining a cusp form: floor(k*I(N)/12) + 1."""
+    check_level(level)
+    check_weight(weight)
     return weight * index(level) // 12 + 1
 
 
 def valence_bound(level: int, weight: int) -> int:
     """Maximal possible ord_infinity of a non-zero form: floor(k*I(N)/12)."""
+    check_level(level)
+    check_weight(weight)
     return weight * index(level) // 12
 
 

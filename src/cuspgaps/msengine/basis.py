@@ -11,6 +11,8 @@ until their rank equals d = dim S_k and echelonizing yields the canonical
 integral basis with strictly increasing pivots (d = 0 included: the pass
 then stops before its first series); a rank certificate, the
 pivot/valence check and a Hecke stability certificate guard the result.
+The pass records each series that raised the rank as one pair
+(images, i): the Hecke images T_m x it was read off, and the coordinate i.
 
 The same series carry any T_n to the echelon basis: the Hecke algebra is
 commutative, so T_n f_(x,i) = f_(T_n x, i), whose m-th coefficient is
@@ -23,8 +25,9 @@ carries all the T_n asked for to the echelon basis, as its first block is
 the basis itself; the pivots and first blocks are certified once, span
 membership and the coefficient rule on the floor(B/n) coefficients of
 each T_n b_j that the basis determines once per n.  The series pass
-(_independent_series) runs once per (level, weight, precision), and the
-basis and the transport both read it.
+(_independent_series) runs once per (level, weight, precision): the basis
+echelonizes its rows, and the transport stacks one row per recorded pair,
+exactly the series that raised the rank.
 
 Everything from the coset action to the echelon is integer arithmetic.
 Hecke images are the presentation's integer vectors D*v over its
@@ -163,11 +166,6 @@ def _merel_images(pres: MSPresentation, x: dict, i: int, precision: int) -> list
     return images
 
 
-def _combination(pres: MSPresentation, vec) -> dict:
-    """A vector in generator coordinates as {Manin symbol: coefficient}."""
-    return {t: c for t, c in zip(pres.generators, vec) if c}
-
-
 def cuspidal_functionals(pres: MSPresentation) -> list[int]:
     """Indices of d generator coordinates on which the cuspidal basis is
     independent (d = dim S_k): a cuspidal vector is determined by them."""
@@ -182,57 +180,51 @@ def cuspidal_functionals(pres: MSPresentation) -> list[int]:
     return chosen
 
 
-def _cuspidal_elements(pres: MSPresentation):
-    """Cuspidal elements as pairs (symbol combination, i).  First Merel's
-    symbols X^i Y^(k-2-i) {0, oo} for even 0 < i < k-2: their boundary
-    vanishes and each coset needs one continued fraction (odd i vanish in
-    the plus quotient).  Then, with i = None, the cuspidal kernel basis,
-    which k = 2 and 4 need."""
+def _element_images(pres: MSPresentation, precision: int):
+    """The images D T_m x, m = 1..precision, of each cuspidal element x in
+    turn.  First Merel's symbols X^i Y^(k-2-i) {0, oo} for even
+    0 < i < k-2, through _merel_images: their boundary vanishes and each
+    coset needs one continued fraction (odd i vanish in the plus quotient).
+    Then the cuspidal kernel basis, which k = 2 and 4 need, coset by coset."""
     origin = pres.p1.index(0, 1)
     for i in range(2, pres.degree, 2):
-        yield {i * pres.n_p1 + origin: 1}, i
+        yield _merel_images(pres, {i * pres.n_p1 + origin: 1}, i, precision)
     for vec in pres.cuspidal_basis:
-        yield _combination(pres, vec), None
+        x = {t: c for t, c in zip(pres.generators, vec) if c}
+        yield [_hecke_image_quotient(pres, x, m) for m in range(1, precision + 1)]
 
 
 @lru_cache(maxsize=16, typed=True)
 def _independent_series(level: int, weight: int, precision: int):
     """The one series pass of a space: add the series m -> (T_m x)_i for
     m = 1..precision to an echelon until its rank is d = dim S_k, x running
-    over the cuspidal elements and i over cuspidal_functionals.  Returns
-    the reduced echelon rows, as primitive integer vectors, and, for each
-    x used, its Hecke images T_m x and the positions (among the chosen
-    coordinates) of the series that raised the rank.  The images are the
-    integer vectors D T_m x (of _merel_images for Merel's symbols, of
-    _hecke_image_quotient for kernel vectors), so each series is D times
-    the rational one and has the same primitive echelon row.
-    qexpansion_basis reads the rows, hecke_matrices_from_symbols the images."""
+    over the cuspidal elements of _element_images and i over
+    cuspidal_functionals.  Returns the reduced echelon rows, as primitive
+    integer vectors, and the series that raised the rank, in the order
+    they were added, each as a pair (images, i): the integer vectors
+    D T_m x, m = 1..precision, and the coordinate read.  Each series is D
+    times the rational one and has the same primitive echelon row.
+    qexpansion_basis reads the rows; hecke_matrices_from_symbols stacks
+    one row per pair."""
     pres = build_presentation(level, weight)
     d = pres.cuspidal_dimension
     coords = cuspidal_functionals(pres)
+    elements = _element_images(pres, precision)
     ech = Echelonizer(precision)
-    used = []
-    for x, merel in _cuspidal_elements(pres):
-        if ech.rank == d:
-            break
-        if merel is None:
-            images = [_hecke_image_quotient(pres, x, m) for m in range(1, precision + 1)]
-        else:
-            images = _merel_images(pres, x, merel, precision)
-        raised = []
-        for r, i in enumerate(coords):
+    series = []
+    while ech.rank < d:
+        images = next(elements, None)
+        if images is None:
+            raise EngineError(
+                f"series rank stalled at {ech.rank} < {d} for ({level}, {weight}); "
+                "this indicates an engine bug"
+            )
+        for i in coords:
             if ech.add([w[i] for w in images]) is not None:
-                raised.append(r)
+                series.append((images, i))
                 if ech.rank == d:
                     break
-        if raised:
-            used.append((images, raised))
-    if ech.rank < d:
-        raise EngineError(
-            f"series rank stalled at {ech.rank} < {d} for ({level}, {weight}); "
-            "this indicates an engine bug"
-        )
-    return ech.reduced_rows(), used
+    return ech.reduced_rows(), series
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -320,9 +312,11 @@ def hecke_matrices_from_symbols(basis: SpaceBasis, ns) -> list[tuple]:
     = sum_g (T_m x)_g (T_n gen_g)_i, as T_n is linear on the generator
     coordinates; so T_n is applied only to the generators.  Both kinds of
     image are integer vectors scaled by the presentation's denominator D,
-    so each stacked row is D^2 [f | T_n1 f | T_n2 f ...] in integers.  Over
-    the independent series of _independent_series, the integral RREF of
-    these rows has row j = lambda_j [b_j | T_n1 b_j | ...] for basis row
+    so each stacked row is D^2 [f | T_n1 f | T_n2 f ...] in integers, one
+    per pair (images, i) that the series pass recorded, in its order: the
+    first block is D (T_m x)_i and the others sum_g (T_m x)_g (T_n gen_g)_i,
+    m = 1..B.  As these d series are independent, the integral RREF of
+    the rows has row j = lambda_j [b_j | T_n1 b_j | ...] for basis row
     b_j, so each T_n b_j is read off its block.  The RREF's pivots must be
     the basis pivots and its first blocks integer multiples of the basis
     rows; each T_n block must start with lambda_j a_m(T_n b_j),
@@ -333,13 +327,12 @@ def hecke_matrices_from_symbols(basis: SpaceBasis, ns) -> list[tuple]:
     level, weight, prec = basis.level, basis.weight, basis.precision
     pres = build_presentation(level, weight)
     den = pres.denominator
-    coords = cuspidal_functionals(pres)
-    moved = [[[w[i] for w in images] for i in coords] for images in (_generator_images(pres, n) for n in ns)]
+    gens = [_generator_images(pres, n) for n in ns]
     stacked = []
-    for tm_x, raised in _independent_series(level, weight, prec)[1]:
-        for r in raised:
-            stacked.append([den * w[coords[r]] for w in tm_x]
-                           + [sum(a * y for a, y in zip(m[r], w)) for m in moved for w in tm_x])
+    for images, i in _independent_series(level, weight, prec)[1]:
+        tn_gen_i = [[g[i] for g in gen] for gen in gens]
+        stacked.append([den * w[i] for w in images]
+                       + [sum(a * y for a, y in zip(col, w)) for col in tn_gen_i for w in images])
     rows, pivots = rref(stacked)
     if [c + 1 for c in pivots] != list(basis.pivots):
         raise EngineError(f"the series' RREF pivots are not the basis pivots at ({level}, {weight})")

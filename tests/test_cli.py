@@ -203,6 +203,16 @@ def test_find_cached_checks_the_header_against_the_name(tmp_path):
         find_cached(tmp_path, 11, 2, 45)
 
 
+def test_find_cached_and_basis_reject_an_odd_weight(tmp_path, capsys):
+    """An odd weight is refused by the Sturm bound that find_cached and
+    the basis command read, before any file is looked at."""
+    with pytest.raises(ValueError, match=r"^weight must be an even integer >= 2, got 3$"):
+        find_cached(tmp_path, 11, 3, 5)
+    code, out, err = run_cli(capsys, "basis", "1", "3")
+    assert code == 2 and out == ""
+    assert "weight must be an even integer >= 2, got 3" in err
+
+
 def test_find_cached_rejects_precision_below_the_sturm_bound(tmp_path, capsys):
     """Truncating below the Sturm bound (13 for (11, 12)) can leave rows
     that are zero and pivots past the precision, so it is refused as

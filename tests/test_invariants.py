@@ -176,6 +176,15 @@ def test_dim_rejects_bad_weights():
         inv.cusp_dim(5, -4)
 
 
+@pytest.mark.parametrize("bound", [inv.sturm_bound, inv.valence_bound])
+@pytest.mark.parametrize("weight", [2.5, 3, 7, 0, -4, True])
+def test_bounds_reject_bad_weights(bound, weight):
+    """The Sturm and valence bounds are defined for even weights >= 2 only,
+    so a non-integer, odd, small or boolean weight is refused, not rounded."""
+    with pytest.raises(ValueError, match=r"^weight must be an even integer >= 2, got "):
+        bound(5, weight)
+
+
 def test_new_space_nonnegative():
     for n in (1, 2, 3, 5, 7, 11):
         for k in (4, 6, 12, 16):

@@ -2,6 +2,7 @@
 
 import dataclasses
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -444,16 +445,20 @@ def test_hecke_cosets_shape():
 @pytest.mark.parametrize("level,weight,precision", [(1, 12, 20), (10, 8, 20), (19, 16, 37)])
 def test_merel_images_are_the_hecke_images(level, weight, precision):
     """The shared coset sums give T_m x = _hecke_image_quotient(x, m) for
-    every Merel symbol x and m <= B, also where the level excludes some a
-    from T_m (N = 10 excludes 2 and 5)."""
+    every Merel symbol x = [X^i Y^(k-2-i), (0:1)], even 0 < i < k-2, and
+    m <= B, also where the level excludes some a from T_m (N = 10 excludes
+    2 and 5); _element_images yields these first, in the order of i."""
     from cuspgaps.msengine import basis as basis_mod
 
     pres = build_presentation(level, weight)
-    assert pres._lifts[pres.p1.index(0, 1)] == ((1, 0), (0, 1))
-    merel = [(x, i) for x, i in basis_mod._cuspidal_elements(pres) if i is not None]
-    assert [i for _, i in merel] == list(range(2, weight - 2, 2))
-    for x, i in merel:
-        images = basis_mod._merel_images(pres, x, i, precision)
+    origin = pres.p1.index(0, 1)
+    assert pres._lifts[origin] == ((1, 0), (0, 1))
+    exponents = range(2, weight - 2, 2)
+    elements = basis_mod._element_images(pres, precision)
+    merel = list(islice(elements, len(exponents)))
+    assert len(merel) == len(exponents)
+    for i, images in zip(exponents, merel):
+        x = {i * pres.n_p1 + origin: 1}
         assert images == [basis_mod._hecke_image_quotient(pres, x, m) for m in range(1, precision + 1)]
 
 
@@ -522,13 +527,80 @@ def test_zero_space_takes_the_general_path(level, weight):
 
 
 def test_series_pass_rejects_a_stalled_rank(monkeypatch):
-    """If the cuspidal elements run out before the series reach rank d,
-    the series pass raises instead of returning a short basis."""
+    """If the cuspidal elements' images run out before the series reach
+    rank d, the series pass raises instead of returning a short basis."""
     from cuspgaps.msengine import basis as basis_mod
 
-    monkeypatch.setattr(basis_mod, "_cuspidal_elements", lambda pres: iter(()))
+    monkeypatch.setattr(basis_mod, "_element_images", lambda pres, precision: iter(()))
     with pytest.raises(EngineError, match="series rank stalled"):
         basis_mod._independent_series.__wrapped__(13, 12, 15)
+
+
+RECORD_SPACES = [(1, 12), (11, 2), (14, 4), (13, 12), (19, 16), (49, 4), (22, 2), (10, 8)]
+
+
+@pytest.mark.parametrize("level,weight", RECORD_SPACES)
+def test_series_record_is_one_pair_per_basis_row(level, weight):
+    """The series pass records one (images, i) pair per series that raised
+    the rank: d pairs, each i a chosen coordinate, each images the B
+    vectors D T_m x; the RREF of the recorded series is the basis."""
+    from cuspgaps.linalg import rref
+    from cuspgaps.msengine import basis as basis_mod
+
+    precision = sturm_bound(level, weight) + 10
+    coords = basis_mod.cuspidal_functionals(build_presentation(level, weight))
+    series = basis_mod._independent_series(level, weight, precision)[1]
+    assert len(series) == cusp_dim(level, weight)
+    assert all(i in coords and len(images) == precision for images, i in series)
+    rows = rref([[w[i] for w in images] for images, i in series])[0]
+    assert rows == [list(row.coeffs) for row in qexpansion_basis(level, weight, precision).rows]
+
+
+def test_transport_reads_no_coordinates_of_its_own(monkeypatch):
+    """With the series pass warm, the transport stacks the recorded pairs
+    and never calls cuspidal_functionals."""
+    from cuspgaps.msengine import basis as basis_mod
+
+    b = qexpansion_basis(19, 16, 37)
+    basis_mod._independent_series(19, 16, 37)
+    calls = []
+    real = basis_mod.cuspidal_functionals
+    monkeypatch.setattr(basis_mod, "cuspidal_functionals", lambda pres: calls.append(pres) or real(pres))
+    hecke_matrices_from_symbols(b, (2, 3))
+    assert calls == []
+
+
+ORDER_SPACES = [(1, 12), (11, 2), (14, 4), (5, 12), (10, 8), (22, 2), (6, 6), (7, 6), (3, 10), (15, 4)]
+
+
+@given(st.sampled_from(ORDER_SPACES), st.integers(0, 8), st.data())
+@settings(max_examples=25, deadline=None)
+def test_basis_does_not_depend_on_the_series_order(space, extra, data):
+    """The canonical RREF of a span does not depend on the series that
+    spanned it: with the cuspidal elements and the chosen coordinates in
+    any order, the basis and the transported T_2, T_3 are unchanged."""
+    from cuspgaps.msengine import basis as basis_mod
+
+    level, weight = space
+    precision = sturm_bound(level, weight) + extra
+    real_elements, real_coords = basis_mod._element_images, basis_mod.cuspidal_functionals
+    basis_mod._independent_series.cache_clear()
+    try:
+        want = qexpansion_basis.__wrapped__(level, weight, precision)
+        want_ops = hecke_matrices_from_symbols(want, (2, 3))
+        pres = build_presentation(level, weight)
+        elements = data.draw(st.permutations(list(real_elements(pres, precision))))
+        coords = data.draw(st.permutations(real_coords(pres)))
+        basis_mod._independent_series.cache_clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(basis_mod, "_element_images", lambda pres, precision: iter(elements))
+            mp.setattr(basis_mod, "cuspidal_functionals", lambda pres: list(coords))
+            got = qexpansion_basis.__wrapped__(level, weight, precision)
+            got_ops = hecke_matrices_from_symbols(got, (2, 3))
+    finally:
+        basis_mod._independent_series.cache_clear()
+    assert got == want
+    assert got_ops == want_ops
 
 
 def test_basis_level11_weight2_is_eta_product():
