@@ -46,21 +46,33 @@ def _binomials(n: int) -> tuple:
     return tuple(rows)
 
 
+def _binomial_terms(row: tuple, x: int, y: int) -> list[int]:
+    """The terms row[j] x^j y^(n-j), j = 0..n, of (xX + yY)^n for its
+    binomial row (n = len(row) - 1), with the powers as running products."""
+    out = list(row)
+    p = 1
+    for j in range(len(out)):
+        out[j] *= p
+        p *= x
+    p = 1
+    for j in range(len(out) - 1, -1, -1):
+        out[j] *= p
+        p *= y
+    return out
+
+
 def expand_monomial(i: int, deg: int, m: Mat2) -> list[int]:
     """Coefficients (by X-degree 0..deg) of (aX+bY)^i (cX+dY)^(deg-i),
     i.e. of X^i Y^(deg-i) | m."""
-    if deg == 0:
-        return [1]
     (a, b), (c, d) = m
     binom = _binomials(deg)
-    first = [binom[i][j] * a**j * b ** (i - j) for j in range(i + 1)]
-    second = [binom[deg - i][j] * c**j * d ** (deg - i - j) for j in range(deg - i + 1)]
+    second = _binomial_terms(binom[deg - i], c, d)
     out = [0] * (deg + 1)
-    for j1, x in enumerate(first):
+    for j1, x in enumerate(_binomial_terms(binom[i], a, b)):
         if x:
-            for j2, y in enumerate(second):
+            for j, y in enumerate(second, j1):
                 if y:
-                    out[j1 + j2] += x * y
+                    out[j] += x * y
     return out
 
 
@@ -90,14 +102,16 @@ def act_path(
     weight_degree: int,
     endpoint_from: tuple[int, int],
     endpoint_to: tuple[int, int],
-) -> list[tuple[int, tuple[int, int], int]]:
+) -> list[tuple[tuple[int, int], int, list[int]]]:
     """Expand (P|poly_transport){from, to} over Manin symbols.
 
     Endpoints are projective integer pairs (num, den), den = 0 meaning the
-    cusp at infinity.  Returns triples (X-degree, bottom row, coefficient);
-    callers reduce the bottom row into P^1(Z/NZ).
+    cusp at infinity.  Returns one triple (bottom row, sign, coefficients)
+    per unimodular piece M of the path: the piece contributes
+    sign * coefficients[x] to the symbol [X^x Y^(deg-x), bottom row of M]
+    for x = 0..deg; callers reduce the bottom row into P^1(Z/NZ) once.
     """
-    terms: list[tuple[int, tuple[int, int], int]] = []
+    pieces: list[tuple[tuple[int, int], int, list[int]]] = []
     for (num, den), outer_sign in ((endpoint_to, 1), (endpoint_from, -1)):
         if den == 0:
             continue  # {inf, inf} contributes nothing
@@ -107,10 +121,6 @@ def act_path(
         if g > 1:
             num, den = num // g, den // g
         for m in unimodular_path_matrices(num, den):
-            w = mat_mul2(poly_transport, m)
-            coeffs = expand_monomial(monomial_degree, weight_degree, w)
-            bottom = (m[1][0], m[1][1])
-            for deg_x, coeff in enumerate(coeffs):
-                if coeff:
-                    terms.append((deg_x, bottom, outer_sign * coeff))
-    return terms
+            coeffs = expand_monomial(monomial_degree, weight_degree, mat_mul2(poly_transport, m))
+            pieces.append(((m[1][0], m[1][1]), outer_sign, coeffs))
+    return pieces

@@ -220,7 +220,9 @@ class MSPresentation:
     # -- matrix action and Hecke operators -----------------------------------
 
     def act_symbol_raw(self, t: int, delta: Mat2) -> dict[int, int]:
-        """delta . (symbol t) as an integer combination of Manin symbols."""
+        """delta . (symbol t) as an integer combination of Manin symbols;
+        each unimodular piece of the path is looked up in P^1 once, and its
+        coefficients fill the columns of that class, one |P^1| apart."""
         if mat_det(delta) <= 0:
             raise ValueError("action requires positive determinant")
         i, j = divmod(t, self.n_p1)
@@ -230,9 +232,12 @@ class MSPresentation:
         to_pair = (delta[0][0] * a + delta[0][1] * c, delta[1][0] * a + delta[1][1] * c)
         from_pair = (delta[0][0] * b + delta[0][1] * d, delta[1][0] * b + delta[1][1] * d)
         raw: dict[int, int] = {}
-        for deg_x, bottom, coeff in act_path(transport, i, self.degree, from_pair, to_pair):
-            col = deg_x * self.n_p1 + self.p1.index(bottom[0], bottom[1])
-            raw[col] = raw.get(col, 0) + coeff
+        for (u, v), sign, coeffs in act_path(transport, i, self.degree, from_pair, to_pair):
+            col = self.p1.index(u, v)
+            for coeff in coeffs:
+                if coeff:
+                    raw[col] = raw.get(col, 0) + sign * coeff
+                col += self.n_p1
         return raw
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .invariants import check_index
+
 
 @dataclass(frozen=True)
 class QExpansion:
@@ -38,6 +40,7 @@ class QExpansion:
         return self.order() is None
 
     def truncate(self, precision: int) -> "QExpansion":
+        check_index("precision", precision, 0)
         if precision > self.precision:
             raise ValueError(f"cannot extend precision {self.precision} to {precision}")
         return QExpansion(self.coeffs[:precision], self.weight, self.level)

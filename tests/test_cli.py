@@ -319,6 +319,20 @@ def test_basis_prints_the_text_it_caches(tmp_path, capsys, monkeypatch):
     assert code == 0 and out.startswith("MFBASIS v9 1 12 20 1\n")
 
 
+@pytest.mark.parametrize("level,weight,digest", [
+    pytest.param(46, 12, "df511ffed53d3607364d00bf1aa28bd75759fa9f6daecac6af473e0d42f8843a", id="46-12"),
+    pytest.param(29, 28, "4838e34a99bf2a89c3b529077d7e7f5b931d69cf4097ceaa2c061f9f50bb7506", id="29-28",
+                 marks=pytest.mark.slow),
+])
+def test_heavy_basis_output_is_pinned(capsys, level, weight, digest):
+    """`cuspgaps basis` at the Sturm bound of two heavy spaces, byte for
+    byte as the coset-by-coset series pass printed them: (46, 12), the
+    widest basis of the gap tables (d = 64), and (29, 28)."""
+    code, out, _ = run_cli(capsys, "basis", str(level), str(weight))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_mfcache_env_overrides_flag(tmp_path, capsys):
     flagged = tmp_path / "flag"
     forced = tmp_path / "env"

@@ -6,7 +6,7 @@ from itertools import islice
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuspgaps.errors import EngineError, NotInSpanError
@@ -462,10 +462,81 @@ def test_merel_images_are_the_hecke_images(level, weight, precision):
         assert images == [basis_mod._hecke_image_quotient(pres, x, m) for m in range(1, precision + 1)]
 
 
+def _merel_symbol(pres, i):
+    """The Manin symbol [X^i Y^(k-2-i), (0:1)], whose lift is the identity."""
+    return i * pres.n_p1 + pres.p1.index(0, 1)
+
+
+@given(
+    level=st.integers(min_value=1, max_value=30),
+    weight=st.sampled_from(range(6, 17, 2)),
+    precision=st.integers(min_value=1, max_value=25),
+    slot=st.integers(min_value=0, max_value=5),
+)
+@example(level=10, weight=8, precision=25, slot=1)
+@example(level=30, weight=16, precision=12, slot=0)
+@settings(max_examples=60, deadline=None)
+def test_merel_images_take_the_gcd_and_reflection_identities(level, weight, precision, slot):
+    """_merel_images, which sums only the b prime to d, b < d/2, doubles
+    that sum and scales R_(d/g) by g^i, gives T_m x coset by coset for the
+    Merel symbol x of the slot-th even 0 < i < k-2 (cyclically) and every
+    m <= B, also where gcd(a, N) > 1 drops some a from T_m (N = 10 and 30
+    drop 2, 3 or 5).  Dropping the factor 2 breaks it from B = 3, and
+    dropping g^i from B = 2 (S_2 = R_2 + 2^i R_1), wherever R_1 or the
+    reflected R_d does not vanish."""
+    from cuspgaps.msengine import basis as basis_mod
+
+    pres = build_presentation(level, weight)
+    exponents = range(2, weight - 2, 2)
+    i = exponents[slot % len(exponents)]
+    x = {_merel_symbol(pres, i): 1}
+    want = [basis_mod._hecke_image_quotient(pres, x, m) for m in range(1, precision + 1)]
+    assert basis_mod._merel_images(pres, x, i, precision) == want
+
+
+@pytest.mark.parametrize("level,weight", [(1, 12), (10, 8), (19, 16), (30, 6)])
+def test_act_symbol_raw_gcd_identity(level, weight):
+    """(1, g b; 0, g d) . x = g^i (1, b; 0, d) . x as raw dicts, key by key,
+    for a Merel symbol x = [X^i Y^(k-2-i), (0:1)]: the polynomial transport
+    carries g^i and the path {g b / g d, oo} is {b/d, oo}."""
+    pres = build_presentation(level, weight)
+    for i in range(2, weight - 2, 2):
+        t = _merel_symbol(pres, i)
+        for d in range(1, 13):
+            for b in range(d):
+                g = gcd(b, d)
+                reduced = pres.act_symbol_raw(t, ((1, b // g), (0, d // g)))
+                assert pres.act_symbol_raw(t, ((1, b), (0, d))) == {
+                    col: g**i * c for col, c in reduced.items()
+                }, (i, b, d)
+
+
+@pytest.mark.parametrize("level,weight", [(1, 12), (10, 8), (19, 16), (30, 6), (23, 12)])
+def test_reflection_identity_holds_in_the_plus_quotient(level, weight):
+    """(1, b; 0, d) . x and (1, d - b; 0, d) . x reduce to one vector of
+    the plus quotient for a Merel symbol x and b prime to d >= 3, since
+    (1, d - b; 0, d) = (1, 1; 0, 1) eta (1, b; 0, d) eta with
+    eta = (-1, 0; 0, 1) fixing x; their raw symbols differ."""
+    pres = build_presentation(level, weight)
+    raw_differs = False
+    for i in range(2, weight - 2, 2):
+        t = _merel_symbol(pres, i)
+        for d in range(3, 20):
+            for b in range(1, d):
+                if gcd(b, d) == 1:
+                    left = pres.act_symbol_raw(t, ((1, b), (0, d)))
+                    right = pres.act_symbol_raw(t, ((1, d - b), (0, d)))
+                    raw_differs |= left != right
+                    assert pres.raw_to_quotient(left) == pres.raw_to_quotient(right), (i, b, d)
+    assert raw_differs
+
+
 def test_series_pass_acts_once_per_coset_sum(monkeypatch):
     """At (19, 16, 37) one Merel symbol reaches rank 24, and its images
-    take one action per (1, b; 0, d), d <= 37: 37 * 38 / 2 = 703, where
-    T_1, ..., T_37 coset by coset took 1135."""
+    take one action per (1, b; 0, d) with d <= 37, b prime to d and, for
+    d >= 3, 0 < b < d/2: 2 + sum_(3 <= d <= 37) phi(d)/2 = 217, where
+    every b < d took 37 * 38 / 2 = 703 and T_1, ..., T_37 coset by coset
+    took 1135."""
     from cuspgaps.msengine import basis as basis_mod
     from cuspgaps.msengine.presentation import MSPresentation
 
@@ -473,7 +544,8 @@ def test_series_pass_acts_once_per_coset_sum(monkeypatch):
     real = MSPresentation.act_symbol_raw
     monkeypatch.setattr(MSPresentation, "act_symbol_raw", lambda *a: calls.append(a) or real(*a))
     basis_mod._independent_series.__wrapped__(19, 16, 37)
-    assert len(calls) == 703
+    phi = [sum(gcd(b, d) == 1 for b in range(d)) for d in range(3, 38)]
+    assert len(calls) == 2 + sum(phi) // 2 == 217
 
 
 # -- Hecke eigenvalues and relations ------------------------------------------------

@@ -33,6 +33,17 @@ def test_truncate_and_agrees():
         t.truncate(5)
 
 
+@pytest.mark.parametrize("precision", [-1, -4, 2.5, 2.0, True, "2", None])
+def test_truncate_rejects_what_is_not_a_precision(precision):
+    """A precision must be an integer >= 0: a negative one used to slice
+    from the end (truncate(-1) kept the first B - 1 coefficients), and a
+    float or string raised a bare TypeError from the slice."""
+    f = QExpansion((1, 2, 3, 4), 2, 11)
+    with pytest.raises(ValueError, match="precision must be an integer >= 0"):
+        f.truncate(precision)
+    assert f.truncate(0).coeffs == ()
+
+
 def test_fraction_coefficients():
     f = QExpansion((Fraction(1, 2), 1), 2, 1)
     assert f.coefficient(1) == Fraction(1, 2)
