@@ -11,12 +11,17 @@ and the resulting path is re-expressed in Manin symbols through the
 continued-fraction (Manin trick) decomposition of each endpoint.  All
 polynomial transport happens by composing 2x2 integer matrices first, so
 every expansion is a single monomial substitution with integer output.
+
+That substitution, (aX + bY)^i (cX + dY)^(deg-i), is one big-integer
+product (Kronecker substitution): at X = 2^s, Y = 1 it is sum_j e_j 2^(sj)
+over its coefficients e_j, and |e_j| <= M = (|a|+|b|)^i (|c|+|d|)^(deg-i).
+With 2^(s-1) > M, adding 2^(s-1) to every digit puts each in [0, 2^s), so
+the e_j are read off as plain s-bit pieces, without carries.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -36,43 +41,19 @@ def mat_det(m: Mat2) -> int:
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
-@lru_cache(maxsize=None)
-def _binomials(n: int) -> tuple:
-    row = [1]
-    rows = [tuple(row)]
-    for _ in range(n):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def _binomial_terms(row: tuple, x: int, y: int) -> list[int]:
-    """The terms row[j] x^j y^(n-j), j = 0..n, of (xX + yY)^n for its
-    binomial row (n = len(row) - 1), with the powers as running products."""
-    out = list(row)
-    p = 1
-    for j in range(len(out)):
-        out[j] *= p
-        p *= x
-    p = 1
-    for j in range(len(out) - 1, -1, -1):
-        out[j] *= p
-        p *= y
-    return out
-
-
 def expand_monomial(i: int, deg: int, m: Mat2) -> list[int]:
     """Coefficients (by X-degree 0..deg) of (aX+bY)^i (cX+dY)^(deg-i),
-    i.e. of X^i Y^(deg-i) | m."""
+    i.e. of X^i Y^(deg-i) | m, as the s-bit digits of its value at
+    X = 2^s, Y = 1 (see the module docstring)."""
     (a, b), (c, d) = m
-    binom = _binomials(deg)
-    second = _binomial_terms(binom[deg - i], c, d)
-    out = [0] * (deg + 1)
-    for j1, x in enumerate(_binomial_terms(binom[i], a, b)):
-        if x:
-            for j, y in enumerate(second, j1):
-                if y:
-                    out[j] += x * y
+    s = ((abs(a) + abs(b)) ** i * (abs(c) + abs(d)) ** (deg - i)).bit_length() + 1
+    mask, half = (1 << s) - 1, 1 << (s - 1)
+    v = ((a << s) + b) ** i * ((c << s) + d) ** (deg - i)
+    v += half * ((1 << s * (deg + 1)) - 1) // mask  # 2^(s-1) on every digit
+    out = []
+    for _ in range(deg + 1):
+        out.append((v & mask) - half)
+        v >>= s
     return out
 
 

@@ -152,13 +152,12 @@ class SpaceBasis:
 def _coset_image(pres: MSPresentation, x: dict, cosets) -> list[int]:
     """The sum of (a, b; 0, d) . x over the coset data (a, b, d), for the
     integer combination x = {Manin symbol: coefficient}, in generator
-    coordinates scaled by the presentation's denominator D: the coset
-    images are summed as raw symbols and reduced into the quotient once."""
+    coordinates scaled by the presentation's denominator D: all coset
+    images go into one dict of raw symbols, reduced into the quotient once."""
     raw: dict = {}
     for a, b, d in cosets:
         for t, c in x.items():
-            for col, cf in pres.act_symbol_raw(t, ((a, b), (0, d))).items():
-                raw[col] = raw.get(col, 0) + c * cf
+            pres.act_symbol_raw(t, ((a, b), (0, d)), raw, c)
     return pres.raw_to_quotient(raw)
 
 

@@ -21,9 +21,10 @@ class per orbit {j, j.tau, j.tau^2}: tau^3 = I, so the relation of
 [P|tau, j.tau] is that of [P, j], and as P runs over the polynomials of
 degree k-2 so does P|tau; the classes j.tau and j.tau^2 add no relation,
 and the row space, hence its integral RREF, is the one every class
-gives.  The relations are eliminated by exact
-integer echelon reduction; each pivot column is stored as an integer row
-over the free columns (the generators), scaled by one common denominator D
+gives.  The relations are eliminated by exact integer echelon
+reduction, skipping each row that the folds made a multiple of a row
+already added; each pivot column is stored as an integer row over the
+free columns (the generators), scaled by one common denominator D
 (the `denominator` attribute), the lcm of the leads of the primitive
 integer RREF rows.  Reducing a combination of symbols into the quotient
 therefore sums integers only: raw_to_quotient returns the integer vector
@@ -45,7 +46,7 @@ from math import gcd, lcm
 from ..arith import xgcd
 from ..errors import EngineError
 from ..invariants import check_index, check_level, check_weight, cusp_dim
-from ..linalg import Echelonizer, kernel_basis
+from ..linalg import Echelonizer, kernel_basis, make_primitive
 from .action import Mat2, act_path, expand_monomial, mat_adjugate, mat_det, mat_mul2
 from .p1 import P1, p1_space
 
@@ -129,8 +130,12 @@ class MSPresentation:
                 live_roots.append(t)
         width = len(live_roots)
 
-        # the three-term relations of one class per tau-orbit, its least
+        # the three-term relations of one class per tau-orbit, its least;
+        # a row whose primitive form was added before is a multiple of that
+        # row, so dependent, and is skipped.  The folds make many such rows,
+        # mostly the row of X^(deg-i) at another class: 40 of 118 at (19, 16)
         ech = Echelonizer(width)
+        added = set()
         seen = [False] * n_p1
         for j in range(n_p1):
             if seen[j]:
@@ -145,7 +150,9 @@ class MSPresentation:
                     if fold[sym] is not None:
                         col, s = fold[sym]
                         row[col] += s * coeff
-                if any(row):
+                key = tuple(make_primitive(row))
+                if any(key) and key not in added:
+                    added.add(key)
                     ech.add(row)
 
         pivots = ech.pivots()
@@ -219,25 +226,26 @@ class MSPresentation:
 
     # -- matrix action and Hecke operators -----------------------------------
 
-    def act_symbol_raw(self, t: int, delta: Mat2) -> dict[int, int]:
-        """delta . (symbol t) as an integer combination of Manin symbols;
+    def act_symbol_raw(self, t: int, delta: Mat2, raw: dict | None = None, scale: int = 1) -> dict:
+        """Add scale * (delta . symbol t), an integer combination of Manin
+        symbols, into the dict raw (a new one by default) and return it;
         each unimodular piece of the path is looked up in P^1 once, and its
         coefficients fill the columns of that class, one |P^1| apart."""
         if mat_det(delta) <= 0:
             raise ValueError("action requires positive determinant")
+        raw = {} if raw is None else raw
         i, j = divmod(t, self.n_p1)
         (a, b), (c, d) = self._lifts[j]
         g_inv: Mat2 = ((d, -b), (-c, a))
         transport = mat_mul2(g_inv, mat_adjugate(delta))
         to_pair = (delta[0][0] * a + delta[0][1] * c, delta[1][0] * a + delta[1][1] * c)
         from_pair = (delta[0][0] * b + delta[0][1] * d, delta[1][0] * b + delta[1][1] * d)
-        raw: dict[int, int] = {}
+        get = raw.get
         for (u, v), sign, coeffs in act_path(transport, i, self.degree, from_pair, to_pair):
-            col = self.p1.index(u, v)
-            for coeff in coeffs:
+            sign *= scale
+            for col, coeff in zip(range(self.p1.index(u, v), self.ncols, self.n_p1), coeffs):
                 if coeff:
-                    raw[col] = raw.get(col, 0) + sign * coeff
-                col += self.n_p1
+                    raw[col] = get(col, 0) + sign * coeff
         return raw
 
 

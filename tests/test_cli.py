@@ -323,11 +323,15 @@ def test_basis_prints_the_text_it_caches(tmp_path, capsys, monkeypatch):
     pytest.param(46, 12, "df511ffed53d3607364d00bf1aa28bd75759fa9f6daecac6af473e0d42f8843a", id="46-12"),
     pytest.param(29, 28, "4838e34a99bf2a89c3b529077d7e7f5b931d69cf4097ceaa2c061f9f50bb7506", id="29-28",
                  marks=pytest.mark.slow),
+    pytest.param(37, 2, "dbf3af0cba7f3ae8e3ffa046dbc6c00bb0435d921cf6a4a344173e0300946e82", id="37-2"),
+    pytest.param(14, 4, "3cc47266067474356c8eb39d76a0bb849fd7fd3034b0e10f921d74b2959cc17b", id="14-4"),
 ])
 def test_heavy_basis_output_is_pinned(capsys, level, weight, digest):
     """`cuspgaps basis` at the Sturm bound of two heavy spaces, byte for
     byte as the coset-by-coset series pass printed them: (46, 12), the
-    widest basis of the gap tables (d = 64), and (29, 28)."""
+    widest basis of the gap tables (d = 64), and (29, 28).  Also (37, 2)
+    and (14, 4): weights 2 and 4 have no Merel symbols, so every series
+    there comes from a cuspidal kernel vector, coset by coset."""
     code, out, _ = run_cli(capsys, "basis", str(level), str(weight))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

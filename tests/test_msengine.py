@@ -3,7 +3,7 @@
 import dataclasses
 from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -288,7 +288,8 @@ def test_one_class_per_tau_orbit_gives_the_all_class_quotient(level, weight):
 def test_quotient_echelonizes_one_class_per_tau_orbit(monkeypatch):
     """At (19, 16) the 20 classes of P^1 form 8 tau-orbits (two of them
     fixed points), so 8 * 15 = 120 three-term rows are formed, not 300;
-    two of them fold to zero, and 118 reach the echelon, not 294."""
+    two of them fold to zero and 40 are multiples of rows added before, so
+    78 reach the echelon, not 294."""
     from cuspgaps.linalg import Echelonizer
     from cuspgaps.msengine import presentation
 
@@ -301,7 +302,42 @@ def test_quotient_echelonizes_one_class_per_tau_orbit(monkeypatch):
 
     monkeypatch.setattr(presentation, "Echelonizer", Counting)
     presentation.MSPresentation(19, 16)
-    assert len(added) == 118
+    assert len(added) == 78
+
+
+@pytest.mark.parametrize(
+    "spaces",
+    [RELATION_SPACES] + [[(level, weight) for level in range(1, 61)] for weight in (2, 4, 6)],
+    ids=["relation-spaces", "k2-N60", "k4-N60", "k6-N60"],
+)
+def test_skipping_repeated_relation_rows_changes_no_field(spaces, monkeypatch):
+    """_build_quotient skips a three-term row whose primitive form it has
+    added before.  With that skip defeated (every row gets a fresh key),
+    every row reaches the echelon, and the fold, free columns, pivot rows,
+    denominator and generators come out the same."""
+    from itertools import count
+
+    from cuspgaps.linalg import Echelonizer
+    from cuspgaps.msengine import presentation
+
+    added = []
+
+    class Counting(Echelonizer):
+        def add(self, row):
+            added.append(row)
+            return super().add(row)
+
+    def fields(pres):
+        return pres._fold, pres._free_cols, pres._pivot_rows, pres.denominator, pres.generators
+
+    monkeypatch.setattr(presentation, "Echelonizer", Counting)
+    skipping = [fields(presentation.MSPresentation(*space)) for space in spaces]
+    skipping_rows = len(added)
+    fresh = count(1)
+    monkeypatch.setattr(presentation, "make_primitive", lambda row: [next(fresh)])
+    added.clear()
+    assert [fields(presentation.MSPresentation(*space)) for space in spaces] == skipping
+    assert len(added) > skipping_rows
 
 
 @pytest.mark.parametrize("level,weight", RELATION_SPACES)
@@ -364,6 +400,40 @@ def test_cuspidal_basis_is_primitive_integral(level, weight):
 
 # -- the action -------------------------------------------------------------------
 
+def _binomial_expansion(i, deg, m):
+    """Reference for expand_monomial: the binomial expansions of
+    (aX + bY)^i and (cX + dY)^(deg-i), by X-degree, convolved."""
+    (a, b), (c, d) = m
+    first = [comb(i, j) * a**j * b ** (i - j) for j in range(i + 1)]
+    second = [comb(deg - i, j) * c**j * d ** (deg - i - j) for j in range(deg - i + 1)]
+    out = [0] * (deg + 1)
+    for j1, x in enumerate(first):
+        for j2, y in enumerate(second):
+            out[j1 + j2] += x * y
+    return out
+
+
+wide = st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40))
+
+
+@given(
+    st.integers(0, 26).flatmap(lambda deg: st.tuples(st.just(deg), st.integers(0, deg))),
+    st.tuples(st.tuples(wide, wide), st.tuples(wide, wide)),
+)
+@example(degree_i=(0, 0), m=((0, 0), (0, 0)))
+@example(degree_i=(26, 13), m=((0, 0), (2**40, -(2**40))))
+@example(degree_i=(26, 26), m=((-(2**40), 2**40 - 1), (0, 1)))
+@example(degree_i=(14, 3), m=((1, -1), (-1, 0)))
+@settings(max_examples=300, deadline=None)
+def test_expand_monomial_is_the_binomial_convolution(degree_i, m):
+    """The Kronecker substitution decodes exactly the coefficients that the
+    binomial expansion gives, for zero, negative and 41-bit entries."""
+    from cuspgaps.msengine.action import expand_monomial
+
+    deg, i = degree_i
+    assert expand_monomial(i, deg, m) == _binomial_expansion(i, deg, m)
+
+
 def _act(pres, vec, delta):
     """delta . (integer vector in generator coordinates), in generator
     coordinates scaled by D: the raw images of the generators under
@@ -374,6 +444,30 @@ def _act(pres, vec, delta):
             for col, c in pres.act_symbol_raw(t, delta).items():
                 raw[col] = raw.get(col, 0) + val * c
     return pres.raw_to_quotient(raw)
+
+
+small = st.integers(-12, 12)
+
+
+@given(st.sampled_from(RELATION_SPACES + [(30, 6), (46, 2)]), st.data())
+@settings(max_examples=80, deadline=None)
+def test_act_symbol_raw_accumulates_into_the_callers_dict(space, data):
+    """act_symbol_raw(t, delta, raw, scale) adds scale * (delta . t) into
+    raw, as merging the dict act_symbol_raw(t, delta) into raw term by term
+    does, and returns raw itself."""
+    from hypothesis import assume
+
+    pres = build_presentation(*space)
+    t = data.draw(st.integers(0, pres.ncols - 1), label="t")
+    delta = data.draw(st.tuples(st.tuples(small, small), st.tuples(small, small)), label="delta")
+    assume(delta[0][0] * delta[1][1] - delta[0][1] * delta[1][0] > 0)
+    scale = data.draw(st.integers(-7, 7), label="scale")
+    raw = data.draw(st.dictionaries(st.integers(0, pres.ncols - 1), st.integers(-9, 9), max_size=10))
+    merged = dict(raw)
+    for col, c in pres.act_symbol_raw(t, delta).items():
+        merged[col] = merged.get(col, 0) + scale * c
+    assert pres.act_symbol_raw(t, delta, raw, scale) is raw
+    assert raw == merged
 
 
 def test_act_identity():
