@@ -44,9 +44,9 @@ def primes_up_to(n: int) -> list[int]:
     return [i for i, v in enumerate(sieve) if v]
 
 
-@lru_cache(maxsize=None)
-def factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as a tuple of (p, e) pairs."""
+def trial_factor(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n >= 1 as a tuple of (p, e) pairs, by trial
+    division; uncached, for numbers that are factored once."""
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     out = []
@@ -70,6 +70,12 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     if n > 1:
         out.append((n, 1))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """trial_factor(n), cached for numbers that are factored again and again."""
+    return trial_factor(n)
 
 
 def divisors(n: int) -> list[int]:

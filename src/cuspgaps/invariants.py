@@ -5,22 +5,27 @@ exact arithmetic (integers and Fractions, never floats).  Levels are plain
 positive ints and weights are plain positive even ints; ``check_level`` and
 ``check_weight`` enforce the contracts at every public entry point.  The
 per-level terms of the dimension formula, (g - 1, eps2, eps3, eps_inf), are
-cached as one tuple per level, ``_dimension_terms``.
+computed in one pass over one uncached factorization and cached as one tuple
+per level, ``_dimension_terms``; eps2, eps3, eps_inf and genus read it.  A
+scan reads the terms of each pN once, so it leaves no other per-pN entry
+behind: neither ``index`` nor the cached ``factorize`` sees pN.
 
 The case analysis of (N, k, p) is carried in integer twelfths and, but for
 the term K I(N) of the order bound (K = (k-1)p + 1), depends on p only
 through r = p mod 12: K mod 12 = ((k-1) r + 1) mod 12 selects the alpha
 pair, and since the elliptic counts are multiplicative over coprime levels,
 eps2(pN) = eps2(N) (1 + (-4/p)) and eps3(pN) = eps3(N) (1 + (-3/p)), where
-(-4/.) and (-3/.) are characters mod 4 and mod 3.  One cached core,
+(-4/.) and (-3/.) are characters mod 4 and mod 3.  One uncached core,
 ``_residue_core(N, k, r)``, evaluates the master LHS, the alpha pair, the
-quadrant and the reduced certificate once per residue class.  One evaluator,
-``_classify_level(N, k, primes)``, builds every CaseReport: per triple only
-the order bound and dim S_k(pN) remain, and the dimension is read from the
-terms of pN's own factorization, so the reduction identity checks the
-residue formula.  It trusts its arguments: ``classify_triple`` validates
-its one triple, and ``scan_triples`` validates its ScanConfig once and
-generates only admissible triples, none of them checked one by one.
+quadrant and the reduced certificate of a residue class; a scan evaluates it
+once per (N, k, p mod 12) and keeps it only while it classifies that
+(N, k).  One evaluator, ``_classify_level(N, k, primes)``, builds every
+CaseReport: per triple only the order bound and dim S_k(pN) remain, and the
+dimension is read from the terms of pN's own factorization, so the
+reduction identity checks the residue formula.  It trusts its arguments:
+``classify_triple`` validates its one triple, and ``scan_triples``
+validates its ScanConfig once and generates only admissible triples, none
+of them checked one by one.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterator
 
-from .arith import factorize, is_prime, kronecker_minus3, kronecker_minus4, primes_up_to
+from .arith import factorize, is_prime, kronecker_minus3, kronecker_minus4, primes_up_to, trial_factor
 from .errors import EngineError
 
 
@@ -84,44 +89,25 @@ def index(level: int) -> int:
     return out
 
 
-def eps2(level: int) -> int:
-    """Number of elliptic points of order 2 on X_0(N)."""
-    check_level(level)
-    if level % 4 == 0:
-        return 0
-    out = 1
-    for p, _ in factorize(level):
-        out *= 1 + kronecker_minus4(p)
-    return out
-
-
-def eps3(level: int) -> int:
-    """Number of elliptic points of order 3 on X_0(N)."""
-    check_level(level)
-    if level % 9 == 0:
-        return 0
-    out = 1
-    for p, _ in factorize(level):
-        out *= 1 + kronecker_minus3(p)
-    return out
-
-
-def eps_inf(level: int) -> int:
-    """Number of cusps of X_0(N): sum over d|N of phi(gcd(d, N/d)), which is
-    multiplicative, so prod over p^e || N of sum_{i=0..e} phi(p^min(i, e-i))."""
-    check_level(level)
-    out = 1
-    for p, e in factorize(level):
-        out *= sum((p - 1) * p ** (min(i, e - i) - 1) if 0 < i < e else 1 for i in range(e + 1))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _dimension_terms(level: int) -> tuple[int, int, int, int]:
     """(g - 1, eps2, eps3, eps_inf) of X_0(N), the level's terms in the
-    dimension formula, with the genus g = I/12 - eps_inf/2 - eps2/4 - eps3/3 + 1."""
-    e2, e3, ei = eps2(level), eps3(level), eps_inf(level)
-    g12 = index(level) - 6 * ei - 3 * e2 - 4 * e3 + 12
+    dimension formula, from one uncached factorization:
+
+        I = N prod (1 + 1/p),  eps2 = prod (1 + (-4/p)) unless 4 | N,
+        eps3 = prod (1 + (-3/p)) unless 9 | N,
+        eps_inf = sum_{d|N} phi(gcd(d, N/d)) = prod_{p^e || N} sum_{i=0..e} phi(p^min(i, e-i)),
+
+    and the genus g = I/12 - eps_inf/2 - eps2/4 - eps3/3 + 1."""
+    i, ei = level, 1
+    e2 = 0 if level % 4 == 0 else 1
+    e3 = 0 if level % 9 == 0 else 1
+    for p, e in trial_factor(level):
+        i = i // p * (p + 1)
+        e2 *= 1 + kronecker_minus4(p)
+        e3 *= 1 + kronecker_minus3(p)
+        ei *= sum((p - 1) * p ** (min(j, e - j) - 1) if 0 < j < e else 1 for j in range(e + 1))
+    g12 = i - 6 * ei - 3 * e2 - 4 * e3 + 12
     if g12 % 12 or g12 < 0:
         raise EngineError(
             f"genus formula gave non-integral or negative value {Fraction(g12, 12)} at level {level}"
@@ -129,10 +115,24 @@ def _dimension_terms(level: int) -> tuple[int, int, int, int]:
     return g12 // 12 - 1, e2, e3, ei
 
 
+def eps2(level: int) -> int:
+    """Number of elliptic points of order 2 on X_0(N)."""
+    return _dimension_terms(check_level(level))[1]
+
+
+def eps3(level: int) -> int:
+    """Number of elliptic points of order 3 on X_0(N)."""
+    return _dimension_terms(check_level(level))[2]
+
+
+def eps_inf(level: int) -> int:
+    """Number of cusps of X_0(N)."""
+    return _dimension_terms(check_level(level))[3]
+
+
 def genus(level: int) -> int:
     """Genus of X_0(N)."""
-    check_level(level)
-    return _dimension_terms(level)[0] + 1
+    return _dimension_terms(check_level(level))[0] + 1
 
 
 @dataclass(frozen=True)
@@ -300,7 +300,6 @@ _RESIDUE_FIELDS = (
 )
 
 
-@lru_cache(maxsize=None)
 def _residue_core(level: int, weight: int, r: int) -> tuple[int, int, int, tuple]:
     """The case analysis of every (N, k, p) with p == r mod 12, p >= 5 prime
     to N: (I(N), tail12, 12 * master LHS, the values of _RESIDUE_FIELDS).
@@ -385,11 +384,12 @@ def _classify_level(level: int, weight: int, primes) -> Iterator[CaseReport]:
     only place a report is built.  The caller has validated N, k >= 4 and
     every p as admissible.
 
-    The residue core is read once per p mod 12; per p remain K, 12 * the
-    order bound and dim S_k(pN), the latter from the cached terms of pN's
-    own factorization.  Each report's instance dict is filled by one update,
-    which skips the frozen __init__'s object.__setattr__ per field; pairs,
-    unlike a dict, keep it in the class's compact shared-key form."""
+    The residue core is evaluated once per p mod 12 present and held only
+    for this call; per p remain K, 12 * the order bound and dim S_k(pN), the
+    latter from the terms of pN's own factorization, never from the core's
+    (1 + (-4/r)) shortcut.  Each report's instance dict is filled by one
+    update, which skips the frozen __init__'s object.__setattr__ per field;
+    pairs, unlike a dict, keep it in the class's compact shared-key form."""
     k = weight
     i = index(level)
     cores = {}

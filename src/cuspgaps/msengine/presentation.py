@@ -136,6 +136,9 @@ class MSPresentation:
         # mostly the row of X^(deg-i) at another class: 40 of 118 at (19, 16)
         ech = Echelonizer(width)
         added = set()
+        # X^i Y^(deg-i) under tau and tau^2, which depend on i alone
+        images = [(expand_monomial(i, deg, TAU), expand_monomial(i, deg, TAU2))
+                  for i in range(deg + 1)]
         seen = [False] * n_p1
         for j in range(n_p1):
             if seen[j]:
@@ -144,9 +147,9 @@ class MSPresentation:
             j_tau = self.p1.index(d, -c - d)
             j_tau2 = self.p1.index(-c - d, c)
             seen[j] = seen[j_tau] = seen[j_tau2] = True
-            for i in range(deg + 1):
+            for i, (by_tau, by_tau2) in enumerate(images):
                 row = [0] * width
-                for sym, coeff in self._three_term(i * n_p1 + j, i, j_tau, j_tau2):
+                for sym, coeff in self._three_term(i * n_p1 + j, by_tau, j_tau, by_tau2, j_tau2):
                     if fold[sym] is not None:
                         col, s = fold[sym]
                         row[col] += s * coeff
@@ -170,11 +173,12 @@ class MSPresentation:
         self.generators = [live_roots[c] for c in free_cols]  # root symbol per generator
         self.dimension = len(free_cols)
 
-    def _three_term(self, t: int, i: int, j_tau: int, j_tau2: int):
-        """Terms of x + x.tau + x.tau^2 for the monomial symbol t."""
+    def _three_term(self, t: int, by_tau: list[int], j_tau: int, by_tau2: list[int], j_tau2: int):
+        """Terms of x + x.tau + x.tau^2 for the monomial symbol t, given the
+        expansions of its monomial under tau and tau^2 and its class's images."""
         yield t, 1
-        for poly, jj in ((TAU, j_tau), (TAU2, j_tau2)):
-            for dx, coeff in enumerate(expand_monomial(i, self.degree, poly)):
+        for coeffs, jj in ((by_tau, j_tau), (by_tau2, j_tau2)):
+            for dx, coeff in enumerate(coeffs):
                 if coeff:
                     yield dx * self.n_p1 + jj, coeff
 

@@ -10,6 +10,7 @@ from cuspgaps.arith import (
     factorize,
     is_prime,
     primes_up_to,
+    trial_factor,
     xgcd,
 )
 from test_invariants import euler_phi
@@ -31,6 +32,7 @@ def test_factorize_roundtrip(n):
         assert is_prime(p)
         prod *= p**e
     assert prod == n
+    assert trial_factor(n) == factorize(n)
 
 
 def test_primes_up_to():

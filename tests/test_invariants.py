@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -478,15 +479,41 @@ def test_eps_inf_is_the_divisor_sum():
         assert inv.eps_inf(n) == want, n
 
 
-def test_residue_cache_is_per_residue_class():
-    """A scan fills the core once per (N, k, p mod 12), at most four
-    residues per (N, k), and dim S_k(pN) is not cached."""
-    inv._residue_core.cache_clear()
-    config = inv.ScanConfig(kmin=4, kmax=8, nmax=30, pmax=97)
-    total = sum(1 for _ in inv.scan_triples(config))
-    info = inv._residue_core.cache_info()
-    assert info.misses == info.currsize <= 4 * 30 * 3 < total
+def test_residue_cache_is_per_residue_class(monkeypatch):
+    """The core is not cached: a scan evaluates it once per (N, k, p mod 12)
+    present, at most four residues per (N, k), and dim S_k(pN) is not
+    cached either."""
+    calls = Counter()
+    core = inv._residue_core
+
+    def counting(level, weight, r):
+        calls[level, weight, r] += 1
+        return core(level, weight, r)
+
+    monkeypatch.setattr(inv, "_residue_core", counting)
+    reports = list(inv.scan_triples(inv.ScanConfig(kmin=4, kmax=8, nmax=30, pmax=97)))
+    assert set(calls) == {(r.level, r.weight, r.prime % 12) for r in reports}
+    assert set(calls.values()) == {1}
+    assert max(Counter((n, k) for n, k, _ in calls).values()) <= 4
+    assert len(calls) <= 4 * 30 * 3 < len(reports)
+    assert not hasattr(core, "cache_info")
     assert not hasattr(inv.cusp_dim, "cache_info")
+
+
+def test_scan_leaves_no_per_pn_cache_entries(cold_level_caches):
+    """A scan caches the dimension terms of each level it touches, N and pN,
+    once; index and the cached factorize see the levels N <= nmax only."""
+    config = inv.ScanConfig(kmax=8, nmax=60, pmax=97)
+    reports = list(inv.scan_triples(config))
+    levels = set(range(1, config.nmax + 1)) | {r.prime * r.level for r in reports}
+    terms = inv._dimension_terms.cache_info()
+    assert terms.currsize == terms.misses == len(levels)
+    for cache in (inv.index, inv.factorize):
+        assert cache.cache_info().currsize == config.nmax
+        # the entries are the levels N <= nmax: looking them all up adds none
+        for n in range(1, config.nmax + 1):
+            cache(n)
+        assert cache.cache_info().currsize == config.nmax
 
 
 def test_scan_validates_when_called():
@@ -562,7 +589,7 @@ def test_scan_validates_no_triple(monkeypatch):
 @pytest.fixture
 def cold_level_caches():
     """Empty per-level caches, emptied again after the test patched them."""
-    caches = (inv._dimension_terms, inv._residue_core)
+    caches = (inv._dimension_terms, inv.index, inv.factorize)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -574,9 +601,9 @@ def test_scan_keeps_the_dimension_guards(monkeypatch, cold_level_caches):
     """The genus and dim S_k(pN) EngineErrors still guard every pN a scan
     touches, with the triples unchecked."""
     box = inv.ScanConfig(kmin=12, kmax=12, nmax=1, pmax=13)
-    eps_inf = inv.eps_inf
-    # one cusp too many at every level pN > 1 makes 12 g non-integral there
-    monkeypatch.setattr(inv, "eps_inf", lambda level: eps_inf(level) + (level > 1))
+    # four order-2 elliptic points at 13, not 1 + (-4/13) = 2, make 12 g = -6
+    # there; the residue core reads the character only at p mod 12 = 1
+    monkeypatch.setattr(inv, "kronecker_minus4", lambda p: 3 if p == 13 else kronecker_minus4(p))
     with pytest.raises(EngineError, match="^genus formula gave non-integral or negative value -1/2 at level 13$"):
         list(inv.scan_triples(box))
     monkeypatch.setattr(inv, "_dimension_terms", lambda level: (-1, 0, 0, 0))
