@@ -101,7 +101,7 @@ def _parse_basis(path: Path) -> SpaceBasis:
         if len(coeffs) != precision:
             raise EngineError(f"cache row has {len(coeffs)} coefficients, header says {precision}")
         rows.append(QExpansion(coeffs, weight, level))
-        pivot = next((i + 1 for i, c in enumerate(coeffs) if c), None)
+        pivot = rows[-1].order()
         if pivot is None:
             raise EngineError("cache row is identically zero")
         pivots.append(pivot)

@@ -97,18 +97,21 @@ def cmd_wdim(args) -> int:
     return 0
 
 
+# verify subcommand -> (its positional arguments, the verifier they are passed to)
+_VERIFY = {
+    "theorem": (("level", "weight", "prime"), gaps_mod.verify_order_bound),
+    "cor-subspace": (("level", "weight", "prime"), gaps_mod.verify_gap_dimension_bound),
+    "cor-analogue": (("level", "weight", "prime"), gaps_mod.verify_vanishing_analogue),
+    "ogg": (("level", "prime"), gaps_mod.verify_weight2_nonweierstrass),
+    "examples": ((), gaps_mod.verify_reference_examples),
+}
+
+
 def cmd_verify(args) -> int:
-    reports = []
-    if args.what == "theorem":
-        reports = [gaps_mod.verify_order_bound(args.level, args.weight, args.prime)]
-    elif args.what == "cor-subspace":
-        reports = [gaps_mod.verify_gap_dimension_bound(args.level, args.weight, args.prime)]
-    elif args.what == "cor-analogue":
-        reports = [gaps_mod.verify_vanishing_analogue(args.level, args.weight, args.prime)]
-    elif args.what == "ogg":
-        reports = [gaps_mod.verify_weight2_nonweierstrass(args.level, args.prime)]
-    elif args.what == "examples":
-        reports = gaps_mod.verify_reference_examples()
+    names, verifier = _VERIFY[args.what]
+    reports = verifier(*(getattr(args, name) for name in names))
+    if not isinstance(reports, list):
+        reports = [reports]
     for rep in reports:
         _print_json(rep.as_dict())
         for check in rep.checks:
@@ -168,20 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification and emit a JSON report")
     vsub = p.add_subparsers(dest="what", required=True)
-    for name, with_weight in (
-        ("theorem", True),
-        ("cor-subspace", True),
-        ("cor-analogue", True),
-        ("ogg", False),
-    ):
+    for name, (arguments, _) in _VERIFY.items():
         vp = vsub.add_parser(name)
-        vp.add_argument("level", type=int)
-        if with_weight:
-            vp.add_argument("weight", type=int)
-        vp.add_argument("prime", type=int)
+        for argument in arguments:
+            vp.add_argument(argument, type=int)
         vp.set_defaults(func=cmd_verify)
-    vp = vsub.add_parser("examples")
-    vp.set_defaults(func=cmd_verify)
     return parser
 
 

@@ -25,7 +25,7 @@ from .arith import is_prime
 from .heckeops import build_operator_stack, coefficient_valuation, normalize_p
 from .invariants import (
     check_level,
-    check_odd_prime,
+    check_triple,
     check_weight,
     cusp_dim,
     genus,
@@ -113,9 +113,7 @@ def verify_order_bound(level: int, weight: int, p: int) -> VerificationReport:
     v_p(f) = 0 and v_p(f|W_p) >= 1 - k/2, and the largest order of
     vanishing attained on S is at most the sharp bound, which is at most
     dim S_k(pN).  Also certifies S intersect W_k(pN) = 0."""
-    check_level(level)
-    check_weight(weight)
-    check_odd_prime(level, p)
+    check_triple(level, weight, p)
     stack = build_operator_stack(level, weight, p)
     dim_pn = stack.ambient.dimension
     bound = vanishing_order_bound(level, weight, p)
@@ -201,9 +199,7 @@ def _gap_report(kind: str, level: int, weight: int, p: int, data: GapData, lower
 
 def verify_gap_dimension_bound(level: int, weight: int, p: int) -> VerificationReport:
     """Certify dim W_k(pN) <= dim S_k(N), reporting sharpness."""
-    check_level(level)
-    check_weight(weight)
-    check_odd_prime(level, p)
+    check_triple(level, weight, p)
     data = gap_data(p * level, weight)
     lower_dim = cusp_dim(level, weight)
     check = Check(
@@ -217,9 +213,7 @@ def verify_gap_dimension_bound(level: int, weight: int, p: int) -> VerificationR
 
 def verify_vanishing_analogue(level: int, weight: int, p: int) -> VerificationReport:
     """When S_k(N) = 0, every pivot of S_k(pN) is at most the dimension."""
-    check_level(level)
-    check_weight(weight)
-    check_odd_prime(level, p)
+    check_triple(level, weight, p)
     if cusp_dim(level, weight) != 0:
         raise ValueError(
             f"dim S_{weight}(Gamma_0({level})) = {cusp_dim(level, weight)} != 0; "

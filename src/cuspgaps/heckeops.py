@@ -47,13 +47,7 @@ from itertools import count
 
 from .arith import is_prime
 from .errors import AssemblyError, EngineError
-from .invariants import (
-    check_index,
-    check_level,
-    check_odd_prime,
-    check_weight,
-    sturm_bound,
-)
+from .invariants import check_index, check_triple, sturm_bound
 from .linalg import (
     Echelonizer,
     kernel_basis,
@@ -199,9 +193,7 @@ def old_new_split(level: int, weight: int, p: int, ambient: SpaceBasis) -> OldNe
     V_p g needs every pivot, and the Sturm bound is the least precision a
     basis is built to.
     """
-    check_level(level)
-    check_weight(weight)
-    check_odd_prime(level, p)
+    check_triple(level, weight, p)
     big = ambient
     if big.level != p * level or big.weight != weight:
         raise ValueError("ambient basis does not match (p*N, k)")
@@ -315,9 +307,7 @@ def required_ambient_precision(level: int, weight: int, p: int) -> int:
 def build_operator_stack(level: int, weight: int, p: int) -> OperatorStack:
     """Compute bases, the old/new split, U_p, W_p and S for (N, k, p).
     Each certificate runs once, in the stage that makes its data."""
-    check_level(level)
-    check_weight(weight)
-    check_odd_prime(level, p)
+    check_triple(level, weight, p)
     ambient = qexpansion_basis(p * level, weight, required_ambient_precision(level, weight, p))
     split = old_new_split(level, weight, p, ambient)
     w = atkin_lehner(split)

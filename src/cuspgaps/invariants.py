@@ -3,12 +3,13 @@
 Everything here is a pure function of its integer arguments, computed in
 exact arithmetic (integers and Fractions, never floats).  Levels are plain
 positive ints and weights are plain positive even ints; ``check_level`` and
-``check_weight`` enforce the contracts at every public entry point.  The
-per-level terms of the dimension formula, (g - 1, eps2, eps3, eps_inf), are
-computed in one pass over one uncached factorization and cached as one tuple
-per level, ``_dimension_terms``; eps2, eps3, eps_inf and genus read it.  A
-scan reads the terms of each pN once, so it leaves no other per-pN entry
-behind: neither ``index`` nor the cached ``factorize`` sees pN.
+``check_weight`` enforce the contracts at every public entry point, and
+``check_triple`` validates (N, k, p) at each entry point of the order bound.
+The per-level terms of the dimension formula, (g - 1, eps2, eps3, eps_inf),
+are computed in one pass over one uncached factorization and cached as one
+tuple per level, ``_dimension_terms``; eps2, eps3, eps_inf and genus read
+it.  A scan reads the terms of each pN once, so it leaves no other per-pN
+entry behind: neither ``index`` nor the cached ``factorize`` sees pN.
 
 The case analysis of (N, k, p) is carried in integer twelfths and, but for
 the term K I(N) of the order bound (K = (k-1)p + 1), depends on p only
@@ -68,6 +69,14 @@ def check_odd_prime(level: int, p) -> int:
     if p < 5:
         raise ValueError(f"p = {p} must be >= 5")
     return p
+
+
+def check_triple(level, weight, p) -> None:
+    """Validate (N, k, p) at an entry point of the p-adic order bound: a
+    positive level, an even weight >= 2 and a prime p >= 5 not dividing N."""
+    check_level(level)
+    check_weight(weight)
+    check_odd_prime(level, p)
 
 
 def check_admissible_prime(level: int, weight: int, p) -> int:
@@ -359,9 +368,7 @@ def vanishing_order_bound(level: int, weight: int, p: int) -> Fraction:
 
         ((k-1)p+1)/12 * I(N) - alpha2/2 - alpha3/3 - eps_inf(N) + 1
     """
-    check_level(level)
-    check_weight(weight)
-    check_odd_prime(level, p)
+    check_triple(level, weight, p)
     i, tail12, _, _ = _residue_core(level, weight, p % 12)
     return Fraction(((weight - 1) * p + 1) * i - tail12, 12)
 
@@ -373,9 +380,7 @@ def master_inequality_lhs(level: int, weight: int, p: int) -> Fraction:
         (k-2)/12 I(N) + ([k/4] - (k-1)/4) eps2(pN)
                       + ([k/3] - (k-1)/3) eps3(pN) + alpha2/2 + alpha3/3
     """
-    check_level(level)
-    check_weight(weight)
-    check_odd_prime(level, p)
+    check_triple(level, weight, p)
     return Fraction(_residue_core(level, weight, p % 12)[2], 12)
 
 

@@ -112,20 +112,16 @@ def rref(matrix) -> tuple[list[list[int]], list[int]]:
     return ech.reduced_rows(), ech.pivots()
 
 
-def kernel_basis(matrix, width: int | None = None) -> list[list[int]]:
-    """Basis of the right kernel {x : A x = 0}, one primitive integer vector
+def kernel_basis(matrix, width: int) -> list[list[int]]:
+    """Basis of the right kernel {x : A x = 0} of a matrix with `width`
+    columns (given, as A may have no rows), one primitive integer vector
     with positive lead per free column of the RREF, in column order."""
-    if not matrix:
-        if width is None:
-            raise ValueError("kernel of an empty matrix needs an explicit width")
-        return [[int(i == j) for i in range(width)] for j in range(width)]
-    n = len(matrix[0])
     rows, pivots = rref(matrix)
     pivot_set = set(pivots)
     basis = []
-    for fc in (c for c in range(n) if c not in pivot_set):
+    for fc in (c for c in range(width) if c not in pivot_set):
         scale = lcm(*(row[pc] for row, pc in zip(rows, pivots) if row[fc]))
-        vec = [0] * n
+        vec = [0] * width
         vec[fc] = scale
         for row, pc in zip(rows, pivots):
             vec[pc] = -row[fc] * (scale // row[pc])

@@ -5,7 +5,6 @@ from .basis import (
     SpaceBasis,
     coefficient_image,
     hecke_matrices_from_symbols,
-    hecke_operator_cuspidal,
     hecke_stability_certificate,
     qexpansion_basis,
 )
@@ -20,7 +19,6 @@ __all__ = [
     "coefficient_image",
     "hecke_cosets",
     "hecke_matrices_from_symbols",
-    "hecke_operator_cuspidal",
     "hecke_stability_certificate",
     "p1_space",
     "qexpansion_basis",

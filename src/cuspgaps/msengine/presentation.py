@@ -230,14 +230,13 @@ class MSPresentation:
 
     # -- matrix action and Hecke operators -----------------------------------
 
-    def act_symbol_raw(self, t: int, delta: Mat2, raw: dict | None = None, scale: int = 1) -> dict:
+    def act_symbol_raw(self, t: int, delta: Mat2, raw: dict, scale: int) -> dict:
         """Add scale * (delta . symbol t), an integer combination of Manin
-        symbols, into the dict raw (a new one by default) and return it;
-        each unimodular piece of the path is looked up in P^1 once, and its
-        coefficients fill the columns of that class, one |P^1| apart."""
+        symbols, into the dict raw and return it; each unimodular piece of
+        the path is looked up in P^1 once, and its coefficients fill the
+        columns of that class, one |P^1| apart."""
         if mat_det(delta) <= 0:
             raise ValueError("action requires positive determinant")
-        raw = {} if raw is None else raw
         i, j = divmod(t, self.n_p1)
         (a, b), (c, d) = self._lifts[j]
         g_inv: Mat2 = ((d, -b), (-c, a))

@@ -359,6 +359,19 @@ def test_verify_commands(capsys):
     assert code == 2
 
 
+@pytest.mark.slow
+def test_verify_examples_output_is_pinned(capsys):
+    """`cuspgaps verify examples`, the one way to reproduce the three
+    reference examples, byte for byte: its three report lines, exit 0, and
+    the note on the weight-28 example's stated lower dimension."""
+    code, out, err = run_cli(capsys, "verify", "examples")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "674a9bd0b0476fbcc111829a3039c9bc178dad0a24241f56949a59caac910d0d"
+    )
+    assert err.startswith("note: stated_lower_dimension_matches_formula: ")
+
+
 def test_verify_theorem_small(capsys):
     code, out, _ = run_cli(capsys, "verify", "theorem", "1", "12", "5")
     assert code == 0

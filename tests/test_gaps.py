@@ -10,7 +10,8 @@ from cuspgaps.gaps import (
     verify_vanishing_analogue,
     verify_weight2_nonweierstrass,
 )
-from cuspgaps.invariants import sturm_bound
+from cuspgaps.heckeops import build_operator_stack, old_new_split
+from cuspgaps.invariants import master_inequality_lhs, sturm_bound, vanishing_order_bound
 from cuspgaps.msengine import qexpansion_basis
 
 
@@ -81,6 +82,31 @@ def test_verify_ogg_guards():
         verify_weight2_nonweierstrass(2, 2)  # p | N
     with pytest.raises(ValueError):
         verify_weight2_nonweierstrass(1, 4)  # not prime
+
+
+@pytest.mark.parametrize("entry", [
+    lambda n, k, p: old_new_split(n, k, p, None),
+    build_operator_stack,
+    vanishing_order_bound,
+    master_inequality_lhs,
+    verify_order_bound,
+    verify_gap_dimension_bound,
+    verify_vanishing_analogue,
+], ids=["old_new_split", "build_operator_stack", "vanishing_order_bound", "master_inequality_lhs",
+        "verify_order_bound", "verify_gap_dimension_bound", "verify_vanishing_analogue"])
+@pytest.mark.parametrize("triple,message", [
+    ((0, 12, 5), "level must be a positive integer, got 0"),
+    ((1, 11, 5), "weight must be an even integer >= 2, got 11"),
+    ((1, 12, 3), "p = 3 must be >= 5"),
+    ((10, 12, 5), "p = 5 must not divide the level 10"),
+    ((1, 12, 9), "p must be prime, got 9"),
+], ids=["level", "odd-weight", "p=3", "p|N", "non-prime"])
+def test_every_triple_entry_point_rejects_a_bad_triple(entry, triple, message):
+    """Each (N, k, p) entry point of the order bound refuses a bad level,
+    an odd weight, p = 3, p dividing N and a non-prime p, word for word."""
+    with pytest.raises(ValueError) as info:
+        entry(*triple)
+    assert str(info.value) == message
 
 
 @pytest.mark.slow

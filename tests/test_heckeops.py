@@ -213,7 +213,7 @@ def test_trace_rank_and_new_block(level, weight, p):
 def test_kernel_of_trace_maps_onto_s(stack5):
     """f -> f|W_p carries ker(Tr) bijectively onto S."""
     tr = [list(r) for r in trace_matrix(stack5)]
-    ker = kernel_basis(tr)
+    ker = kernel_basis(tr, len(tr))
     assert len(ker) == len(stack5.s_basis)
     ech = Echelonizer(stack5.ambient.dimension)
     for v in stack5.s_basis:

@@ -39,14 +39,14 @@ def test_make_primitive():
 @given(small_matrix)
 @settings(max_examples=200, deadline=None)
 def test_kernel_annihilates(m):
-    for v in kernel_basis(m):
+    for v in kernel_basis(m, len(m[0])):
         assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in m)
 
 
 @given(small_matrix)
 @settings(max_examples=200, deadline=None)
 def test_rank_nullity(m):
-    assert len(rref(m)[1]) + len(kernel_basis(m)) == len(m[0])
+    assert len(rref(m)[1]) + len(kernel_basis(m, len(m[0]))) == len(m[0])
 
 
 @given(small_matrix)
@@ -182,7 +182,7 @@ def test_reduced_rows_are_primitive_integer_rref(m):
 @given(small_rational_matrix)
 @settings(max_examples=200, deadline=None)
 def test_kernel_vectors_are_primitive_integers(m):
-    basis = kernel_basis(m)
+    basis = kernel_basis(m, len(m[0]))
     _, pivots = _rref_over_q(m)
     free = [c for c in range(len(m[0])) if c not in pivots]
     assert len(basis) == len(free)
@@ -193,7 +193,7 @@ def test_kernel_vectors_are_primitive_integers(m):
 
 
 def test_kernel_of_empty_matrix_is_integer_identity():
-    assert kernel_basis([], width=2) == [[1, 0], [0, 1]]
+    assert kernel_basis([], 2) == [[1, 0], [0, 1]]
 
 
 @given(square_matrix)
