@@ -23,7 +23,10 @@ once per (N, k, p mod 12) and keeps it only while it classifies that
 (N, k).  One evaluator, ``_classify_level(N, k, primes)``, builds every
 CaseReport: per triple only the order bound and dim S_k(pN) remain, and the
 dimension is read from the terms of pN's own factorization, so the
-reduction identity checks the residue formula.  It trusts its arguments:
+reduction identity checks the residue formula.  A report costs only those
+fields: its instance dict takes the per-triple values as item stores and
+the core's fields as one merge of a dict built once per residue class.  The
+evaluator trusts its arguments:
 ``classify_triple`` validates its one triple, and ``scan_triples``
 validates its ScanConfig once and generates only admissible triples, none
 of them checked one by one.
@@ -105,7 +108,8 @@ def _dimension_terms(level: int) -> tuple[int, int, int, int]:
 
         I = N prod (1 + 1/p),  eps2 = prod (1 + (-4/p)) unless 4 | N,
         eps3 = prod (1 + (-3/p)) unless 9 | N,
-        eps_inf = sum_{d|N} phi(gcd(d, N/d)) = prod_{p^e || N} sum_{i=0..e} phi(p^min(i, e-i)),
+        eps_inf = sum_{d|N} phi(gcd(d, N/d)) = prod_{p^e || N} c(p^e),
+        c(p^(2m+1)) = 2 p^m,  c(p^(2m)) = p^m + p^(m-1)  (m >= 1),
 
     and the genus g = I/12 - eps_inf/2 - eps2/4 - eps3/3 + 1."""
     i, ei = level, 1
@@ -115,7 +119,8 @@ def _dimension_terms(level: int) -> tuple[int, int, int, int]:
         i = i // p * (p + 1)
         e2 *= 1 + kronecker_minus4(p)
         e3 *= 1 + kronecker_minus3(p)
-        ei *= sum((p - 1) * p ** (min(j, e - j) - 1) if 0 < j < e else 1 for j in range(e + 1))
+        m, odd = divmod(e, 2)
+        ei *= 2 * p ** m if odd else p ** m + p ** (m - 1)
     g12 = i - 6 * ei - 3 * e2 - 4 * e3 + 12
     if g12 % 12 or g12 < 0:
         raise EngineError(
@@ -329,7 +334,8 @@ def _residue_core(level: int, weight: int, r: int) -> tuple[int, int, int, tuple
     # (-4/.) and (-3/.) are characters mod 4 and mod 3, so r stands for p
     e2p, e3p = e2n * (1 + kronecker_minus4(r)), e3n * (1 + kronecker_minus3(r))
     big_k12 = ((k - 1) * r + 1) % 12
-    a2, a3 = alpha_pair(level, big_k12)
+    m2, m3 = _ALPHA_MULTIPLES[big_k12]
+    a2, a3 = m2 * e2n, m3 * e3n
     master12 = (
         (k - 2) * i
         + (12 * (k // 4) - 3 * (k - 1)) * e2p
@@ -392,19 +398,22 @@ def _classify_level(level: int, weight: int, primes) -> Iterator[CaseReport]:
     The residue core is evaluated once per p mod 12 present and held only
     for this call; per p remain K, 12 * the order bound and dim S_k(pN), the
     latter from the terms of pN's own factorization, never from the core's
-    (1 + (-4/r)) shortcut.  Each report's instance dict is filled by one
-    update, which skips the frozen __init__'s object.__setattr__ per field;
-    pairs, unlike a dict, keep it in the class's compact shared-key form."""
+    (1 + (-4/r)) shortcut.  Each report's instance dict is filled directly,
+    which skips the frozen __init__'s object.__setattr__ per field: four item
+    stores, one update from the core's field dict, three more stores.  The
+    dict is no longer empty when it is updated, so CPython merges key by key
+    into the class's compact shared-key form; into an empty one it would
+    clone the core's combined dict, larger and lost to the shared keys."""
     k = weight
     i = index(level)
     cores = {}
     for r in {p % 12 for p in primes}:
         _, tail12, master12, shared = _residue_core(level, k, r)
-        cores[r] = tail12, master12 - 12, tuple(zip(_RESIDUE_FIELDS, shared))
+        cores[r] = tail12, master12 - 12, dict(zip(_RESIDUE_FIELDS, shared))
     c1, c2, c3, ci = k - 1, k // 4, k // 3, k // 2 - 1
     new = object.__new__
     for p in primes:
-        tail12, margin12, pairs = cores[p % 12]
+        tail12, margin12, core_fields = cores[p % 12]
         big_k = c1 * p + 1
         bound12 = big_k * i - tail12
         g1, e2, e3, ei = _dimension_terms(p * level)
@@ -412,10 +421,15 @@ def _classify_level(level: int, weight: int, primes) -> Iterator[CaseReport]:
         if d < 0:
             raise EngineError(f"dimension formula gave {d} < 0 at ({p * level}, {k})")
         report = new(CaseReport)
-        report.__dict__.update(
-            pairs, level=level, weight=k, prime=p, big_weight=big_k, dim_upper=d,
-            order_bound=Fraction(bound12, 12), identity_holds=12 * d - bound12 == margin12,
-        )
+        f = report.__dict__
+        f["level"] = level
+        f["weight"] = k
+        f["prime"] = p
+        f["big_weight"] = big_k
+        f.update(core_fields)
+        f["dim_upper"] = d
+        f["order_bound"] = Fraction(bound12, 12)
+        f["identity_holds"] = 12 * d - bound12 == margin12
         yield report
 
 
@@ -424,9 +438,9 @@ def classify_triple(level: int, weight: int, p: int) -> CaseReport:
     inequality certifying master >= 1, and evaluate everything exactly, in
     integer twelfths, through the residue core of p mod 12."""
     check_level(level)
+    check_weight(weight)
     if weight < 4:
         raise ValueError("case classification requires even weight >= 4")
-    check_weight(weight)
     check_admissible_prime(level, weight, p)
     return next(_classify_level(level, weight, (p,)))
 

@@ -97,6 +97,17 @@ def test_scan_json_pinned(capsys):
     )
 
 
+def test_scan_json_full_box_pinned(capsys):
+    """Every field of every report of the default box, the five the CSV
+    leaves out included, byte for byte."""
+    code, out, _ = run_cli(capsys, "scan", "--json")
+    assert code == 0
+    assert len(out.splitlines()) == 131199
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6f8cf75c14c79aa1de2c71746c561adefb35533ac4798f979337e05c97dc858f"
+    )
+
+
 def test_gaps_and_wdim(capsys):
     code, out, _ = run_cli(capsys, "gaps", "5", "12")
     assert code == 0 and json.loads(out)["wdim"] == 0

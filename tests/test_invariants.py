@@ -1,13 +1,15 @@
 """Closed-form invariants against independent brute-force oracles."""
 
 import dataclasses
+import hashlib
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cuspgaps import invariants as inv
@@ -271,6 +273,21 @@ def test_classify_examples():
         inv.classify_triple(5, 4, 5)  # p | N
 
 
+@pytest.mark.parametrize("weight, message", [
+    (None, "weight must be an even integer >= 2, got None"),
+    ("12", "weight must be an even integer >= 2, got '12'"),
+    (4.0, "weight must be an even integer >= 2, got 4.0"),
+    (True, "weight must be an even integer >= 2, got True"),
+    (2, "case classification requires even weight >= 4"),
+])
+def test_classify_triple_checks_the_weight_type_first(weight, message):
+    """A weight that is not an even int fails check_weight before the
+    weight >= 4 comparison can raise a bare TypeError."""
+    with pytest.raises(ValueError) as excinfo:
+        inv.classify_triple(1, weight, 13)
+    assert str(excinfo.value) == message
+
+
 def test_classify_total_and_exact_on_box():
     """Every admissible triple lands in a case whose reduced certificate
     equals the master LHS exactly and is >= 1."""
@@ -479,6 +496,39 @@ def test_eps_inf_is_the_divisor_sum():
         assert inv.eps_inf(n) == want, n
 
 
+def prime_power_phi(p: int, j: int) -> int:
+    """phi(p^j) by counting the residues mod p^j that p does not divide."""
+    return p ** j - (p ** (j - 1) if j else 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(primes_up_to(49)), st.integers(0, 12), st.integers(1, 200))
+def test_eps_inf_is_the_divisor_sum_at_high_prime_powers(p, e, m):
+    """The closed-form cusp factor of p^e against sum_{d|N} phi(gcd(d, N/d))
+    at N = p^e m, far past the n <= 3000 of the exhaustive test.  The
+    divisors are p^i d' with d' | m, and phi(gcd) splits over p^j and the
+    part prime to p, so no trial division runs up to sqrt(N)."""
+    assume(m % p)
+    n = p ** e * m
+    want = sum(
+        prime_power_phi(p, min(i, e - i)) * euler_phi(gcd(d, m // d))
+        for i in range(e + 1)
+        for d in divisors(m)
+    )
+    assert inv.eps_inf(n) == want
+
+
+def test_dimension_terms_are_pinned_over_the_default_box():
+    """(g - 1, eps2, eps3, eps_inf) for every level up to 60,000, which
+    covers every pN of the default scan box (<= 300 * 199), byte for byte
+    as the generator sum over e + 1 cusp terms gave them."""
+    terms = inv._dimension_terms.__wrapped__
+    got = repr([terms(n) for n in range(1, 60001)])
+    assert hashlib.sha256(got.encode()).hexdigest() == (
+        "0411425d777094635dd87ab656917b734a962f25d4ca93879f97457ad67cee24"
+    )
+
+
 def test_residue_cache_is_per_residue_class(monkeypatch):
     """The core is not cached: a scan evaluates it once per (N, k, p mod 12)
     present, at most four residues per (N, k), and dim S_k(pN) is not
@@ -531,6 +581,28 @@ def test_scan_builds_no_triple_list():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="CPython 3.10 keeps a split instance dict only while keys arrive in the "
+    "class's first insertion order; a scan-built report, filled out of __init__'s "
+    "field order, gets a larger combined dict there",
+)
+def test_scan_reports_keep_the_compact_instance_dict():
+    """A scan-built report's instance dict is as small as the one the
+    dataclass __init__ fills, for the first report of a weight and a later
+    one, and smaller than a plain dict of the same fields: it keeps the
+    class's shared keys.  A dict cloned from the core's combined one would
+    cost CaseReport its shared keys, so __init__-built reports would grow
+    with it and only the plain dict tells them apart."""
+    reports = inv.scan_triples(inv.ScanConfig(kmin=12, kmax=12, nmax=30, pmax=97))
+    first = next(reports)
+    *_, later = reports
+    for rep in (first, later):
+        values = {f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)}
+        built = inv.CaseReport(**values)
+        assert sys.getsizeof(vars(rep)) == sys.getsizeof(vars(built)) < sys.getsizeof(values)
 
 
 @pytest.mark.parametrize("field", [{"kmin": 4.0}, {"pmax": 11.0}, {"nmax": True}])
