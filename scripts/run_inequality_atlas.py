@@ -12,18 +12,14 @@ import sys
 import time
 from collections import Counter
 
-from cuspgaps.invariants import ScanConfig, scan_triples
+from cuspgaps.cli import add_scan_box, scan_config
+from cuspgaps.invariants import scan_triples
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--kmin", type=int, default=4)
-    parser.add_argument("--kmax", type=int, default=24)
-    parser.add_argument("--nmax", type=int, default=300)
-    parser.add_argument("--pmax", type=int, default=199)
-    args = parser.parse_args()
-
-    config = ScanConfig(kmin=args.kmin, kmax=args.kmax, nmax=args.nmax, pmax=args.pmax).validate()
+    add_scan_box(parser)
+    config = scan_config(parser.parse_args())
     t0 = time.perf_counter()
     total = 0
     violations = 0

@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .gaps import GapData, gap_data
 from .heckeops import apply_Up, apply_Vp, build_operator_stack, coefficient_valuation, normalize_p
 from .invariants import (
-    LevelInvariants,
     alpha_pair,
     classify_triple,
     cusp_dim,
@@ -33,7 +32,6 @@ from .qexp import QExpansion
 __all__ = [
     "EtaProduct",
     "GapData",
-    "LevelInvariants",
     "QExpansion",
     "SpaceBasis",
     "alpha_pair",

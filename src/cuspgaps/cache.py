@@ -25,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import EngineError
-from .invariants import sturm_bound
+from .invariants import check_precision, sturm_bound
 from .msengine import SpaceBasis
 from .qexp import QExpansion
 
@@ -130,9 +130,7 @@ def find_cached(directory: str | Path, level: int, weight: int, min_precision: i
     is the canonical basis at the lower precision, if min_precision is at
     least the Sturm bound).  The file is chosen by the precision in its
     name, and only that file is read."""
-    bound = sturm_bound(level, weight)
-    if min_precision < bound:
-        raise ValueError(f"precision {min_precision} is below the Sturm bound {bound}")
+    check_precision(level, weight, min_precision)
     directory = Path(directory)
     if not directory.is_dir():
         return None

@@ -11,6 +11,7 @@ environment variable overrides --cache.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -19,7 +20,7 @@ from . import gaps as gaps_mod
 from . import invariants as inv
 from .cache import basis_text, find_cached, write_basis
 from .errors import EngineError
-from .invariants import CSV_HEADER, LevelInvariants, ScanConfig, scan_triples
+from .invariants import CSV_HEADER, ScanConfig, scan_triples
 from .msengine import qexpansion_basis
 
 
@@ -46,7 +47,9 @@ def _get_basis(level: int, weight: int, precision: int, cache_dir: str | None):
 
 
 def cmd_invariants(args) -> int:
-    _print_json(LevelInvariants.compute(args.level).as_dict())
+    n = args.level
+    _print_json({"level": n, "index": inv.index(n), "eps2": inv.eps2(n), "eps3": inv.eps3(n),
+                 "epsInf": inv.eps_inf(n), "genus": inv.genus(n)})
     return 0
 
 
@@ -56,7 +59,7 @@ def cmd_dim(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    config = ScanConfig(kmin=args.kmin, kmax=args.kmax, nmax=args.nmax, pmax=args.pmax).validate()
+    config = scan_config(args)
     total = 0
     violations = []
     if args.csv:
@@ -69,13 +72,12 @@ def cmd_scan(args) -> int:
             print(rep.csv_row())
         elif args.json:
             _print_json(rep.as_dict())
-    summary = {"triples": total, "violations": len(violations)}
-    if not args.csv and not args.json:
-        _print_json(summary)
-    else:
-        print(_JSON.encode(summary), file=sys.stderr)
+    # plain scan prints the summary and the first witnesses on stdout; --csv
+    # and --json keep stdout for their rows and send both to stderr
+    out = sys.stderr if args.csv or args.json else sys.stdout
+    print(_JSON.encode({"triples": total, "violations": len(violations)}), file=out)
     for rep in violations[:10]:
-        _print_json(rep.as_dict())
+        print(_JSON.encode(rep.as_dict()), file=out)
     return 0 if not violations else 1
 
 
@@ -124,6 +126,17 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in reports) else 1
 
 
+def add_scan_box(p: argparse.ArgumentParser) -> None:
+    """The scan box options, one --<field> per ScanConfig field, with its default."""
+    for field in dataclasses.fields(ScanConfig):
+        p.add_argument(f"--{field.name}", type=int, default=field.default)
+
+
+def scan_config(args) -> ScanConfig:
+    """The validated ScanConfig of the options add_scan_box added."""
+    return ScanConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(ScanConfig)}).validate()
+
+
 def _add_level_weight(p: argparse.ArgumentParser) -> None:
     p.add_argument("level", type=int)
     p.add_argument("weight", type=int)
@@ -146,10 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("scan", help="classify the inequality over a (k, N, p) box")
-    p.add_argument("--kmin", type=int, default=4)
-    p.add_argument("--kmax", type=int, default=24)
-    p.add_argument("--nmax", type=int, default=300)
-    p.add_argument("--pmax", type=int, default=199)
+    add_scan_box(p)
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")

@@ -2,8 +2,8 @@
 
 The gap space of S_k(N) is spanned by forms vanishing to order greater
 than the dimension; in an integral echelon basis it is exactly the span of
-the rows whose pivot exceeds the dimension, so its size is read off the
-pivot list.  The verifiers below certify, in exact arithmetic:
+the rows whose pivot exceeds the dimension, SpaceBasis.gap_rows, the one
+place that rule is written.  The verifiers below certify, in exact arithmetic:
 
   * the p-adic order bound on the subspace S (verify_order_bound),
   * dim W_k(pN) <= dim S_k(N) (verify_gap_dimension_bound),
@@ -62,8 +62,7 @@ def gap_data(level: int, weight: int) -> GapData:
     check_level(level)
     check_weight(weight)
     basis = qexpansion_basis(level, weight, sturm_bound(level, weight) + 10)
-    w_dim = sum(1 for c in basis.pivots if c > basis.dimension)
-    return GapData(level, weight, basis.dimension, basis.pivots, w_dim)
+    return GapData(level, weight, basis.dimension, basis.pivots, len(basis.gap_rows))
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,7 @@ def verify_order_bound(level: int, weight: int, p: int) -> VerificationReport:
     )
     # one echelon of S gives its pivots here and, with the gap rows added
     # below, the rank of S + W_k(pN)
-    ech = Echelonizer(stack.ambient.precision)
+    ech = Echelonizer()
     for f in forms:
         ech.add(list(f.coeffs))
     max_ord = max((c + 1 for c in ech.pivots()), default=0)
@@ -161,7 +160,7 @@ def verify_order_bound(level: int, weight: int, p: int) -> VerificationReport:
         )
     )
     # S and the gap space intersect trivially: their echelon ranks add up
-    gap_rows = [row for row, c in zip(stack.ambient.rows, stack.ambient.pivots) if c > dim_pn]
+    gap_rows = stack.ambient.gap_rows
     for g in gap_rows:
         ech.add(list(g.coeffs))
     checks.append(
@@ -176,7 +175,7 @@ def verify_order_bound(level: int, weight: int, p: int) -> VerificationReport:
         triple={"level": level, "weight": weight, "prime": p},
         dims={"ambient": dim_pn, "lower": stack.lower.dimension, "S": len(forms)},
         pivots=list(stack.ambient.pivots),
-        wdim=sum(1 for c in stack.ambient.pivots if c > dim_pn),
+        wdim=len(gap_rows),
         bounds={"sharpBound": str(bound), "dim": dim_pn, "maxOrderOnS": max_ord},
         checks=tuple(checks),
     )

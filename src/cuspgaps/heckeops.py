@@ -202,7 +202,7 @@ def old_new_split(level: int, weight: int, p: int, ambient: SpaceBasis) -> OldNe
     dim_pn = big.dimension
 
     old_pairs = []
-    whole = Echelonizer(dim_pn)
+    whole = Echelonizer()
     for g in lower.rows:
         cg = big.coordinates(g)
         cvg = big.coordinates(apply_Vp(g, p))

@@ -8,8 +8,10 @@ positive ints and weights are plain positive even ints; ``check_level`` and
 The per-level terms of the dimension formula, (g - 1, eps2, eps3, eps_inf),
 are computed in one pass over one uncached factorization and cached as one
 tuple per level, ``_dimension_terms``; eps2, eps3, eps_inf and genus read
-it.  A scan reads the terms of each pN once, so it leaves no other per-pN
-entry behind: neither ``index`` nor the cached ``factorize`` sees pN.
+it, and so does ``index``, by the genus formula
+I = 12(g - 1) + 3 eps2 + 4 eps3 + 6 eps_inf.  A scan reads the terms of each
+pN once, so it leaves no other per-pN entry behind: ``index`` sees the
+levels N only, and nothing here calls the cached ``factorize``.
 
 The case analysis of (N, k, p) is carried in integer twelfths and, but for
 the term K I(N) of the order bound (K = (k-1)p + 1), depends on p only
@@ -40,7 +42,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterator
 
-from .arith import factorize, is_prime, kronecker_minus3, kronecker_minus4, primes_up_to, trial_factor
+from .arith import is_prime, kronecker_minus3, kronecker_minus4, primes_up_to, trial_factor
 from .errors import EngineError
 
 
@@ -92,16 +94,6 @@ def check_admissible_prime(level: int, weight: int, p) -> int:
 
 
 @lru_cache(maxsize=None)
-def index(level: int) -> int:
-    """Index [SL_2(Z) : Gamma_0(N)] = N * prod_{p|N} (1 + 1/p)."""
-    check_level(level)
-    out = level
-    for p, _ in factorize(level):
-        out = out // p * (p + 1)
-    return out
-
-
-@lru_cache(maxsize=None)
 def _dimension_terms(level: int) -> tuple[int, int, int, int]:
     """(g - 1, eps2, eps3, eps_inf) of X_0(N), the level's terms in the
     dimension formula, from one uncached factorization:
@@ -149,29 +141,14 @@ def genus(level: int) -> int:
     return _dimension_terms(check_level(level))[0] + 1
 
 
-@dataclass(frozen=True)
-class LevelInvariants:
-    level: int
-    index: int
-    eps2: int
-    eps3: int
-    eps_inf: int
-    genus: int
-
-    @classmethod
-    def compute(cls, level: int) -> "LevelInvariants":
-        check_level(level)
-        return cls(level, index(level), eps2(level), eps3(level), eps_inf(level), genus(level))
-
-    def as_dict(self) -> dict:
-        return {
-            "level": self.level,
-            "index": self.index,
-            "eps2": self.eps2,
-            "eps3": self.eps3,
-            "epsInf": self.eps_inf,
-            "genus": self.genus,
-        }
+@lru_cache(maxsize=None)
+def index(level: int) -> int:
+    """Index [SL_2(Z) : Gamma_0(N)] = N * prod_{p|N} (1 + 1/p), read off the
+    dimension terms by the genus formula, I = 12(g - 1) + 3 eps2 + 4 eps3
+    + 6 eps_inf; exact, as _dimension_terms builds g from I and certifies
+    that 12 divides the difference."""
+    g1, e2, e3, ei = _dimension_terms(check_level(level))
+    return 12 * g1 + 3 * e2 + 4 * e3 + 6 * ei
 
 
 def cusp_dim(level: int, weight: int) -> int:
@@ -192,6 +169,16 @@ def sturm_bound(level: int, weight: int) -> int:
     check_level(level)
     check_weight(weight)
     return weight * index(level) // 12 + 1
+
+
+def check_precision(level: int, weight: int, precision) -> None:
+    """Validate a truncation precision of S_k(N): an int, at least the
+    Sturm bound, so that it determines every form."""
+    if not isinstance(precision, int) or isinstance(precision, bool):
+        raise ValueError(f"precision must be an integer, got {precision!r}")
+    bound = sturm_bound(level, weight)
+    if precision < bound:
+        raise ValueError(f"precision {precision} is below the Sturm bound {bound}")
 
 
 def valence_bound(level: int, weight: int) -> int:

@@ -54,8 +54,7 @@ class Echelonizer:
     and stripped to primitive integer vectors, so entries stay bounded.
     """
 
-    def __init__(self, width: int):
-        self.width = width
+    def __init__(self):
         self.pivot_rows: dict[int, list[int]] = {}  # pivot column -> primitive row
 
     @property
@@ -106,7 +105,7 @@ class Echelonizer:
 def rref(matrix) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form, rows as in Echelonizer.reduced_rows;
     returns (rows, pivot columns)."""
-    ech = Echelonizer(len(matrix[0]) if matrix else 0)
+    ech = Echelonizer()
     for row in matrix:
         ech.add(row)
     return ech.reduced_rows(), ech.pivots()

@@ -86,7 +86,7 @@ from math import gcd, lcm
 
 from ..arith import divisors
 from ..errors import EngineError, NotInSpanError
-from ..invariants import check_index, sturm_bound, valence_bound
+from ..invariants import check_index, check_precision, valence_bound
 from ..linalg import Echelonizer, clear_denominators, mat_mul, mat_vec, rref
 from ..qexp import QExpansion
 from .presentation import MSPresentation, build_presentation, hecke_cosets
@@ -95,7 +95,8 @@ from .presentation import MSPresentation, build_presentation, hecke_cosets
 @dataclass(frozen=True)
 class SpaceBasis:
     """Integral echelon basis: rows are primitive integer q-expansions with
-    strictly increasing leading exponents (pivots) and positive leads."""
+    strictly increasing leading exponents (pivots) and positive leads; its
+    gap_rows span the gap space W_k(N)."""
 
     level: int
     weight: int
@@ -106,6 +107,12 @@ class SpaceBasis:
     @property
     def dimension(self) -> int:
         return len(self.rows)
+
+    @property
+    def gap_rows(self) -> tuple[QExpansion, ...]:
+        """The rows whose pivot exceeds the dimension: their span is exactly
+        the forms vanishing at infinity to order greater than the dimension."""
+        return tuple(row for row, c in zip(self.rows, self.pivots) if c > len(self.rows))
 
     def coordinates(self, f: QExpansion) -> tuple[Fraction, ...]:
         """Exact coordinates of f in this basis; raises NotInSpanError if f
@@ -200,7 +207,7 @@ def cuspidal_functionals(pres: MSPresentation) -> list[int]:
     """Indices of d generator coordinates on which the cuspidal basis is
     independent (d = dim S_k): a cuspidal vector is determined by them."""
     d = pres.cuspidal_dimension
-    ech = Echelonizer(d)
+    ech = Echelonizer()
     chosen: list[int] = []
     for i in range(pres.dimension):
         if len(chosen) == d:
@@ -240,7 +247,7 @@ def _independent_series(level: int, weight: int, precision: int):
     d = pres.cuspidal_dimension
     coords = cuspidal_functionals(pres)
     elements = _element_images(pres, precision)
-    ech = Echelonizer(precision)
+    ech = Echelonizer()
     series = []
     while ech.rank < d:
         images = next(elements, None)
@@ -261,11 +268,7 @@ def _independent_series(level: int, weight: int, precision: int):
 def qexpansion_basis(level: int, weight: int, precision: int) -> SpaceBasis:
     """Canonical integral echelon basis of S_k(Gamma_0(N)) to the given
     precision (an int, at least the Sturm bound)."""
-    if not isinstance(precision, int) or isinstance(precision, bool):
-        raise ValueError(f"precision must be an integer, got {precision!r}")
-    bound = sturm_bound(level, weight)
-    if precision < bound:
-        raise ValueError(f"precision {precision} is below the Sturm bound {bound}")
+    check_precision(level, weight, precision)
     reduced = _independent_series(level, weight, precision)[0]
     rows = [QExpansion(tuple(r), weight, level) for r in reduced]
     pivots = [row.order() for row in rows]
@@ -306,7 +309,7 @@ def hecke_stability_certificate(basis: SpaceBasis) -> None:
         prec = basis.precision // m
         if prec < 1:
             continue
-        ech = Echelonizer(prec)
+        ech = Echelonizer()
         for row in basis.rows:
             ech.add(list(row.coeffs[:prec]))
         for row in basis.rows:

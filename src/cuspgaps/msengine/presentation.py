@@ -134,7 +134,7 @@ class MSPresentation:
         # a row whose primitive form was added before is a multiple of that
         # row, so dependent, and is skipped.  The folds make many such rows,
         # mostly the row of X^(deg-i) at another class: 40 of 118 at (19, 16)
-        ech = Echelonizer(width)
+        ech = Echelonizer()
         added = set()
         # X^i Y^(deg-i) under tau and tau^2, which depend on i alone
         images = [(expand_monomial(i, deg, TAU), expand_monomial(i, deg, TAU2))

@@ -132,14 +132,12 @@ def test_criterion_4_operator_suite_small():
 
 
 @pytest.mark.slow
-@pytest.mark.extended
 def test_criterion_4_operator_suite_extended():
     detail = _operator_identity_suite(1, 16, 19)
     _report("4b (extended)", True, detail)
 
 
 @pytest.mark.slow
-@pytest.mark.extended
 def test_criterion_4_operator_suite_heavy():
     detail = _operator_identity_suite(2, 12, 23)
     _report("4c (extended)", True, detail)

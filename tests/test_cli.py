@@ -14,10 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cuspgaps import cache as cache_mod
+from cuspgaps import invariants as inv_mod
 from cuspgaps.cache import cache_filename, find_cached, read_basis, write_basis
 from cuspgaps.cli import main
 from cuspgaps.errors import EngineError
-from cuspgaps.invariants import cusp_dim, sturm_bound
+from cuspgaps.invariants import CSV_HEADER, cusp_dim, sturm_bound
 from cuspgaps.msengine import qexpansion_basis
 
 
@@ -106,6 +107,23 @@ def test_scan_json_full_box_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "6f8cf75c14c79aa1de2c71746c561adefb35533ac4798f979337e05c97dc858f"
     )
+
+
+@pytest.mark.parametrize("fmt, rows", [(None, 0), ("--csv", 13), ("--json", 12)])
+def test_scan_witnesses_stay_out_of_the_row_stream(capsys, monkeypatch, fmt, rows):
+    """With p = 13 made to fail, the 3 witnesses follow the summary: on
+    stdout for a plain scan, on stderr where stdout holds the CSV or JSON
+    rows of the 12 triples and nothing else."""
+    monkeypatch.setattr(inv_mod.CaseReport, "verified", property(lambda rep: rep.prime != 13))
+    code, out, err = run_cli(capsys, "scan", "--kmax", "4", "--nmax", "3", "--pmax", "13", *filter(None, [fmt]))
+    assert code == 1
+    lines = out.splitlines()
+    assert len(lines) == rows + (0 if fmt else 4)
+    if fmt == "--csv":
+        assert lines[0] == CSV_HEADER and not any(line.startswith("{") for line in lines)
+    tail = (err if fmt else out).splitlines()[-4:]
+    assert json.loads(tail[0]) == {"triples": 12, "violations": 3}
+    assert [json.loads(line)["prime"] for line in tail[1:]] == [13, 13, 13]
 
 
 def test_gaps_and_wdim(capsys):
@@ -235,6 +253,15 @@ def test_find_cached_rejects_precision_below_the_sturm_bound(tmp_path, capsys):
     code, out, err = run_cli(capsys, "basis", "11", "12", "--prec", "5", "--cache", str(tmp_path))
     assert code == 2 and out == ""
     assert "precision 5 is below the Sturm bound 13" in err
+
+
+def test_find_cached_rejects_a_float_precision(tmp_path):
+    """find_cached checks its precision as qexpansion_basis does, whether
+    or not a file could serve it."""
+    write_basis(qexpansion_basis(11, 2, 50), tmp_path)
+    for precision in (40.0, 50.0, True):
+        with pytest.raises(ValueError, match=f"^precision must be an integer, got {precision!r}$"):
+            find_cached(tmp_path, 11, 2, precision)
 
 
 @pytest.mark.parametrize(

@@ -22,6 +22,17 @@ def test_gap_data_sharp_example():
     assert data.w_dim == 1
 
 
+@pytest.mark.parametrize("level, weight, pivots", [(19, 16, (25,)), (46, 12, (67, 68)), (4, 4, ())])
+def test_gap_rows_are_the_rows_past_the_dimension(level, weight, pivots):
+    """SpaceBasis.gap_rows, the one owner of the gap space, holds the rows
+    whose pivot exceeds the dimension (none on the d = 0 space), and
+    gap_data counts them."""
+    basis = qexpansion_basis(level, weight, sturm_bound(level, weight) + 10)
+    assert tuple(row.order() for row in basis.gap_rows) == pivots
+    assert basis.gap_rows == basis.rows[basis.dimension - len(pivots):]
+    assert gap_data(level, weight).w_dim == len(pivots)
+
+
 def test_gap_data_stability_under_precision():
     """gap_data reads the basis at the Sturm bound + 10; 15 more
     coefficients move no pivot."""

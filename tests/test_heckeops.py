@@ -215,7 +215,7 @@ def test_kernel_of_trace_maps_onto_s(stack5):
     tr = [list(r) for r in trace_matrix(stack5)]
     ker = kernel_basis(tr, len(tr))
     assert len(ker) == len(stack5.s_basis)
-    ech = Echelonizer(stack5.ambient.dimension)
+    ech = Echelonizer()
     for v in stack5.s_basis:
         ech.add(list(v))
     s_rank = ech.rank
@@ -428,7 +428,7 @@ def test_sturm_precision_fixes_valuations_and_pivots(level, weight, p):
             assert coefficient_valuation(short, p) == coefficient_valuation(long, p)
     pivots = []
     for basis in (stack.ambient, big):
-        ech = Echelonizer(basis.precision)
+        ech = Echelonizer()
         for v in stack.s_basis:
             ech.add(list(basis.linear_combination(v).coeffs))
         pivots.append(ech.pivots())

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from cuspgaps import arith
 from cuspgaps import invariants as inv
 from cuspgaps.arith import divisors, is_prime, kronecker_minus3, kronecker_minus4, primes_up_to
 from cuspgaps.errors import EngineError
@@ -552,18 +553,19 @@ def test_residue_cache_is_per_residue_class(monkeypatch):
 
 def test_scan_leaves_no_per_pn_cache_entries(cold_level_caches):
     """A scan caches the dimension terms of each level it touches, N and pN,
-    once; index and the cached factorize see the levels N <= nmax only."""
+    once; index sees the levels N <= nmax only, and the cached factorize
+    none at all."""
     config = inv.ScanConfig(kmax=8, nmax=60, pmax=97)
     reports = list(inv.scan_triples(config))
     levels = set(range(1, config.nmax + 1)) | {r.prime * r.level for r in reports}
     terms = inv._dimension_terms.cache_info()
     assert terms.currsize == terms.misses == len(levels)
-    for cache in (inv.index, inv.factorize):
-        assert cache.cache_info().currsize == config.nmax
-        # the entries are the levels N <= nmax: looking them all up adds none
-        for n in range(1, config.nmax + 1):
-            cache(n)
-        assert cache.cache_info().currsize == config.nmax
+    assert arith.factorize.cache_info().currsize == 0
+    assert inv.index.cache_info().currsize == config.nmax
+    # the entries are the levels N <= nmax: looking them all up adds none
+    for n in range(1, config.nmax + 1):
+        inv.index(n)
+    assert inv.index.cache_info().currsize == config.nmax
 
 
 def test_scan_validates_when_called():
@@ -661,7 +663,7 @@ def test_scan_validates_no_triple(monkeypatch):
 @pytest.fixture
 def cold_level_caches():
     """Empty per-level caches, emptied again after the test patched them."""
-    caches = (inv._dimension_terms, inv.index, inv.factorize)
+    caches = (inv._dimension_terms, inv.index, arith.factorize)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -692,12 +694,24 @@ def test_cusp_dim_guards_a_negative_dimension(monkeypatch):
 
 def test_genus_reads_the_dimension_terms():
     """The per-level tuple is the only cache of the genus and the elliptic
-    and cusp counts; index keeps its own."""
+    and cusp counts; index, cached apart, is read off the same tuple."""
     assert inv.genus(46) == inv._dimension_terms(46)[0] + 1 == 5
     assert inv._dimension_terms(46)[1:] == (inv.eps2(46), inv.eps3(46), inv.eps_inf(46))
     for name in ("genus", "eps2", "eps3", "eps_inf"):
         assert not hasattr(getattr(inv, name), "cache_info"), name
     assert hasattr(inv.index, "cache_info")
+
+
+def test_index_reads_the_dimension_terms(monkeypatch, cold_level_caches):
+    """I(N) = 12(g - 1) + 3 eps2 + 4 eps3 + 6 eps_inf, from the one tuple:
+    no factorization is taken but the uncached one behind the terms."""
+
+    def refuse(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(arith, "factorize", refuse)
+    monkeypatch.setattr(inv, "factorize", refuse, raising=False)
+    assert [inv.index(n) for n in (1, 2, 12, 46, 300, 1000)] == [1, 3, 24, 72, 720, 1800]
 
 
 # -- vanishing levels -----------------------------------------------------------

@@ -65,7 +65,7 @@ def test_inverse():
 
 
 def test_echelonizer_contains():
-    ech = Echelonizer(3)
+    ech = Echelonizer()
     ech.add([1, 2, 3])
     ech.add([0, 1, 1])
     assert ech.contains([1, 3, 4])
@@ -165,7 +165,7 @@ def _primitive_positive_led(vec):
 @given(small_rational_matrix)
 @settings(max_examples=200, deadline=None)
 def test_reduced_rows_are_primitive_integer_rref(m):
-    ech = Echelonizer(len(m[0]))
+    ech = Echelonizer()
     for row in m:
         ech.add(row)
     rows, pivots = ech.reduced_rows(), ech.pivots()

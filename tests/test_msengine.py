@@ -257,7 +257,7 @@ def _all_class_quotient(pres):
         if f is not None:
             roots.setdefault(f[0], t)
     width = len(roots)
-    ech = Echelonizer(width)
+    ech = Echelonizer()
     for t in range(pres.ncols):
         row = [0] * width
         for col, val in _live(pres, _relations(pres, t)[2]).items():
