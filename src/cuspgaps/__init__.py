@@ -26,11 +26,9 @@ from .invariants import (
     vanishing_order_bound,
 )
 from .msengine import SpaceBasis, build_presentation, qexpansion_basis
-from .oracles import EtaProduct, delta_expansion, eisenstein_E, eta_expand, tau, victor_miller_basis
 from .qexp import QExpansion
 
 __all__ = [
-    "EtaProduct",
     "GapData",
     "QExpansion",
     "SpaceBasis",
@@ -42,12 +40,9 @@ __all__ = [
     "classify_triple",
     "coefficient_valuation",
     "cusp_dim",
-    "delta_expansion",
-    "eisenstein_E",
     "eps2",
     "eps3",
     "eps_inf",
-    "eta_expand",
     "gap_data",
     "genus",
     "index",
@@ -55,10 +50,8 @@ __all__ = [
     "normalize_p",
     "qexpansion_basis",
     "sturm_bound",
-    "tau",
     "valence_bound",
     "vanishing_levels",
     "vanishing_order_bound",
-    "victor_miller_basis",
     "__version__",
 ]

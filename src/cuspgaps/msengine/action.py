@@ -10,20 +10,29 @@ positive determinant acts on the left by
 and the resulting path is re-expressed in Manin symbols through the
 continued-fraction (Manin trick) decomposition of each endpoint.  All
 polynomial transport happens by composing 2x2 integer matrices first, so
-every expansion is a single monomial substitution with integer output.
+each unimodular piece of a path is one piece (scale, i, m): the polynomial
+scale * X^i Y^(deg-i) | m at the P^1 class of the piece's bottom row.
 
-That substitution, (aX + bY)^i (cX + dY)^(deg-i), is one big-integer
-product (Kronecker substitution): at X = 2^s, Y = 1 it is sum_j e_j 2^(sj)
-over its coefficients e_j, and |e_j| <= M = (|a|+|b|)^i (|c|+|d|)^(deg-i).
-With 2^(s-1) > M, adding 2^(s-1) to every digit puts each in [0, 2^s), so
-the e_j are read off as plain s-bit pieces, without carries.
+Pieces are summed packed (Kronecker substitution): at X = 2^s, Y = 1,
+scale * (aX + bY)^i (cX + dY)^(deg-i) is the big integer
+scale * (a 2^s + b)^i (c 2^s + d)^(deg-i) = sum_x scale e_x 2^(sx) over its
+coefficients e_x, so the pieces of one class add as integers and their
+summed coefficients are the s-bit digits of the total, read once.  The
+width s must hold every summed digit.  Each |e_x| is at most
+(|a|+|b|)^i (|c|+|d|)^(deg-i) <= 2^E, where E is the largest
+i bitlen(|a|+|b|) + (deg-i) bitlen(|c|+|d|) over the pieces (as
+n < 2^bitlen(n)).  So every summed digit has absolute value at most
+2^E sum |scale| < 2^(E + bitlen(sum |scale|)), and
+s = E + bitlen(sum |scale|) + 1 (digit_width) keeps it in
+(-2^(s-1), 2^(s-1)): adding 2^(s-1) to every digit puts each in
+[0, 2^s), and unpack reads them off as plain s-bit pieces, without
+carries.  One width serves every class of a sum.
 """
 
 from __future__ import annotations
 
-import math
-
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
+Piece = tuple[int, int, Mat2]  # (scale, i, m): scale * X^i Y^(deg-i) | m
 
 
 def mat_mul2(a: Mat2, b: Mat2) -> Mat2:
@@ -41,14 +50,24 @@ def mat_det(m: Mat2) -> int:
     return m[0][0] * m[1][1] - m[0][1] * m[1][0]
 
 
-def expand_monomial(i: int, deg: int, m: Mat2) -> list[int]:
-    """Coefficients (by X-degree 0..deg) of (aX+bY)^i (cX+dY)^(deg-i),
-    i.e. of X^i Y^(deg-i) | m, as the s-bit digits of its value at
-    X = 2^s, Y = 1 (see the module docstring)."""
-    (a, b), (c, d) = m
-    s = ((abs(a) + abs(b)) ** i * (abs(c) + abs(d)) ** (deg - i)).bit_length() + 1
+def digit_width(pieces: list[Piece], deg: int) -> int:
+    """The width s = E + bitlen(sum |scale|) + 1 that holds every digit of
+    the pieces' sum (see the module docstring)."""
+    e = max((i * (abs(a) + abs(b)).bit_length() + (deg - i) * (abs(c) + abs(d)).bit_length()
+             for _, i, ((a, b), (c, d)) in pieces), default=0)
+    return e + sum(abs(scale) for scale, _, _ in pieces).bit_length() + 1
+
+
+def pack(pieces: list[Piece], deg: int, s: int) -> int:
+    """The pieces' sum at X = 2^s, Y = 1."""
+    return sum(scale * ((a << s) + b) ** i * ((c << s) + d) ** (deg - i)
+               for scale, i, ((a, b), (c, d)) in pieces)
+
+
+def unpack(v: int, deg: int, s: int) -> list[int]:
+    """The deg + 1 signed s-bit digits of v, lowest first (by X-degree
+    0..deg for a packed polynomial); each must lie in (-2^(s-1), 2^(s-1))."""
     mask, half = (1 << s) - 1, 1 << (s - 1)
-    v = ((a << s) + b) ** i * ((c << s) + d) ** (deg - i)
     v += half * ((1 << s * (deg + 1)) - 1) // mask  # 2^(s-1) on every digit
     out = []
     for _ in range(deg + 1):
@@ -57,51 +76,50 @@ def expand_monomial(i: int, deg: int, m: Mat2) -> list[int]:
     return out
 
 
-def unimodular_path_matrices(num: int, den: int) -> list[Mat2]:
-    """SL_2(Z) matrices M_0..M_r with {inf, num/den} = sum_j M_j {0, inf},
-    from the continued-fraction convergents of num/den (den > 0)."""
-    mats: list[Mat2] = []
-    p_prev2, q_prev2 = 0, 1  # convergent p_{-2}/q_{-2}
-    p_prev, q_prev = 1, 0  # convergent p_{-1}/q_{-1} = infinity
-    x, y = num, den
-    j = 0
-    while y != 0:
-        a = x // y
-        x, y = y, x - a * y
-        p, q = a * p_prev + p_prev2, a * q_prev + q_prev2
-        s = 1 if j % 2 else -1  # (-1)^(j-1)
-        mats.append(((p, s * p_prev), (q, s * q_prev)))
-        p_prev2, q_prev2 = p_prev, q_prev
-        p_prev, q_prev = p, q
-        j += 1
-    return mats
+def expand_monomial(i: int, deg: int, m: Mat2) -> list[int]:
+    """Coefficients (by X-degree 0..deg) of (aX+bY)^i (cX+dY)^(deg-i),
+    i.e. of X^i Y^(deg-i) | m: the one piece (1, i, m), packed and read."""
+    piece = [(1, i, m)]
+    s = digit_width(piece, deg)
+    return unpack(pack(piece, deg, s), deg, s)
 
 
 def act_path(
     poly_transport: Mat2,
-    monomial_degree: int,
-    weight_degree: int,
     endpoint_from: tuple[int, int],
     endpoint_to: tuple[int, int],
-) -> list[tuple[tuple[int, int], int, list[int]]]:
-    """Expand (P|poly_transport){from, to} over Manin symbols.
+) -> list[tuple[tuple[int, int], int, Mat2]]:
+    """The unimodular pieces of (P|poly_transport){from, to}.
 
     Endpoints are projective integer pairs (num, den), den = 0 meaning the
-    cusp at infinity.  Returns one triple (bottom row, sign, coefficients)
-    per unimodular piece M of the path: the piece contributes
-    sign * coefficients[x] to the symbol [X^x Y^(deg-x), bottom row of M]
-    for x = 0..deg; callers reduce the bottom row into P^1(Z/NZ) once.
+    cusp at infinity.  {inf, num/den} = sum_j M_j {0, inf} over the SL_2(Z)
+    matrices M_j = (p_j, e p_(j-1); q_j, e q_(j-1)), e = (-1)^(j-1), from
+    the continued-fraction convergents p_j/q_j of num/den
+    (p_(-1)/q_(-1) = 1/0, p_(-2)/q_(-2) = 0/1).  Returns one triple
+    (bottom row, sign, transport) per piece: the piece contributes
+    sign * (P|transport) at the bottom row of M_j, with transport =
+    poly_transport M_j, whose columns are the images of the convergent
+    vectors (p_j, q_j) and so follow their recurrence; callers reduce the
+    bottom row into P^1(Z/NZ) once.  num/den need not be in lowest terms,
+    as a common factor leaves the partial quotients unchanged.
     """
-    pieces: list[tuple[tuple[int, int], int, list[int]]] = []
+    (t00, t01), (t10, t11) = poly_transport
+    pieces: list[tuple[tuple[int, int], int, Mat2]] = []
     for (num, den), outer_sign in ((endpoint_to, 1), (endpoint_from, -1)):
         if den == 0:
             continue  # {inf, inf} contributes nothing
         if den < 0:
             num, den = -num, -den
-        g = math.gcd(abs(num), den)
-        if g > 1:
-            num, den = num // g, den // g
-        for m in unimodular_path_matrices(num, den):
-            coeffs = expand_monomial(monomial_degree, weight_degree, mat_mul2(poly_transport, m))
-            pieces.append(((m[1][0], m[1][1]), outer_sign, coeffs))
+        # q_(j-2), q_(j-1), and the images of (p, q) at j-2 and j-1
+        q2, q1 = 1, 0
+        u2, v2, u1, v1 = t01, t11, t00, t10
+        e = -1
+        x, y = num, den
+        while y:
+            a, r = divmod(x, y)
+            x, y = y, r
+            q2, q1 = q1, a * q1 + q2
+            u2, v2, u1, v1 = u1, v1, a * u1 + u2, a * v1 + v2
+            pieces.append(((q1, e * q2), outer_sign, ((u1, e * u2), (v1, e * v2))))
+            e = -e
     return pieces

@@ -49,10 +49,10 @@ S_d = D sum_(0 <= b < d) (1, b; 0, d) . x per d,
     D T_m x = sum over a | m, gcd(a, N) = 1 of a^(k-2-i) S_(m/a).
 
 Two more identities shrink each S_d.  First, with g = gcd(b, d),
-(1, b; 0, d) . x = g^i (1, b/g; 0, d/g) . x term by term on the raw
+(1, b; 0, d) . x = g^i (1, b/g; 0, d/g) . x term by term on the Manin
 symbols: X^i Y^(k-2-i) | (d, -b; 0, 1) is g^i X^i Y^(k-2-i) |
-(d/g, -b/g; 0, 1), and {b/d, oo} = {(b/g)/(d/g), oo}, whose endpoint
-act_path reduces by g anyway.  So with R_d = D sum (1, b; 0, d) . x over
+(d/g, -b/g; 0, 1), and {b/d, oo} = {(b/g)/(d/g), oo}, as b/d and
+(b/g)/(d/g) have one continued fraction.  So with R_d = D sum (1, b; 0, d) . x over
 the 0 <= b < d prime to d,
 
     S_d = sum over g | d of g^i R_(d/g).
@@ -64,7 +64,7 @@ give the same vector in the plus quotient:
 x, as i and k are even; Gamma_0(N) acts trivially on the quotient, and
 eta acts trivially on the plus quotient.  So R_d is twice the sum over
 0 < b < d/2 prime to d, while R_1 and R_2 take their one residue
-b = d - 1.  (The raw symbols of b and d - b differ; only their reduced
+b = d - 1.  (The Manin symbols of b and d - b differ; only their reduced
 vectors agree.)  Each Merel element thus costs 2 + sum_(3 <= d <= B)
 phi(d)/2 coset actions, where the sum over all b took B(B+1)/2 and T_m
 coset by coset sum_(m <= B) sigma(m): 217, 703 and 1135 at B = 37.
@@ -159,8 +159,14 @@ class SpaceBasis:
 def _coset_image(pres: MSPresentation, x: dict, cosets) -> list[int]:
     """The sum of (a, b; 0, d) . x over the coset data (a, b, d), for the
     integer combination x = {Manin symbol: coefficient}, in generator
-    coordinates scaled by the presentation's denominator D: all coset
-    images go into one dict of raw symbols, reduced into the quotient once."""
+    coordinates scaled by the presentation's denominator D.  Every coset
+    image goes unexpanded into one sum of pieces (scale, i, transport) per
+    P^1 class; raw_to_quotient then sums each class as one packed integer
+    at X = 2^s, Y = 1, with s = E + bitlen(sum |scale|) + 1 for E the
+    largest i bitlen(|a|+|b|) + (k-2-i) bitlen(|c|+|d|) of a transport, so
+    that every coefficient of a piece is at most 2^E and every summed
+    coefficient fits a signed s-bit digit, and folds its k-1 digits
+    straight into the quotient."""
     raw: dict = {}
     for a, b, d in cosets:
         for t, c in x.items():

@@ -27,27 +27,41 @@ already added; each pivot column is stored as an integer row over the
 free columns (the generators), scaled by one common denominator D
 (the `denominator` attribute), the lcm of the leads of the primitive
 integer RREF rows.  Reducing a combination of symbols into the quotient
-therefore sums integers only: raw_to_quotient returns the integer vector
-D*v of the generator coordinates v, and callers divide by D only where a
-rational value leaves the engine.  The cuspidal subspace is the kernel of
-the boundary map to cusp classes (cusps taken modulo Gamma_0(N) and
-negation, which is what the star quotient sees).  The cusp of a lift's
-g(oo) depends only on its P^1 class, so the cusp classes are orbits on
-P^1 too, read off the same lookup table.  The kernel is kept as primitive
-integer vectors.  Its dimension must equal dim S_k(Gamma_0(N)); a mismatch
-raises EngineError since it would mean a presentation convention bug.
+therefore sums integers only: raw_to_quotient takes the combination as
+unexpanded pieces per P^1 class, sums each class as one packed integer
+and returns the integer vector D*v of the generator coordinates v, and
+callers divide by D only where a rational value leaves the engine.  The
+cuspidal subspace is the kernel of the boundary map to cusp classes
+(cusps taken modulo Gamma_0(N) and negation, which is what the star
+quotient sees).  The cusp of a lift's g(oo) depends only on its P^1
+class, so the cusp classes are orbits on P^1 too, read off the same
+lookup table.  The kernel is kept as primitive integer vectors.  Its
+dimension must equal dim S_k(Gamma_0(N)); a mismatch raises EngineError
+since it would mean a presentation convention bug.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 from ..arith import xgcd
 from ..errors import EngineError
 from ..invariants import check_index, check_level, check_weight, cusp_dim
 from ..linalg import Echelonizer, kernel_basis, make_primitive
-from .action import Mat2, act_path, expand_monomial, mat_adjugate, mat_det, mat_mul2
+from .action import (
+    Mat2,
+    Piece,
+    act_path,
+    digit_width,
+    expand_monomial,
+    mat_adjugate,
+    mat_det,
+    mat_mul2,
+    pack,
+    unpack,
+)
 from .p1 import P1, p1_space
 
 TAU: Mat2 = ((0, -1), (1, -1))
@@ -170,6 +184,10 @@ class MSPresentation:
             for row, pc in zip(reduced, pivots)
         ]
         self.denominator = den
+        # the bit length of the largest entry of a live column's row
+        self._row_bits = max([den.bit_length()]
+                             + [abs(e).bit_length() for _, row in self._pivot_rows for _, e in row])
+        self._packed: dict[int, list[int]] = {}
         self.generators = [live_roots[c] for c in free_cols]  # root symbol per generator
         self.dimension = len(free_cols)
 
@@ -208,33 +226,57 @@ class MSPresentation:
 
     # -- quotient coordinates ----------------------------------------------
 
-    def raw_to_quotient(self, raw: dict) -> list[int]:
-        """An integer combination {Manin symbol: coefficient} in generator
-        coordinates, scaled by the denominator D: fold the symbols into live
-        columns, then add the integer row of each non-zero pivot column.
-        The result is the integer vector D*v; a generator maps to D*e_i."""
+    def raw_to_quotient(self, raw: dict[int, list[Piece]]) -> list[int]:
+        """A sum of pieces {P^1 class: [(scale, i, m), ...]}, each piece the
+        polynomial scale * X^i Y^(k-2-i) | m at its class, in generator
+        coordinates scaled by the denominator D: the integer vector D*v.
+
+        Each class's pieces are summed as one packed integer at X = 2^s,
+        Y = 1, with one width for the whole sum: s = E + bitlen(sum |scale|)
+        + 1, E the largest i bitlen(|a|+|b|) + (k-2-i) bitlen(|c|+|d|) of a
+        piece, as each coefficient of a piece is at most 2^E in size (see
+        the action module).  The k-1 digits of a class are the coefficients
+        of its Manin symbols, one |P^1| apart, and each is folded into its
+        live column as it is read.  The live columns then reach the
+        generators by the same trick: each live column's integer row over
+        the generators (D e_g for a free column, the stored row for a pivot
+        column) is packed at a width w that holds every output coordinate,
+        |sum_c acc_c row_c| <= sum |acc| max |row entry|, and the rows,
+        scaled by the column values and summed, are read once.  w is a
+        power of two, at least 64, so that the packed rows are built for
+        few widths and kept.  A generator [X^i Y^(k-2-i), j] given as
+        {j: [(1, i, identity)]} maps to D times its unit vector."""
+        deg, fold = self.degree, self._fold
+        s = digit_width([piece for pieces in raw.values() for piece in pieces], deg)
         acc = [0] * (self.dimension + len(self._pivot_rows))
-        fold = self._fold
-        for t, val in raw.items():
-            if val and fold[t] is not None:
-                col, s = fold[t]
-                acc[col] += s * val
-        den = self.denominator
-        out = [acc[c] * den for c in self._free_cols]
-        for pc, row in self._pivot_rows:
-            a = acc[pc]
-            if a:
-                for gi, e in row:
-                    out[gi] += a * e
-        return out
+        for j, pieces in raw.items():
+            for t, val in zip(range(j, self.ncols, self.n_p1), unpack(pack(pieces, deg, s), deg, s)):
+                if val and fold[t] is not None:
+                    col, sign = fold[t]
+                    acc[col] += sign * val
+        w = max(64, 1 << (sum(map(abs, acc)).bit_length() + self._row_bits).bit_length())
+        return unpack(sum(map(mul, acc, self._packed_rows(w))), self.dimension - 1, w)
+
+    def _packed_rows(self, w: int) -> list[int]:
+        """The integer row over the generators of each live column, packed
+        at width w (digit g at bit w*g), built once per width."""
+        rows = self._packed.get(w)
+        if rows is None:
+            rows = [0] * (self.dimension + len(self._pivot_rows))
+            for gi, c in enumerate(self._free_cols):
+                rows[c] = self.denominator << w * gi
+            for pc, row in self._pivot_rows:
+                rows[pc] = sum(e << w * gi for gi, e in row)
+            self._packed[w] = rows
+        return rows
 
     # -- matrix action and Hecke operators -----------------------------------
 
-    def act_symbol_raw(self, t: int, delta: Mat2, raw: dict, scale: int) -> dict:
-        """Add scale * (delta . symbol t), an integer combination of Manin
-        symbols, into the dict raw and return it; each unimodular piece of
-        the path is looked up in P^1 once, and its coefficients fill the
-        columns of that class, one |P^1| apart."""
+    def act_symbol_raw(self, t: int, delta: Mat2, raw: dict[int, list[Piece]], scale: int) -> dict:
+        """Add scale * (delta . symbol t) into the sum of pieces raw (see
+        raw_to_quotient) and return it: each unimodular piece of the path
+        is looked up in P^1 once and recorded unexpanded, as
+        (signed scale, i, transport) under its class."""
         if mat_det(delta) <= 0:
             raise ValueError("action requires positive determinant")
         i, j = divmod(t, self.n_p1)
@@ -243,12 +285,9 @@ class MSPresentation:
         transport = mat_mul2(g_inv, mat_adjugate(delta))
         to_pair = (delta[0][0] * a + delta[0][1] * c, delta[1][0] * a + delta[1][1] * c)
         from_pair = (delta[0][0] * b + delta[0][1] * d, delta[1][0] * b + delta[1][1] * d)
-        get = raw.get
-        for (u, v), sign, coeffs in act_path(transport, i, self.degree, from_pair, to_pair):
-            sign *= scale
-            for col, coeff in zip(range(self.p1.index(u, v), self.ncols, self.n_p1), coeffs):
-                if coeff:
-                    raw[col] = get(col, 0) + sign * coeff
+        index = self.p1.index
+        for (u, v), sign, m in act_path(transport, from_pair, to_pair):
+            raw.setdefault(index(u, v), []).append((sign * scale, i, m))
         return raw
 
 

@@ -4,7 +4,8 @@ Level-1 bases are built from Eisenstein series and the discriminant form by
 naive truncated series multiplication (no FFT, correctness over speed), and
 eta products supply the classical level-11 weight-2 form.  These routines
 share no code with the modular symbols engine, so agreement between the two
-is a genuine cross-check.
+is a genuine cross-check.  They serve the tests only, which import this
+module from the tests directory.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import divisors
-from .linalg import rref
-from .qexp import QExpansion
+from cuspgaps.arith import divisors
+from cuspgaps.linalg import rref
+from cuspgaps.qexp import QExpansion
 
 
 # -- truncated integer power series with constant term, coeffs[n] = a_n ------

@@ -17,7 +17,8 @@ from cuspgaps.heckeops import apply_Up, apply_Vp, build_operator_stack
 from cuspgaps.invariants import ScanConfig, scan_triples
 from cuspgaps.linalg import mat_mul
 from cuspgaps.msengine import hecke_matrices_from_symbols, hecke_stability_certificate, qexpansion_basis
-from cuspgaps.oracles import EtaProduct, eta_expand, tau, victor_miller_basis
+
+from oracles import EtaProduct, eta_expand, tau, victor_miller_basis
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -141,6 +142,12 @@ def test_criterion_4_operator_suite_extended():
 def test_criterion_4_operator_suite_heavy():
     detail = _operator_identity_suite(2, 12, 23)
     _report("4c (extended)", True, detail)
+
+
+@pytest.mark.slow
+def test_criterion_4_operator_suite_heaviest():
+    detail = _operator_identity_suite(1, 28, 29)
+    _report("4d (extended)", True, detail)
 
 
 @pytest.mark.slow

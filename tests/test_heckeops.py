@@ -32,8 +32,9 @@ from cuspgaps.heckeops import (
 from cuspgaps.invariants import cusp_dim, sturm_bound, valence_bound
 from cuspgaps.linalg import Echelonizer, kernel_basis, mat_inverse, mat_mul, mat_vec, rref, solve_columns
 from cuspgaps.msengine import build_presentation, coefficient_image, hecke_matrices_from_symbols, qexpansion_basis
-from cuspgaps.oracles import delta_expansion
 from cuspgaps.qexp import QExpansion
+
+from oracles import delta_expansion
 
 series = st.lists(st.integers(min_value=-30, max_value=30), min_size=6, max_size=40)
 

@@ -16,7 +16,8 @@ from cuspgaps import arith
 from cuspgaps import invariants as inv
 from cuspgaps.arith import divisors, is_prime, kronecker_minus3, kronecker_minus4, primes_up_to
 from cuspgaps.errors import EngineError
-from cuspgaps.oracles import victor_miller_basis
+
+from oracles import victor_miller_basis
 
 
 # -- brute-force oracles -------------------------------------------------------

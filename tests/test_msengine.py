@@ -21,8 +21,9 @@ from cuspgaps.msengine import (
 )
 from cuspgaps.msengine.action import mat_mul2
 from cuspgaps.msengine.p1 import P1
-from cuspgaps.oracles import delta_expansion, eta_expand, EtaProduct, tau, victor_miller_basis
 from cuspgaps.qexp import QExpansion
+
+from oracles import EtaProduct, delta_expansion, eta_expand, tau, victor_miller_basis
 
 
 # -- P^1 ------------------------------------------------------------------------
@@ -339,20 +340,91 @@ def test_skipping_repeated_relation_rows_changes_no_field(spaces, monkeypatch):
     assert len(added) > skipping_rows
 
 
+IDENTITY = ((1, 0), (0, 1))
+
+
+def _as_pieces(pres, raw):
+    """A combination {Manin symbol: coefficient} as the sum of pieces that
+    raw_to_quotient reads: [X^i Y^(k-2-i), j] with coefficient c is the
+    piece (c, i, identity) at class j."""
+    out = {}
+    for t, c in raw.items():
+        i, j = divmod(t, pres.n_p1)
+        out.setdefault(j, []).append((c, i, IDENTITY))
+    return out
+
+
+def _summed_expansions(pieces, deg):
+    """sum of scale * expand_monomial(i, deg, m) over the pieces, by
+    X-degree: the pieces expanded one by one."""
+    from cuspgaps.msengine.action import expand_monomial
+
+    out = [0] * (deg + 1)
+    for scale, i, m in pieces:
+        for x, coeff in enumerate(expand_monomial(i, deg, m)):
+            out[x] += scale * coeff
+    return out
+
+
+def _symbols(pres, raw):
+    """A sum of pieces {class: [(scale, i, m), ...]} expanded piece by
+    piece into {Manin symbol: coefficient}, zeros dropped."""
+    out = {}
+    for j, pieces in raw.items():
+        for x, coeff in enumerate(_summed_expansions(pieces, pres.degree)):
+            if coeff:
+                out[x * pres.n_p1 + j] = coeff
+    return out
+
+
+def _dict_to_quotient(pres, raw):
+    """Reference reduction of {Manin symbol: coefficient}, symbol by
+    symbol: fold each into its live column, then add the integer row of
+    each non-zero pivot column, giving D*v."""
+    acc = [0] * (pres.dimension + len(pres._pivot_rows))
+    for t, val in raw.items():
+        if pres._fold[t] is not None:
+            col, sign = pres._fold[t]
+            acc[col] += sign * val
+    out = [acc[c] * pres.denominator for c in pres._free_cols]
+    for pc, row in pres._pivot_rows:
+        for gi, e in row:
+            out[gi] += acc[pc] * e
+    return out
+
+
+def _relation_pieces(pres, t):
+    """The relations of _relations(pres, t) as sums of pieces, the
+    three-term one with the transports tau and tau^2 unexpanded."""
+    from cuspgaps.msengine.presentation import TAU, TAU2
+
+    two_term, star, _ = _relations(pres, t)
+    i, j = divmod(t, pres.n_p1)
+    c, d = pres.p1[j]
+    three_term = {}
+    for m, jj in ((IDENTITY, j), (TAU, pres.p1.index(d, -c - d)), (TAU2, pres.p1.index(-c - d, c))):
+        three_term.setdefault(jj, []).append((1, i, m))
+    return [_as_pieces(pres, two_term), _as_pieces(pres, star), three_term]
+
+
 @pytest.mark.parametrize("level,weight", RELATION_SPACES)
 def test_quotient_kills_every_relation(level, weight):
     """raw_to_quotient vanishes on the two-term, star and three-term
-    relation of every Manin symbol, and sends each generator to D times its
-    unit vector, D the presentation's denominator."""
+    relation of every Manin symbol, given as packed sums of pieces whose
+    expansion is that relation symbol by symbol, and sends each generator
+    to D times its unit vector, D the presentation's denominator."""
     pres = build_presentation(level, weight)
     den = pres.denominator
     assert type(den) is int and den >= 1
     zero = [0] * pres.dimension
     for t in range(pres.ncols):
-        for raw in _relations(pres, t):
-            assert pres.raw_to_quotient(raw) == zero, (t, raw)
+        for raw, pieces in zip(_relations(pres, t), _relation_pieces(pres, t)):
+            assert _symbols(pres, pieces) == {u: c for u, c in raw.items() if c}, (t, raw)
+            assert pres.raw_to_quotient(pieces) == zero, (t, raw)
+            assert _dict_to_quotient(pres, raw) == zero, (t, raw)
     for gi, t in enumerate(pres.generators):
-        assert pres.raw_to_quotient({t: 1}) == [den * int(gj == gi) for gj in range(pres.dimension)]
+        unit = [den * int(gj == gi) for gj in range(pres.dimension)]
+        assert pres.raw_to_quotient(_as_pieces(pres, {t: 1})) == unit
 
 
 def _fraction_quotient(pres, raw):
@@ -377,14 +449,22 @@ def _fraction_quotient(pres, raw):
 @given(st.sampled_from(RELATION_SPACES), st.data())
 @settings(max_examples=60, deadline=None)
 def test_quotient_is_the_fraction_fold_scaled_by_d(space, data):
-    """On random integer combinations of Manin symbols, raw_to_quotient
-    returns integers that, divided by D, are the Fraction reduction."""
+    """On random sums of pieces (random classes, monomials, transports and
+    scales, several per class), raw_to_quotient returns integers that,
+    divided by D, are the Fraction reduction of their expansion symbol by
+    symbol; so do random combinations of Manin symbols."""
     pres = build_presentation(*space)
     symbol = st.integers(0, pres.ncols - 1)
     raw = data.draw(st.dictionaries(symbol, st.integers(-50, 50), max_size=12))
-    got = pres.raw_to_quotient(raw)
+    got = pres.raw_to_quotient(_as_pieces(pres, raw))
     assert all(type(x) is int for x in got)
     assert [Fraction(x, pres.denominator) for x in got] == _fraction_quotient(pres, raw)
+    entries = st.integers(-40, 40)
+    piece = st.tuples(st.integers(-50, 50), st.integers(0, pres.degree),
+                      st.tuples(st.tuples(entries, entries), st.tuples(entries, entries)))
+    pieces = data.draw(st.dictionaries(st.integers(0, pres.n_p1 - 1), st.lists(piece, max_size=6), max_size=6))
+    got = pres.raw_to_quotient(pieces)
+    assert [Fraction(x, pres.denominator) for x in got] == _fraction_quotient(pres, _symbols(pres, pieces))
 
 
 @pytest.mark.parametrize("level,weight", RELATION_SPACES + [(11, 2), (5, 12), (36, 4)])
@@ -433,15 +513,116 @@ def test_expand_monomial_is_the_binomial_convolution(degree_i, m):
     assert expand_monomial(i, deg, m) == _binomial_expansion(i, deg, m)
 
 
+wide_piece = st.integers(0, 26).flatmap(lambda deg: st.tuples(
+    st.just(deg),
+    st.lists(st.tuples(st.one_of(st.integers(-3, 3), wide), st.integers(0, deg),
+                       st.tuples(st.tuples(wide, wide), st.tuples(wide, wide))), max_size=40),
+))
+TOP = 2**40 - 1  # bit length 40, so TOP^n is within a factor (1 - 2^-40)^n of 2^(40 n)
+
+
+@given(wide_piece)
+@example(deg_pieces=(10, []))
+@example(deg_pieces=(0, [(5, 0, ((3, 4), (-7, 2))), (-2, 0, ((0, 0), (9, -9)))]))
+@example(deg_pieces=(26, [(-(2**20 - 1), 26, ((TOP, 0), (0, 1)))]))
+@example(deg_pieces=(26, [(2**19, 0, ((1, 0), (0, TOP))), (2**19 - 1, 0, ((1, 0), (0, -TOP)))]))
+@example(deg_pieces=(12, [(0, 3, ((2**40, 1), (1, 2**40)))] + [(3, 12, ((1, 1), (1, 1)))] * 30))
+@settings(max_examples=300, deadline=None)
+def test_packed_sum_is_the_sum_of_expansions(deg_pieces):
+    """Pieces (scale, i, m) packed at the width digit_width picks and read
+    back give exactly the sum of scale * expand_monomial(i, deg, m), for
+    degrees up to 26, entries up to 2^40 in size, zero and negative scales
+    and many pieces per class; an empty list reads as zeros, and k = 2
+    pieces (degree 0) add as plain scaled constants.  The TOP examples sum
+    to a digit of (2^20 - 1) TOP^26 in size, -(TOP X)^26 at X^26 and
+    (TOP Y)^26 at X^0, within a factor (1 - 2^-20)(1 - 2^-40)^26 of the
+    2^(s-1) that the width bound allows."""
+    from cuspgaps.msengine.action import digit_width, pack, unpack
+
+    deg, pieces = deg_pieces
+    s = digit_width(pieces, deg)
+    assert unpack(pack(pieces, deg, s), deg, s) == _summed_expansions(pieces, deg)
+
+
+def test_one_bit_short_of_the_width_bound_misreads():
+    """The width bound is needed: seven copies of -(TOP X)^26 sum to an
+    X^26 digit of -7 TOP^26, above 2^(s-2) in size, which a width of s - 1
+    misreads; at s it is read exactly."""
+    from cuspgaps.msengine.action import digit_width, pack, unpack
+
+    deg, pieces = 26, [(-1, 26, ((TOP, 0), (0, 1)))] * 7
+    s = digit_width(pieces, deg)
+    assert s == 26 * 40 + 3 + 1
+    want = [0] * 26 + [-7 * TOP**26]
+    assert abs(want[-1]) > 2 ** (s - 2)
+    assert unpack(pack(pieces, deg, s), deg, s) == want == _summed_expansions(pieces, deg)
+    assert unpack(pack(pieces, deg, s - 1), deg, s - 1) != want
+
+
+def _unimodular_path_matrices(num, den):
+    """SL_2(Z) matrices M_0..M_r with {inf, num/den} = sum_j M_j {0, inf},
+    from the continued-fraction convergents of num/den (den > 0)."""
+    mats = []
+    p_prev2, q_prev2 = 0, 1  # convergent p_{-2}/q_{-2}
+    p_prev, q_prev = 1, 0  # convergent p_{-1}/q_{-1} = infinity
+    x, y = num, den
+    j = 0
+    while y != 0:
+        a = x // y
+        x, y = y, x - a * y
+        p, q = a * p_prev + p_prev2, a * q_prev + q_prev2
+        s = 1 if j % 2 else -1  # (-1)^(j-1)
+        mats.append(((p, s * p_prev), (q, s * q_prev)))
+        p_prev2, q_prev2 = p_prev, q_prev
+        p_prev, q_prev = p, q
+        j += 1
+    return mats
+
+
+def _dict_act(pres, t, delta, scale=1):
+    """Reference for act_symbol_raw: scale * (delta . symbol t) as
+    {Manin symbol: coefficient}, each unimodular piece M of the path
+    composed with the transport by mat_mul2, expanded by expand_monomial
+    and written coefficient by coefficient (the route the packed sums
+    replaced)."""
+    from cuspgaps.msengine.action import expand_monomial, mat_adjugate
+
+    i, j = divmod(t, pres.n_p1)
+    (a, b), (c, d) = pres._lifts[j]
+    transport = mat_mul2(((d, -b), (-c, a)), mat_adjugate(delta))
+    (p, q), (r, u) = delta
+    out = {}
+    for (num, den), sign in (((p * a + q * c, r * a + u * c), 1), ((p * b + q * d, r * b + u * d), -1)):
+        if den == 0:
+            continue
+        if den < 0:
+            num, den = -num, -den
+        g = gcd(num, den)
+        for m in _unimodular_path_matrices(num // g, den // g):
+            jj = pres.p1.index(m[1][0], m[1][1])
+            for x, coeff in enumerate(expand_monomial(i, pres.degree, mat_mul2(transport, m))):
+                sym = x * pres.n_p1 + jj
+                out[sym] = out.get(sym, 0) + sign * scale * coeff
+    return {sym: coeff for sym, coeff in out.items() if coeff}
+
+
 def _act(pres, vec, delta):
     """delta . (integer vector in generator coordinates), in generator
-    coordinates scaled by D: the raw images of the generators under
-    act_symbol_raw, summed and reduced once by raw_to_quotient."""
-    raw = {}
+    coordinates scaled by D: the images of the generators under
+    act_symbol_raw, gathered into one sum of pieces and reduced once by
+    raw_to_quotient.  Checks on the way that the pieces expand, symbol by
+    symbol, to the dict route's images, and reduce as they do."""
+    raw, want = {}, {}
     for t, val in zip(pres.generators, vec):
         if val:
             pres.act_symbol_raw(t, delta, raw, val)
-    return pres.raw_to_quotient(raw)
+            for sym, coeff in _dict_act(pres, t, delta, val).items():
+                want[sym] = want.get(sym, 0) + coeff
+    want = {sym: coeff for sym, coeff in want.items() if coeff}
+    assert _symbols(pres, raw) == want
+    out = pres.raw_to_quotient(raw)
+    assert out == _dict_to_quotient(pres, want)
+    return out
 
 
 small = st.integers(-12, 12)
@@ -451,8 +632,8 @@ small = st.integers(-12, 12)
 @settings(max_examples=80, deadline=None)
 def test_act_symbol_raw_accumulates_into_the_callers_dict(space, data):
     """act_symbol_raw(t, delta, raw, scale) adds scale * (delta . t) into
-    raw, as merging the dict act_symbol_raw(t, delta, {}, 1) into raw term
-    by term does, and returns raw itself."""
+    the caller's sum of pieces raw and returns raw itself: symbol by
+    symbol, the expansion grows by scale times the dict route's image."""
     from hypothesis import assume
 
     pres = build_presentation(*space)
@@ -460,12 +641,13 @@ def test_act_symbol_raw_accumulates_into_the_callers_dict(space, data):
     delta = data.draw(st.tuples(st.tuples(small, small), st.tuples(small, small)), label="delta")
     assume(delta[0][0] * delta[1][1] - delta[0][1] * delta[1][0] > 0)
     scale = data.draw(st.integers(-7, 7), label="scale")
-    raw = data.draw(st.dictionaries(st.integers(0, pres.ncols - 1), st.integers(-9, 9), max_size=10))
-    merged = dict(raw)
-    for col, c in pres.act_symbol_raw(t, delta, {}, 1).items():
-        merged[col] = merged.get(col, 0) + scale * c
+    before = data.draw(st.dictionaries(st.integers(0, pres.ncols - 1), st.integers(-9, 9), max_size=10))
+    raw = _as_pieces(pres, before)
+    merged = dict(before)
+    for sym, coeff in _dict_act(pres, t, delta).items():
+        merged[sym] = merged.get(sym, 0) + scale * coeff
     assert pres.act_symbol_raw(t, delta, raw, scale) is raw
-    assert raw == merged
+    assert _symbols(pres, raw) == {sym: coeff for sym, coeff in merged.items() if coeff}
 
 
 def test_act_identity():
@@ -588,18 +770,21 @@ def test_merel_images_take_the_gcd_and_reflection_identities(level, weight, prec
 
 @pytest.mark.parametrize("level,weight", [(1, 12), (10, 8), (19, 16), (30, 6)])
 def test_act_symbol_raw_gcd_identity(level, weight):
-    """(1, g b; 0, g d) . x = g^i (1, b; 0, d) . x as raw dicts, key by key,
-    for a Merel symbol x = [X^i Y^(k-2-i), (0:1)]: the polynomial transport
-    carries g^i and the path {g b / g d, oo} is {b/d, oo}."""
+    """(1, g b; 0, g d) . x = g^i (1, b; 0, d) . x symbol by symbol, for a
+    Merel symbol x = [X^i Y^(k-2-i), (0:1)]: the polynomial transport
+    carries g^i and the path {g b / g d, oo} is {b/d, oo}.  Both sides are
+    act_symbol_raw's pieces expanded per Manin symbol, and the reduced side
+    is the dict route's image."""
     pres = build_presentation(level, weight)
     for i in range(2, weight - 2, 2):
         t = _merel_symbol(pres, i)
         for d in range(1, 13):
             for b in range(d):
                 g = gcd(b, d)
-                reduced = pres.act_symbol_raw(t, ((1, b // g), (0, d // g)), {}, 1)
-                assert pres.act_symbol_raw(t, ((1, b), (0, d)), {}, 1) == {
-                    col: g**i * c for col, c in reduced.items()
+                reduced = _symbols(pres, pres.act_symbol_raw(t, ((1, b // g), (0, d // g)), {}, 1))
+                assert reduced == _dict_act(pres, t, ((1, b // g), (0, d // g))), (i, b, d)
+                assert _symbols(pres, pres.act_symbol_raw(t, ((1, b), (0, d)), {}, 1)) == {
+                    sym: g**i * c for sym, c in reduced.items()
                 }, (i, b, d)
 
 
@@ -608,7 +793,8 @@ def test_reflection_identity_holds_in_the_plus_quotient(level, weight):
     """(1, b; 0, d) . x and (1, d - b; 0, d) . x reduce to one vector of
     the plus quotient for a Merel symbol x and b prime to d >= 3, since
     (1, d - b; 0, d) = (1, 1; 0, 1) eta (1, b; 0, d) eta with
-    eta = (-1, 0; 0, 1) fixing x; their raw symbols differ."""
+    eta = (-1, 0; 0, 1) fixing x; their Manin symbols differ, and the
+    dict route reduces them to the same vector."""
     pres = build_presentation(level, weight)
     raw_differs = False
     for i in range(2, weight - 2, 2):
@@ -618,8 +804,12 @@ def test_reflection_identity_holds_in_the_plus_quotient(level, weight):
                 if gcd(b, d) == 1:
                     left = pres.act_symbol_raw(t, ((1, b), (0, d)), {}, 1)
                     right = pres.act_symbol_raw(t, ((1, d - b), (0, d)), {}, 1)
-                    raw_differs |= left != right
-                    assert pres.raw_to_quotient(left) == pres.raw_to_quotient(right), (i, b, d)
+                    left_symbols, right_symbols = _symbols(pres, left), _symbols(pres, right)
+                    raw_differs |= left_symbols != right_symbols
+                    reduced = pres.raw_to_quotient(left)
+                    assert reduced == pres.raw_to_quotient(right), (i, b, d)
+                    assert reduced == _dict_to_quotient(pres, left_symbols), (i, b, d)
+                    assert reduced == _dict_to_quotient(pres, right_symbols), (i, b, d)
     assert raw_differs
 
 

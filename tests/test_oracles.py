@@ -4,7 +4,7 @@ from math import gcd
 
 import pytest
 
-from cuspgaps.oracles import (
+from oracles import (
     EtaProduct,
     delta_expansion,
     eisenstein_E,
@@ -27,7 +27,7 @@ def test_eisenstein_leading_coefficients():
 
 def test_discriminant_from_eisenstein():
     """E_4^3 - E_6^2 = 1728 Delta, coefficientwise: an independent route."""
-    from cuspgaps.oracles import series_pow
+    from oracles import series_pow
 
     prec = 40
     e4 = eisenstein_series_full(4, prec)
