@@ -10,31 +10,32 @@ Sturm's theorem also fixes every pivot and p-adic valuation the stack
 reports.  The transport checks U_p against a_n(U_p f) = a_(pn)(f), and
 T_ell against its coefficient rule, on the coefficients that are known.
 
-The old/new split reads the p-new block off U_p: on p-new forms
-U_p = -p^(k/2-1) w_p with w_p = +-1, so the block is the sum of the
-eigenspaces U_p = +-r, r = p^(k/2-1), which is ker(U_p^2 - r^2); on an old
-pair {g, V_p g} the roots of U_p have absolute value p^((k-1)/2) by
-Deligne's bound, so U_p^2 - r^2 is invertible on the old span.  The split
-builds the level-N basis itself and certifies, where each fact's data is
-made, that the oldform vectors are independent, that U_p V_p g = g and
-U_p g stays in the old span on every old pair, that the new block has
-dimension dim S_k(pN) - 2 dim S_k(N), and that old + new is a direct sum.
+The old/new split reads the p-new block off U_p as one kernel,
+ker(U_p^2 - r^2), r = p^(k/2-1): on p-new forms U_p = -r w_p with
+w_p = +-1, so U_p^2 = r^2 there; on an old pair {g, V_p g} the roots of U_p
+have absolute value p^((k-1)/2) by Deligne's bound, so U_p^2 - r^2 is
+invertible on the old span.  The split builds the level-N basis itself and
+certifies, where each fact's data is made, that the oldform vectors are
+independent, that U_p V_p g = g and U_p g stays in the old span on every
+old pair, that the new block has dimension dim S_k(pN) - 2 dim S_k(N), and
+that old + new is a direct sum.
 
 W_p is read off its images on the old pairs (g, V_p g) and the new
 vectors by one exact solve (linalg.solve_columns): it swaps g and V_p g
-(with factors p^(k/2) and p^(-k/2)) and is -U_p / r = -+1 on the two
-eigenspaces.  A q-expansion at infinity does not determine the slash action
-of the defining matrix directly, so this assembly is the computational
-route; it checks that W_p commutes with the split's T_ell, and failure
-aborts.  S is the kernel of f -> f|W_p + p^(1-k/2) f|U_p.  The trace map to
-level N, Tr = 1 + p^(1-k/2) U_p W_p, is not part of the stack: trace_matrix
-forms that product on demand.
+(with factors p^(k/2) and p^(-k/2)), and on the new block it is
+W_p = -U_p / r, the Atkin-Lehner relation itself.  A q-expansion at
+infinity does not determine the slash action of the defining matrix
+directly, so this assembly is the computational route; it checks that W_p
+commutes with the split's T_ell, and failure aborts.  S is the kernel of
+f -> f|W_p + p^(1-k/2) f|U_p.  The trace map to level N,
+Tr = 1 + p^(1-k/2) U_p W_p, is not part of the stack: trace_matrix forms
+that product on demand.
 
 The stack is one record: OperatorStack is the OldNewSplit (the two bases,
-the old pairs, the new vectors and their signs, U_p and T_ell) with W_p
-and the kernel basis of S added.  The operators are plain exact
-matrices: tuples of Fraction rows on ambient coordinate columns, applied
-and multiplied by linalg.mat_vec and mat_mul.
+the old pairs, the new vectors, U_p and T_ell) with W_p and the kernel
+basis of S added.  The operators are plain exact matrices: tuples of
+Fraction rows on ambient coordinate columns, applied and multiplied by
+linalg.mat_vec and mat_mul.
 """
 
 from __future__ import annotations
@@ -162,8 +163,7 @@ class OldNewSplit:
     ambient: SpaceBasis
     lower: SpaceBasis
     old_pairs: tuple  # ((coords g_i, coords V_p g_i), ...)
-    new_vectors: tuple
-    new_signs: tuple  # the W_p eigenvalue, +-1, of each new vector
+    new_vectors: tuple  # a basis of ker(U_p^2 - r^2), where W_p = -U_p / r
     up: tuple
     ell: int
     hecke_ell: tuple  # T_ell
@@ -176,22 +176,21 @@ class OldNewSplit:
 
 def old_new_split(level: int, weight: int, p: int, ambient: SpaceBasis) -> OldNewSplit:
     """Split S_k(pN) into the old span {g, V_p g} and the p-new block
-    ker(U_p - r) + ker(U_p + r), r = p^(k/2-1), where W_p = -1 and +1.
+    ker(U_p^2 - r^2), r = p^(k/2-1), on which W_p = -U_p / r.
 
-    On p-new forms U_p = -p^(k/2-1) w_p with w_p = +-1.  As x - r and x + r
-    are coprime the block is ker(U_p^2 - r^2), and on each old pair the
-    roots of U_p have absolute value p^((k-1)/2) (Deligne), so U_p^2 - r^2
-    is invertible on the old span.  U_p and T_ell come from one transport.
-    The certificates are checked here and raise EngineError: the oldform
-    vectors are independent; on every old
-    pair U_p V_p g = g exactly and U_p g lies in the old span, which checks
-    the transported U_p on the old block; the kernels have dimension
-    dim S_k(pN) - 2 dim S_k(N) together; and old + new is a direct sum, so
-    the old and new vectors span the ambient space.  The level-N basis
-    is built here, to max(sturm_bound(N, k), c_max + 1) coefficients, where
-    c_max is the last ambient pivot: taking ambient coordinates of g and
-    V_p g needs every pivot, and the Sturm bound is the least precision a
-    basis is built to.
+    On p-new forms U_p = -r w_p with w_p = +-1, so U_p^2 = r^2 there, and on
+    each old pair the roots of U_p have absolute value p^((k-1)/2)
+    (Deligne), so U_p^2 - r^2 is invertible on the old span.  U_p and T_ell
+    come from one transport.  The certificates are checked here and raise
+    EngineError: the oldform vectors are independent; on every old pair
+    U_p V_p g = g exactly and U_p g lies in the old span, which checks the
+    transported U_p on the old block; the kernel has dimension
+    dim S_k(pN) - 2 dim S_k(N); and old + new is a direct sum, so the old
+    and new vectors span the ambient space.  The level-N basis is built
+    here, to max(sturm_bound(N, k), c_max + 1) coefficients, where c_max is
+    the last ambient pivot: taking ambient coordinates of g and V_p g needs
+    every pivot, and the Sturm bound is the least precision a basis is
+    built to.
     """
     check_triple(level, weight, p)
     big = ambient
@@ -217,20 +216,15 @@ def old_new_split(level: int, weight: int, p: int, ambient: SpaceBasis) -> OldNe
             raise EngineError(f"U_{p} V_{p} g != g on old pair {i}")
         if not whole.contains(mat_vec(u, cg)):
             raise EngineError(f"U_{p} g leaves the old span on old pair {i}")
-    r = p ** (weight // 2 - 1)
-    new_vectors, new_signs = [], []
-    for sign in (1, -1):  # U_p = sign * r on this kernel, so W_p = -sign
-        shifted = [[x - sign * r * (i == j) for j, x in enumerate(row)] for i, row in enumerate(u)]
-        kernel = kernel_basis(shifted, width=dim_pn)
-        new_vectors += [tuple(v) for v in kernel]
-        new_signs += [-sign] * len(kernel)
+    r2 = p ** (weight - 2)  # r^2, r = p^(k/2-1)
+    shifted = [[x - r2 * (i == j) for j, x in enumerate(row)] for i, row in enumerate(mat_mul(u, u))]
+    new_vectors = [tuple(v) for v in kernel_basis(shifted, width=dim_pn)]
     if len(new_vectors) != dim_pn - 2 * lower.dimension:
         raise EngineError(f"new space dimension {len(new_vectors)} != {dim_pn} - 2*{lower.dimension}")
     for v in new_vectors:
         if whole.add(list(v)) is None:
             raise EngineError("old + new is not a direct sum")
-    return OldNewSplit(level, weight, p, big, lower, tuple(old_pairs), tuple(new_vectors), tuple(new_signs), u,
-                       ell, t)
+    return OldNewSplit(level, weight, p, big, lower, tuple(old_pairs), tuple(new_vectors), u, ell, t)
 
 
 # -- Atkin-Lehner, trace, and the subspace S ----------------------------------
@@ -238,18 +232,18 @@ def old_new_split(level: int, weight: int, p: int, ambient: SpaceBasis) -> OldNe
 def atkin_lehner(split: OldNewSplit) -> tuple:
     """W_p on ambient coordinates, read off one solve over split.columns:
     W_p sends g to p^(k/2) V_p g, V_p g to p^(-k/2) g, and a new vector v
-    to w v, where w = -U_p / p^(k/2-1) = +-1 is its sign in new_signs.
+    to -U_p v / p^(k/2-1), all new images from one product with U_p.
 
     Aborts with AssemblyError("Atkin-Lehner assembly failed") if W_p does
     not commute with the split's T_ell, which would signal a wrong split.
     W_p^2 = 1 is not checked: it holds by construction of the images.
     """
     k, p = split.weight, split.prime
-    half = p ** (k // 2)
+    half, r = p ** (k // 2), p ** (k // 2 - 1)
     images = []
     for cg, cvg in split.old_pairs:
         images += [[half * x for x in cvg], [Fraction(x, half) for x in cg]]
-    images += [[sign * x for x in v] for v, sign in zip(split.new_vectors, split.new_signs)]
+    images += [[-x / r for x in col] for col in zip(*mat_mul(split.up, list(zip(*split.new_vectors))))]
     w = tuple(tuple(row) for row in solve_columns(split.columns, images))
     if mat_mul(w, split.hecke_ell) != mat_mul(split.hecke_ell, w):
         raise AssemblyError(f"Atkin-Lehner assembly failed: W_{p} does not commute with T_{split.ell}")
@@ -291,7 +285,7 @@ class OperatorStack(OldNewSplit):
         """Tr(f) as a q-expansion, certified to lie in the level-N span."""
         coords = self.ambient.coordinates(f)
         image = self.ambient.linear_combination(mat_vec(trace_matrix(self), coords))
-        self.lower.coordinates(image.truncate(min(image.precision, self.lower.precision)))
+        self.lower.coordinates(image)
         return QExpansion(image.coeffs, self.weight, self.level)
 
 

@@ -196,6 +196,7 @@ def alpha_pair(level: int, big_weight: int) -> tuple[int, int]:
     """Forced zero counts (alpha2, alpha3) at the elliptic points for forms
     of even weight K, selected by K mod 12."""
     check_level(level)
+    check_index("big weight", big_weight, 2)
     if big_weight % 2 != 0:
         raise ValueError(f"alpha_pair is defined for even weights, got {big_weight}")
     m2, m3 = _ALPHA_MULTIPLES[big_weight % 12]

@@ -145,9 +145,11 @@ class SpaceBasis:
         return tuple(Fraction(y, scale * den) for y in ys)
 
     def linear_combination(self, coords) -> QExpansion:
-        """sum_j coords[j] b_j, with Fraction coefficients."""
-        columns = [[row.coeffs[n] for row in self.rows] for n in range(self.precision)]
-        return QExpansion(tuple(mat_vec(columns, coords)), self.weight, self.level)
+        """sum_j coords[j] b_j, with Fraction coefficients: the one-column
+        case of linear_combinations, whose empty coordinate matrix (the
+        zero space) has no column and gives the zero expansion."""
+        combos = self.linear_combinations([[c] for c in coords])
+        return combos[0] if combos else QExpansion((Fraction(0),) * self.precision, self.weight, self.level)
 
     def linear_combinations(self, coords) -> list[QExpansion]:
         """sum_j coords[j][r] b_j for each column r of the coordinate matrix

@@ -506,11 +506,25 @@ def test_split_certifies_the_oldforms_are_independent(monkeypatch):
         old_new_split(1, 24, 5, ambient)
 
 
+def _eigen_kernels(split):
+    """The eigenspaces U_p = r and U_p = -r, r = p^(k/2-1), each its own
+    kernel_basis: ker(U_p - r) and ker(U_p + r)."""
+    r, u = split.prime ** (split.weight // 2 - 1), split.up
+    shifted = ([[x - sign * r * (i == j) for j, x in enumerate(row)] for i, row in enumerate(u)] for sign in (1, -1))
+    return [kernel_basis(m, width=len(u)) for m in shifted]
+
+
+def _with_eigenvector_new_basis(split):
+    """The split with its new vectors replaced by U_p eigenvectors, the
+    kernels of U_p - r and U_p + r, which span the same block."""
+    return dataclasses.replace(split, new_vectors=tuple(tuple(v) for kernel in _eigen_kernels(split) for v in kernel))
+
+
 def test_split_certifies_the_new_dimension(monkeypatch):
-    """Moving the U_p eigenvalue of one new vector n from +-r to +-r + 1
-    keeps every old-pair certificate but drops n from the kernels of
-    U_p -+ r: 6 new vectors where 11 - 2*2 = 7 are due."""
-    split = build_operator_stack(1, 24, 5)
+    """Moving the U_p eigenvalue of one eigenvector n in the new block from
+    r to r + 1 keeps every old-pair certificate but drops n from
+    ker(U_p^2 - r^2): 6 new vectors where 11 - 2*2 = 7 are due."""
+    split = _with_eigenvector_new_basis(build_operator_stack(1, 24, 5))
     n = split.new_vectors[0]
     _patch_up(monkeypatch, _up_changed_on(split, (n, n)))
     with pytest.raises(EngineError, match=re.escape("new space dimension 6 != 11 - 2*2")):
@@ -518,11 +532,12 @@ def test_split_certifies_the_new_dimension(monkeypatch):
 
 
 def test_split_certifies_old_plus_new_is_direct(monkeypatch):
-    """U_p changed to send g_1 to r g_1, r = 5^11, puts g_1 in ker(U_p - r);
-    moving one new vector's eigenvalue off +-r as above keeps the kernel
-    count at 7 and U_p V_p g_1 = g_1.  Every earlier certificate passes,
-    and the old and new vectors fail to span S_24(Gamma_0(5))."""
-    split = build_operator_stack(1, 24, 5)
+    """U_p changed to send g_1 to r g_1, r = 5^11, puts g_1 in
+    ker(U_p^2 - r^2); moving one new eigenvector's eigenvalue off r as
+    above keeps the kernel dimension at 7 and U_p V_p g_1 = g_1.  Every
+    earlier certificate passes, and the old and new vectors fail to span
+    S_24(Gamma_0(5))."""
+    split = _with_eigenvector_new_basis(build_operator_stack(1, 24, 5))
     (g1, _), _ = split.old_pairs
     n = split.new_vectors[0]
     r = 5**11
@@ -552,10 +567,6 @@ def test_stack_makes_one_transport_and_one_solve(monkeypatch, level, weight, p):
 REFERENCE_STACKS = [(1, 12, 5), (2, 4, 7), (1, 24, 5), (3, 6, 5), (1, 12, 13)]
 
 
-def _shifted(m, c):
-    return [[x - c * (i == j) for j, x in enumerate(row)] for i, row in enumerate(m)]
-
-
 @pytest.mark.parametrize("level,weight,p", REFERENCE_STACKS)
 def test_trace_is_one_plus_up_times_w(level, weight, p):
     """trace_matrix's 1 + p^(1-k/2) U_p W_p is exactly the Tr read off its
@@ -573,17 +584,21 @@ def test_trace_is_one_plus_up_times_w(level, weight, p):
 
 @pytest.mark.parametrize("level,weight,p", REFERENCE_STACKS)
 def test_new_vectors_span_the_up_squared_kernel(level, weight, p):
-    """The two U_p eigenspaces U_p = +-p^(k/2-1) together span
-    ker(U_p^2 - p^(k-2)), and each new vector lies in the one its W_p sign
-    names: U_p v = -w p^(k/2-1) v."""
+    """The new vectors, a basis of ker(U_p^2 - r^2), r = p^(k/2-1), span
+    exactly ker(U_p - r) + ker(U_p + r), as x - r and x + r are coprime; and
+    W_p solved with images -v and +v on the two eigenspaces is the stack's
+    W_p, which takes -U_p / r on the whole block."""
     stack = build_operator_stack(level, weight, p)
+    plus, minus = _eigen_kernels(stack)
     new = [list(v) for v in stack.new_vectors]
-    r = p ** (weight // 2 - 1)
-    u = [list(row) for row in stack.up]
-    kernel = kernel_basis(_shifted(mat_mul(u, u), r * r), width=len(u))
-    assert len(new) == len(kernel) == _rank(new + kernel)
-    for v, sign in zip(new, stack.new_signs, strict=True):
-        assert mat_vec(stack.up, v) == [-sign * r * x for x in v]
+    assert len(new) == _rank(new) == _rank(plus + minus) == _rank(new + plus + minus) == len(plus) + len(minus)
+    half = p ** (weight // 2)
+    images = []
+    for cg, cvg in stack.old_pairs:
+        images += [[half * x for x in cvg], [Fraction(x, half) for x in cg]]
+    images += [[-x for x in v] for v in plus] + minus
+    columns = [c for pair in stack.old_pairs for c in pair] + plus + minus
+    assert [list(row) for row in stack.atkin_lehner] == solve_columns(columns, images)
 
 
 @pytest.mark.parametrize("build,warm,bad", [

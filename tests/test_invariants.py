@@ -209,8 +209,9 @@ def test_alpha_table():
     assert inv.alpha_pair(1, 4) == (0, 1)
     assert inv.alpha_pair(1, 6) == (1, 0)
     assert inv.alpha_pair(1, 8) == (0, 2)
-    with pytest.raises(ValueError):
-        inv.alpha_pair(1, 7)
+    for big_k in (7, 4.0, -2, 0):
+        with pytest.raises(ValueError):
+            inv.alpha_pair(1, big_k)
 
 
 def test_alpha_invariants():
