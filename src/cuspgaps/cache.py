@@ -8,9 +8,8 @@ Format (one file per basis):
     <row dim>
 
 with metadata {engineVersion, sturmBound, pivots} in <file>.meta.json.
-A file is read back only if its rows have the shape of the integral
-echelon basis: strictly increasing pivots, and each row primitive, with
-positive lead and zero in the other rows' pivot columns.
+A file is read back, or truncated, only through the engine's echelon
+contract (msengine.echelon_basis); Hecke stability is not certified here.
 Each file is written to a temporary file beside it and moved into place
 with os.replace, so a reader never sees a partly written file.
 """
@@ -20,14 +19,12 @@ from __future__ import annotations
 import json
 import os
 import secrets
-from math import gcd
 from pathlib import Path
 
 from . import __version__
 from .errors import EngineError
 from .invariants import check_precision, sturm_bound
-from .msengine import SpaceBasis
-from .qexp import QExpansion
+from .msengine import SpaceBasis, echelon_basis
 
 MAGIC = "MFBASIS"
 FORMAT_VERSION = "v1"
@@ -74,8 +71,8 @@ def write_basis(basis: SpaceBasis, directory: str | Path) -> Path:
 
 def read_basis(path: str | Path) -> SpaceBasis:
     """The basis in a cache file and its sidecar.  Anything in them that
-    does not parse or does not have the echelon shape raises EngineError;
-    an OSError (a missing or unreadable file) passes through."""
+    does not parse or fails the echelon contract raises EngineError; an
+    OSError (a missing or unreadable file) passes through."""
     path = Path(path)
     try:
         return _parse_basis(path)
@@ -94,42 +91,27 @@ def _parse_basis(path: Path) -> SpaceBasis:
     body = lines[1:]
     if len(body) != dim:
         raise EngineError(f"cache body has {len(body)} rows, header says {dim}")
-    rows = []
-    pivots = []
-    for line in body:
-        coeffs = tuple(int(x) for x in line.split())
-        if len(coeffs) != precision:
-            raise EngineError(f"cache row has {len(coeffs)} coefficients, header says {precision}")
-        rows.append(QExpansion(coeffs, weight, level))
-        pivot = rows[-1].order()
-        if pivot is None:
-            raise EngineError("cache row is identically zero")
-        pivots.append(pivot)
-    if any(a >= b for a, b in zip(pivots, pivots[1:])):
-        raise EngineError(f"cache pivots {pivots} are not strictly increasing")
-    for i, (row, pivot) in enumerate(zip(rows, pivots), 1):
-        if row.coeffs[pivot - 1] < 0:
-            raise EngineError(f"cache row {i} has a negative lead")
-        if gcd(*row.coeffs) != 1:
-            raise EngineError(f"cache row {i} is not primitive")
-        if any(row.coeffs[q - 1] for q in pivots if q != pivot):
-            raise EngineError(f"cache row {i} is non-zero in another row's pivot column")
+    rows = [tuple(int(x) for x in line.split()) for line in body]
+    for row in rows:
+        if len(row) != precision:
+            raise EngineError(f"cache row has {len(row)} coefficients, header says {precision}")
+    basis = echelon_basis(level, weight, precision, rows)
     meta_path = Path(str(path) + ".meta.json")
     if meta_path.exists():
         meta = json.loads(meta_path.read_text())
         if not isinstance(meta, dict):
             raise EngineError(f"sidecar of {path} is not a JSON object")
-        if meta.get("pivots") != pivots:
-            raise EngineError(f"sidecar pivots {meta.get('pivots')} disagree with rows {pivots}")
-    return SpaceBasis(level, weight, precision, tuple(rows), tuple(pivots))
+        if meta.get("pivots") != list(basis.pivots):
+            raise EngineError(f"sidecar pivots {meta.get('pivots')} disagree with rows {list(basis.pivots)}")
+    return basis
 
 
 def find_cached(directory: str | Path, level: int, weight: int, min_precision: int) -> SpaceBasis | None:
     """Best cached basis for (N, k) with precision >= min_precision,
     truncated to exactly min_precision (truncation of the canonical basis
     is the canonical basis at the lower precision, if min_precision is at
-    least the Sturm bound).  The file is chosen by the precision in its
-    name, and only that file is read."""
+    least the Sturm bound), which the echelon contract certifies again.
+    The file is chosen by the precision in its name; only it is read."""
     check_precision(level, weight, min_precision)
     directory = Path(directory)
     if not directory.is_dir():
@@ -150,5 +132,4 @@ def find_cached(directory: str | Path, level: int, weight: int, min_precision: i
         raise EngineError(f"cache header of {path} does not match its name")
     if best.precision == min_precision:
         return best
-    rows = tuple(QExpansion(r.coeffs[:min_precision], weight, level) for r in best.rows)
-    return SpaceBasis(level, weight, min_precision, rows, best.pivots)
+    return echelon_basis(level, weight, min_precision, (r.coeffs[:min_precision] for r in best.rows))

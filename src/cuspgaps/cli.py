@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure (a JSON witness is printed),
 2 usage or precondition error (among them a cache path that cannot be read
-or written), 3 engine error (an internal certificate failed or a cache
-file is corrupt), 141 stdout closed early, as by `| head` (the SIGPIPE
-status).  All output is deterministic for fixed inputs; the MFCACHE
-environment variable overrides --cache.
+or written), 3 engine error (an internal certificate failed, or a cache
+file does not parse or fails the echelon contract), 141 stdout closed
+early, as by `| head` (the SIGPIPE status).  All output is deterministic
+for fixed inputs; the MFCACHE environment variable overrides --cache.
 """
 
 from __future__ import annotations

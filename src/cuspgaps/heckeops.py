@@ -51,6 +51,7 @@ from .errors import AssemblyError, EngineError
 from .invariants import check_index, check_triple, sturm_bound
 from .linalg import (
     Echelonizer,
+    clear_denominators,
     kernel_basis,
     make_primitive,
     mat_inverse,  # noqa: F401  unused here; bench/layers.py patches heckeops.mat_inverse by name
@@ -90,17 +91,13 @@ def coefficient_valuation(f: QExpansion, p: int):
     """v_p(f) = min over known coefficients of v_p(a_n); +inf for the zero
     truncation.  Computed over the finitely many known coefficients, which
     determines the true infimum once the precision reaches the Sturm bound
-    of an ambient space containing f.  p must be an int >= 2."""
+    of an ambient space containing f.  With a_n = s_n / D over the common
+    denominator D, the minimum is v_p(gcd of the s_n) - v_p(D).  p must be
+    an int >= 2."""
     check_index("p", p, 2)
-    best = None
-    for c in f.coeffs:
-        if c == 0:
-            continue
-        frac = Fraction(c)
-        v = _int_valuation(frac.numerator, p) - _int_valuation(frac.denominator, p)
-        if best is None or v < best:
-            best = v
-    return INFINITE_VALUATION if best is None else best
+    (numerators,), den = clear_denominators([f.coeffs])
+    content = math.gcd(*numerators)
+    return INFINITE_VALUATION if content == 0 else _int_valuation(content, p) - _int_valuation(den, p)
 
 
 def _int_valuation(n: int, p: int) -> int:

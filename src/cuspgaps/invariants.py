@@ -294,17 +294,10 @@ CSV_HEADER = (
 )
 
 
-# the CaseReport fields that depend on p only through p mod 12
-_RESIDUE_FIELDS = (
-    "big_weight_mod12", "alpha2", "alpha3", "quadrant", "congruence_modulus", "weight_residue",
-    "prime_residue", "certificate", "certificate_lhs", "master_lhs", "inequality_holds",
-    "certificate_matches_master",
-)
-
-
-def _residue_core(level: int, weight: int, r: int) -> tuple[int, int, int, tuple]:
+def _residue_core(level: int, weight: int, r: int) -> tuple[int, int, int, dict]:
     """The case analysis of every (N, k, p) with p == r mod 12, p >= 5 prime
-    to N: (I(N), tail12, 12 * master LHS, the values of _RESIDUE_FIELDS).
+    to N: (I(N), tail12, 12 * master LHS, the CaseReport fields that depend
+    on p only through p mod 12, by name and in field order).
     With K = (k-1)p + 1 every term is a multiple of 1/12:
 
         12 master = (k-2) I(N) + (12[k/4] - 3(k-1)) eps2(pN)
@@ -350,10 +343,14 @@ def _residue_core(level: int, weight: int, r: int) -> tuple[int, int, int, tuple
             quadrant, cert, modulus = "alpha2!=0,alpha3!=0", CERT_MASTER, 12
 
     # every modulus divides 12, so r % modulus == p % modulus
-    residues = (None, None) if modulus is None else (k % modulus, r % modulus)
-    shared = (big_k12, a2, a3, quadrant, modulus, *residues, cert, cert_lhs, master,
-              master12 >= 12, cert12 == master12)
-    return i, 6 * a2 + 4 * a3 + 12 * ein - 12, master12, shared
+    fields = dict(
+        big_weight_mod12=big_k12, alpha2=a2, alpha3=a3, quadrant=quadrant, congruence_modulus=modulus,
+        weight_residue=None if modulus is None else k % modulus,
+        prime_residue=None if modulus is None else r % modulus,
+        certificate=cert, certificate_lhs=cert_lhs, master_lhs=master,
+        inequality_holds=master12 >= 12, certificate_matches_master=cert12 == master12,
+    )
+    return i, 6 * a2 + 4 * a3 + 12 * ein - 12, master12, fields
 
 
 def vanishing_order_bound(level: int, weight: int, p: int) -> Fraction:
@@ -396,8 +393,8 @@ def _classify_level(level: int, weight: int, primes) -> Iterator[CaseReport]:
     i = index(level)
     cores = {}
     for r in {p % 12 for p in primes}:
-        _, tail12, master12, shared = _residue_core(level, k, r)
-        cores[r] = tail12, master12 - 12, dict(zip(_RESIDUE_FIELDS, shared))
+        _, tail12, master12, fields = _residue_core(level, k, r)
+        cores[r] = tail12, master12 - 12, fields
     c1, c2, c3, ci = k - 1, k // 4, k // 3, k // 2 - 1
     new = object.__new__
     for p in primes:

@@ -4,6 +4,7 @@ Gamma_0(N) and integral echelon q-expansion bases of S_k(Gamma_0(N))."""
 from .basis import (
     SpaceBasis,
     coefficient_image,
+    echelon_basis,
     hecke_matrices_from_symbols,
     hecke_stability_certificate,
     qexpansion_basis,
@@ -17,6 +18,7 @@ __all__ = [
     "SpaceBasis",
     "build_presentation",
     "coefficient_image",
+    "echelon_basis",
     "hecke_cosets",
     "hecke_matrices_from_symbols",
     "hecke_stability_certificate",

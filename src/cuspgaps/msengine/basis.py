@@ -9,8 +9,8 @@ functionals span the dual as x runs over the cuspidal subspace and i over d
 coordinates that determine a cuspidal vector.  Accumulating the series
 until their rank equals d = dim S_k and echelonizing yields the canonical
 integral basis with strictly increasing pivots (d = 0 included: the pass
-then stops before its first series); a rank certificate, the
-pivot/valence check and a Hecke stability certificate guard the result.
+then stops before its first series); a rank certificate, the echelon
+contract (echelon_basis) and a Hecke stability certificate guard it.
 The pass records each series that raised the rank as one pair
 (images, i): the Hecke images T_m x it was read off, and the coordinate i.
 
@@ -86,7 +86,7 @@ from math import gcd, lcm
 
 from ..arith import divisors
 from ..errors import EngineError, NotInSpanError
-from ..invariants import check_index, check_precision, valence_bound
+from ..invariants import check_index, check_precision, cusp_dim, valence_bound
 from ..linalg import Echelonizer, clear_denominators, mat_mul, mat_vec, rref
 from ..qexp import QExpansion
 from .presentation import MSPresentation, build_presentation, hecke_cosets
@@ -96,7 +96,7 @@ from .presentation import MSPresentation, build_presentation, hecke_cosets
 class SpaceBasis:
     """Integral echelon basis: rows are primitive integer q-expansions with
     strictly increasing leading exponents (pivots) and positive leads; its
-    gap_rows span the gap space W_k(N)."""
+    gap_rows span the gap space W_k(N).  echelon_basis builds it certified."""
 
     level: int
     weight: int
@@ -272,20 +272,42 @@ def _independent_series(level: int, weight: int, precision: int):
     return ech.reduced_rows(), series
 
 
+def echelon_basis(level: int, weight: int, precision: int, rows) -> SpaceBasis:
+    """The SpaceBasis of integer coefficient rows of the given precision,
+    certified to have the shape of the canonical integral echelon basis of
+    S_k(Gamma_0(N)), which Sturm's bound fixes: every row non-zero and
+    primitive, with positive lead and zero in the other rows' pivot
+    columns; strictly increasing pivots; d = dim S_k rows; and the last
+    pivot at most the valence bound.  The engine and the cache build every
+    basis here; raises EngineError on the first clause that fails."""
+    forms = tuple(QExpansion(tuple(r), weight, level) for r in rows)
+    pivots = [f.order() for f in forms]
+    at = f"at ({level}, {weight})"
+    if None in pivots:
+        raise EngineError(f"echelon row {pivots.index(None) + 1} is identically zero {at}")
+    if any(a >= b for a, b in zip(pivots, pivots[1:])):
+        raise EngineError(f"echelon pivots {pivots} are not strictly increasing {at}")
+    for i, (f, pivot) in enumerate(zip(forms, pivots), 1):
+        if f.coeffs[pivot - 1] < 0:
+            raise EngineError(f"echelon row {i} has a negative lead {at}")
+        if gcd(*f.coeffs) != 1:
+            raise EngineError(f"echelon row {i} is not primitive {at}")
+        if any(f.coeffs[q - 1] for q in pivots if q != pivot):
+            raise EngineError(f"echelon row {i} is non-zero in another row's pivot column {at}")
+    d, vb = cusp_dim(level, weight), valence_bound(level, weight)
+    if len(forms) != d:
+        raise EngineError(f"echelon basis has {len(forms)} rows but dim S_k is {d} {at}")
+    if pivots and pivots[-1] > vb:
+        raise EngineError(f"echelon pivots {pivots} violate the valence bound {vb} {at}")
+    return SpaceBasis(level, weight, precision, forms, tuple(pivots))
+
+
 @lru_cache(maxsize=64, typed=True)
 def qexpansion_basis(level: int, weight: int, precision: int) -> SpaceBasis:
     """Canonical integral echelon basis of S_k(Gamma_0(N)) to the given
-    precision (an int, at least the Sturm bound)."""
+    precision (an int, at least the Sturm bound), certified Hecke stable."""
     check_precision(level, weight, precision)
-    reduced = _independent_series(level, weight, precision)[0]
-    rows = [QExpansion(tuple(r), weight, level) for r in reduced]
-    pivots = [row.order() for row in rows]
-    vb = valence_bound(level, weight)
-    if list(pivots) != sorted(set(pivots)) or (pivots and pivots[-1] > vb):
-        raise EngineError(
-            f"echelon pivots {pivots} violate the valence bound {vb} at ({level}, {weight})"
-        )
-    basis = SpaceBasis(level, weight, precision, tuple(rows), tuple(pivots))
+    basis = echelon_basis(level, weight, precision, _independent_series(level, weight, precision)[0])
     hecke_stability_certificate(basis)
     return basis
 

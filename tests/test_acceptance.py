@@ -5,13 +5,17 @@ complete.  The heavy engine computations are cached in-process, so criteria
 sharing a space do not pay for it twice.
 """
 
+import hashlib
+import io
 import time
 from collections import Counter
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 from cuspgaps import invariants as inv
+from cuspgaps.cli import main
 from cuspgaps.gaps import gap_data, verify_order_bound, verify_reference_examples
 from cuspgaps.heckeops import apply_Up, apply_Vp, build_operator_stack
 from cuspgaps.invariants import ScanConfig, scan_triples
@@ -138,15 +142,30 @@ def test_criterion_4_operator_suite_extended():
     _report("4b (extended)", True, detail)
 
 
+def _theorem_report_sha256(level: int, weight: int, p: int) -> str:
+    """sha256 of `cuspgaps verify theorem N k p` without its trailing
+    newline, as `printf %s "$(...)"` hashes it; the stack is already built."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["verify", "theorem", str(level), str(weight), str(p)]) == 0
+    return hashlib.sha256(out.getvalue().rstrip("\n").encode()).hexdigest()
+
+
 @pytest.mark.slow
 def test_criterion_4_operator_suite_heavy():
     detail = _operator_identity_suite(2, 12, 23)
+    assert _theorem_report_sha256(2, 12, 23) == (
+        "6d3b2ad6f3c75d16c0989c8d0d5a97c12db789847de82a39a28f27d9972916ef"
+    )
     _report("4c (extended)", True, detail)
 
 
 @pytest.mark.slow
 def test_criterion_4_operator_suite_heaviest():
     detail = _operator_identity_suite(1, 28, 29)
+    assert _theorem_report_sha256(1, 28, 29) == (
+        "723528fada32e9f626a46cacf429b71f0a128f0fd722f9b648b82eae80328d72"
+    )
     _report("4d (extended)", True, detail)
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -288,6 +289,46 @@ def test_cache_rejects_rows_that_are_not_the_echelon_basis(tmp_path, capsys, cor
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "level, weight, rows, message",
+    [
+        (1, 24, lambda: [qexpansion_basis(1, 24, 20).rows[0].coeffs],
+         "echelon basis has 1 rows but dim S_k is 2 at (1, 24)"),
+        (11, 2, lambda: [(0, 0, 1) + (0,) * 17], "echelon pivots [3] violate the valence bound 2 at (11, 2)"),
+        (11, 2, lambda: [], "echelon basis has 0 rows but dim S_k is 1 at (11, 2)"),
+    ],
+    ids=["missing-row", "pivot-past-valence-bound", "no-rows"],
+)
+def test_cache_rejects_a_well_shaped_file_of_the_wrong_space(tmp_path, capsys, level, weight, rows, message):
+    """A file whose header, rows and sidecar agree, every row primitive and
+    reduced, is still corrupt if it has fewer rows than dim S_k or a pivot
+    past the valence bound: the cache reads through the engine's echelon
+    contract, and the CLI exits 3."""
+    rows = rows()
+    path = tmp_path / cache_filename(level, weight, 20)
+    path.write_text("\n".join([f"MFBASIS v1 {level} {weight} 20 {len(rows)}",
+                               *(" ".join(map(str, r)) for r in rows)]) + "\n")
+    pivots = [next(n for n, c in enumerate(r, 1) if c) for r in rows]
+    path.with_name(path.name + ".meta.json").write_text(json.dumps({"pivots": pivots}))
+    with pytest.raises(EngineError, match=f"^{re.escape(message)}$"):
+        read_basis(path)
+    code, out, err = run_cli(capsys, "basis", str(level), str(weight), "--prec", "20", "--cache", str(tmp_path))
+    assert (code, out, err) == (3, "", f"engine error: {message}\n")
+
+
+def test_find_cached_certifies_its_truncation(tmp_path, monkeypatch):
+    """The truncated basis find_cached returns goes through the echelon
+    contract too."""
+    from cuspgaps.msengine import basis as basis_mod
+
+    write_basis(qexpansion_basis(11, 2, 30), tmp_path)
+    calls = []
+    real = basis_mod.echelon_basis
+    monkeypatch.setattr(cache_mod, "echelon_basis", lambda *args: calls.append(args[:3]) or real(*args))
+    assert find_cached(tmp_path, 11, 2, 20) == qexpansion_basis(11, 2, 20)
+    assert calls == [(11, 2, 30), (11, 2, 20)]
+
+
 def _token(path):
     header, row = path.read_text().splitlines()
     path.write_text(f"{header}\n1x {row}\n")
@@ -415,3 +456,28 @@ def test_verify_theorem_small(capsys):
     assert code == 0
     report = json.loads(out.strip().splitlines()[0])
     assert report["pass"] and report["dims"]["S"] == 4
+
+
+_STACK_EXPECTED = json.loads((Path(__file__).resolve().parent.parent / "bench" / "expected.json").read_text())["stack"]
+
+
+@pytest.mark.parametrize("triple, digest", [
+    ((1, 12, 5), None),
+    ((2, 4, 7), None),
+    ((1, 12, 13), None),
+    ((1, 24, 5), "857448355dc6b46b6ee06e7430fcc40f9364dd9f917c4726e768ec3fa0261c7c"),
+    ((3, 6, 5), "13e526ea87036fcad36cbd60d0eb03af219001417d53e1670deeb15266c98f6c"),
+    ((1, 16, 19), "412d25d4b0e7bc18654ce9a90dccfb753f1baef9b326add3c1d181a821d8f884"),
+], ids=["1-12-5", "2-4-7", "1-12-13", "1-24-5", "3-6-5", "1-16-19"])
+def test_verify_theorem_output_is_pinned(capsys, triple, digest):
+    """`cuspgaps verify theorem N k p`, byte for byte, hashed without its
+    trailing newline (as `printf %s "$(...)"` hashes it): the benchmark's
+    three stack triples (digest None) against their report_sha256 in
+    bench/expected.json, two spaces with old pairs, one with eps3 > 0, and
+    (1, 16, 19).  (2, 12, 23) and (1, 28, 29) are pinned by the acceptance
+    criteria that build their stacks."""
+    code, out, _ = run_cli(capsys, "verify", "theorem", *map(str, triple))
+    assert code == 0
+    if digest is None:
+        digest = _STACK_EXPECTED["-".join(map(str, triple))]["report_sha256"]
+    assert hashlib.sha256(out.rstrip("\n").encode()).hexdigest() == digest

@@ -138,6 +138,18 @@ def test_normalize_p_properties(coeffs, p):
     assert all(isinstance(c, int) for c in g.coeffs)
 
 
+@given(st.lists(st.fractions(max_denominator=200), max_size=12), st.sampled_from([2, 3, 5]))
+@settings(max_examples=150, deadline=None)
+def test_valuation_is_the_least_coefficient_valuation(coeffs, p):
+    """The content form, v_p of the cleared numerators' gcd less v_p of the
+    common denominator, is the least v_p(a_n) over the non-zero a_n."""
+    def v(n: int) -> int:
+        return 0 if n % p else 1 + v(n // p)
+
+    want = min((v(c.numerator) - v(c.denominator) for c in coeffs if c), default=math.inf)
+    assert coefficient_valuation(QExpansion(tuple(coeffs), 2, 1), p) == want
+
+
 def test_valuation_ultrametric():
     f = QExpansion((Fraction(1, 5), 1), 2, 1)
     g = QExpansion((Fraction(-1, 5), 25), 2, 1)
