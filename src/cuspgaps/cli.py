@@ -6,21 +6,25 @@ or written), 3 engine error (an internal certificate failed, or a cache
 file does not parse or fails the echelon contract), 141 stdout closed
 early, as by `| head` (the SIGPIPE status).  All output is deterministic
 for fixed inputs; the MFCACHE environment variable overrides --cache.
+`scan --csv` rows are RFC 4180 (csv.writer over invariants.CSV_COLUMNS):
+the quadrant field, which holds a comma, is quoted.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
 import sys
+from operator import attrgetter
 
 from . import gaps as gaps_mod
 from . import invariants as inv
 from .cache import basis_text, find_cached, write_basis
 from .errors import EngineError
-from .invariants import CSV_HEADER, ScanConfig, scan_triples
+from .invariants import CSV_COLUMNS, ScanConfig, scan_triples
 from .msengine import qexpansion_basis
 
 
@@ -63,13 +67,15 @@ def cmd_scan(args) -> int:
     total = 0
     violations = []
     if args.csv:
-        print(CSV_HEADER)
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header for header, _ in CSV_COLUMNS)
+        row = attrgetter(*(field for _, field in CSV_COLUMNS))
     for rep in scan_triples(config):
         total += 1
         if not rep.verified:
             violations.append(rep)
         if args.csv:
-            print(rep.csv_row())
+            writer.writerow(row(rep))
         elif args.json:
             _print_json(rep.as_dict())
     # plain scan prints the summary and the first witnesses on stdout; --csv

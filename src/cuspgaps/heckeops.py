@@ -184,17 +184,13 @@ def old_new_split(level: int, weight: int, p: int, ambient: SpaceBasis) -> OldNe
     transported U_p on the old block; the kernel has dimension
     dim S_k(pN) - 2 dim S_k(N); and old + new is a direct sum, so the old
     and new vectors span the ambient space.  The level-N basis is built
-    here, to max(sturm_bound(N, k), c_max + 1) coefficients, where c_max is
-    the last ambient pivot: taking ambient coordinates of g and V_p g needs
-    every pivot, and the Sturm bound is the least precision a basis is
-    built to.
+    here, at the ambient basis's precision.
     """
     check_triple(level, weight, p)
     big = ambient
     if big.level != p * level or big.weight != weight:
         raise ValueError("ambient basis does not match (p*N, k)")
-    c_max = big.pivots[-1] if big.pivots else 0
-    lower = qexpansion_basis(level, weight, max(sturm_bound(level, weight), c_max + 1))
+    lower = qexpansion_basis(level, weight, big.precision)
     dim_pn = big.dimension
 
     old_pairs = []

@@ -32,6 +32,9 @@ evaluator trusts its arguments:
 ``classify_triple`` validates its one triple, and ``scan_triples``
 validates its ScanConfig once and generates only admissible triples, none
 of them checked one by one.
+
+CSV_COLUMNS alone states the `cuspgaps scan --csv` schema; vanishing_levels
+scans only the levels N <= 12/(k-2) that the dimension formula lets vanish.
 """
 
 from __future__ import annotations
@@ -278,20 +281,16 @@ class CaseReport:
             "identityHolds": self.identity_holds,
         }
 
-    def csv_row(self) -> str:
-        """The report as a row of `cuspgaps scan --csv`, under CSV_HEADER."""
-        return (
-            f"{self.weight},{self.level},{self.prime},{self.big_weight_mod12},"
-            f"{self.alpha2},{self.alpha3},{self.quadrant},{self.certificate},"
-            f"{self.certificate_lhs},{self.master_lhs},{self.dim_upper},"
-            f"{self.order_bound},{self.identity_holds},{self.inequality_holds}"
-        )
 
-
-CSV_HEADER = (
-    "k,N,p,bigWeightMod12,alpha2,alpha3,quadrant,certificate,"
-    "certificateLhs,masterLhs,dim,orderBound,identityHolds,inequalityHolds"
+# The `cuspgaps scan --csv` schema, the only statement of it: (header,
+# CaseReport field) per column, in column order.
+CSV_COLUMNS = (
+    ("k", "weight"), ("N", "level"), ("p", "prime"), ("bigWeightMod12", "big_weight_mod12"),
+    ("alpha2", "alpha2"), ("alpha3", "alpha3"), ("quadrant", "quadrant"), ("certificate", "certificate"),
+    ("certificateLhs", "certificate_lhs"), ("masterLhs", "master_lhs"), ("dim", "dim_upper"),
+    ("orderBound", "order_bound"), ("identityHolds", "identity_holds"), ("inequalityHolds", "inequality_holds"),
 )
+CSV_HEADER = ",".join(header for header, _ in CSV_COLUMNS)
 
 
 def _residue_core(level: int, weight: int, r: int) -> tuple[int, int, int, dict]:
@@ -431,26 +430,22 @@ def classify_triple(level: int, weight: int, p: int) -> CaseReport:
 
 
 def vanishing_levels(weight: int) -> tuple[int, ...]:
-    """All levels N with dim S_k(N) = 0 for even k >= 4.
+    """All levels N with dim S_k(N) = 0 for even k >= 4, exactly.
 
-    The dimension is eventually positive and grows with N, so the search
-    stops once 20 consecutive levels past the last zero have positive
-    dimension.
+    For even k >= 4 the dimension formula reads
+
+        dim S_k(N) = (k-2) I(N)/12 + (g - 1) + ([k/4] - (k-2)/4) eps2
+                     + ([k/3] - (k-2)/3) eps3,
+
+    where both brackets are >= 0 for even k and g >= 0, so
+    dim S_k(N) >= (k-2) I(N)/12 - 1 and the space vanishes only if
+    (k-2) I(N) <= 12.  Since N <= I(N), only the levels N <= 12 // (k-2)
+    can vanish, and those are all scanned.
     """
     check_weight(weight)
     if weight < 4:
         raise ValueError("vanishing_levels requires weight >= 4")
-    out = []
-    n = 1
-    consecutive_positive = 0
-    while consecutive_positive < 20:
-        if cusp_dim(n, weight) == 0:
-            out.append(n)
-            consecutive_positive = 0
-        else:
-            consecutive_positive += 1
-        n += 1
-    return tuple(out)
+    return tuple(n for n in range(1, 12 // (weight - 2) + 1) if cusp_dim(n, weight) == 0)
 
 
 @dataclass(frozen=True)

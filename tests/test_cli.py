@@ -1,13 +1,16 @@
 """CLI surface, exit codes, and the basis cache file format."""
 
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -19,7 +22,7 @@ from cuspgaps import invariants as inv_mod
 from cuspgaps.cache import cache_filename, find_cached, read_basis, write_basis
 from cuspgaps.cli import main
 from cuspgaps.errors import EngineError
-from cuspgaps.invariants import CSV_HEADER, cusp_dim, sturm_bound
+from cuspgaps.invariants import CSV_COLUMNS, CSV_HEADER, ScanConfig, cusp_dim, scan_triples, sturm_bound
 from cuspgaps.msengine import qexpansion_basis
 
 
@@ -78,14 +81,51 @@ def test_scan_csv(capsys):
 
 
 def test_scan_csv_pinned(capsys):
-    """The CSV of a 3408-triple box, byte for byte as the Fraction-based
-    case analysis printed it."""
+    """The CSV of a 3408-triple box, byte for byte as csv.writer prints it:
+    the Fraction-based case analysis's values, with the quadrant field,
+    the one that holds a comma, quoted."""
     code, out, _ = run_cli(capsys, "scan", "--kmax", "10", "--nmax", "60", "--pmax", "61", "--csv")
     assert code == 0
     assert len(out.splitlines()) == 3409
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "1224c66e1c366e7178b8b6ef2d21500883a4e679ae9939acac2d21b502e2cdef"
+        "b468923db91a61406bf73c5f0523465f9c8445460c6dd76a568364952ebe3afb"
     )
+
+
+def test_scan_csv_full_box_pinned(capsys):
+    """Every row of the default box, byte for byte, and each one parses
+    with csv.reader into the header's 14 fields."""
+    code, out, _ = run_cli(capsys, "scan", "--csv")
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert len(rows) == 131200 and {len(row) for row in rows} == {14}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f632e69786fee44d801d189c9ff0317b2895452076167f491cea1f8e3b18dc72"
+    )
+
+
+@st.composite
+def scan_boxes(draw):
+    kmin = draw(st.integers(2, 12)) * 2
+    kmax = kmin + 2 * draw(st.integers(0, 2))
+    return ScanConfig(kmin=kmin, kmax=kmax, nmax=draw(st.integers(1, 30)), pmax=draw(st.integers(5, 60)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scan_boxes())
+def test_scan_csv_rows_parse_into_the_report_fields(box):
+    """`scan --csv` is RFC 4180: csv.reader reads the header's 14 fields
+    from every row, each equal to str of its CaseReport field."""
+    args = [f"--{name}={value}" for name, value in vars(box).items()]
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        assert main(["scan", "--csv", *args]) == 0
+    header, *rows = csv.reader(out.getvalue().splitlines())
+    assert header == CSV_HEADER.split(",") and len(header) == 14
+    reports = list(scan_triples(box))
+    assert len(rows) == len(reports)
+    for row, rep in zip(rows, reports):
+        assert row == [str(getattr(rep, field)) for _, field in CSV_COLUMNS]
 
 
 def test_scan_json_pinned(capsys):
@@ -399,6 +439,7 @@ def test_basis_prints_the_text_it_caches(tmp_path, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("level,weight,digest", [
+    pytest.param(19, 16, "311b8b53357156531c83fd566aa8f8967bfdba482192db638f7f04ba06efcbad", id="19-16"),
     pytest.param(46, 12, "df511ffed53d3607364d00bf1aa28bd75759fa9f6daecac6af473e0d42f8843a", id="46-12"),
     pytest.param(29, 28, "4838e34a99bf2a89c3b529077d7e7f5b931d69cf4097ceaa2c061f9f50bb7506", id="29-28",
                  marks=pytest.mark.slow),
@@ -406,8 +447,9 @@ def test_basis_prints_the_text_it_caches(tmp_path, capsys, monkeypatch):
     pytest.param(14, 4, "3cc47266067474356c8eb39d76a0bb849fd7fd3034b0e10f921d74b2959cc17b", id="14-4"),
 ])
 def test_heavy_basis_output_is_pinned(capsys, level, weight, digest):
-    """`cuspgaps basis` at the Sturm bound of two heavy spaces, byte for
-    byte as the coset-by-coset series pass printed them: (46, 12), the
+    """`cuspgaps basis`, which prints the Sturm bound + 10 coefficients,
+    byte for byte as the coset-by-coset series pass printed them: (19, 16),
+    the first reference example, and two heavy spaces, (46, 12), the
     widest basis of the gap tables (d = 64), and (29, 28).  Also (37, 2)
     and (14, 4): weights 2 and 4 have no Merel symbols, so every series
     there comes from a cuspidal kernel vector, coset by coset."""
@@ -436,19 +478,6 @@ def test_verify_commands(capsys):
     assert code == 0
     code, _, _ = run_cli(capsys, "verify", "ogg", "11", "7")
     assert code == 2
-
-
-@pytest.mark.slow
-def test_verify_examples_output_is_pinned(capsys):
-    """`cuspgaps verify examples`, the one way to reproduce the three
-    reference examples, byte for byte: its three report lines, exit 0, and
-    the note on the weight-28 example's stated lower dimension."""
-    code, out, err = run_cli(capsys, "verify", "examples")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "674a9bd0b0476fbcc111829a3039c9bc178dad0a24241f56949a59caac910d0d"
-    )
-    assert err.startswith("note: stated_lower_dimension_matches_formula: ")
 
 
 def test_verify_theorem_small(capsys):

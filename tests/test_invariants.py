@@ -727,6 +727,28 @@ def test_vanishing_levels():
     assert inv.vanishing_levels(12) == ()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 3000), st.integers(2, 60).map(lambda m: 2 * m))
+def test_dimension_formula_splits_off_the_index_term(level, weight):
+    """For even k >= 4, dim S_k(N) = (k-2) I(N)/12 + g - 1
+    + ([k/4] - (k-2)/4) eps2 + ([k/3] - (k-2)/3) eps3 exactly, with both
+    brackets >= 0: the lower bound that vanishing_levels stops by."""
+    b2 = weight // 4 - Fraction(weight - 2, 4)
+    b3 = weight // 3 - Fraction(weight - 2, 3)
+    assert b2 >= 0 and b3 >= 0
+    assert inv.cusp_dim(level, weight) == (
+        Fraction((weight - 2) * inv.index(level), 12) + inv.genus(level) - 1
+        + b2 * inv.eps2(level) + b3 * inv.eps3(level)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 100).map(lambda m: 2 * m))
+def test_vanishing_levels_is_the_brute_force_scan(weight):
+    """vanishing_levels(k) is every N <= 2000 with dim S_k(N) = 0."""
+    assert inv.vanishing_levels(weight) == tuple(n for n in range(1, 2001) if inv.cusp_dim(n, weight) == 0)
+
+
 def test_admissibility_guards():
     with pytest.raises(ValueError):
         inv.vanishing_order_bound(1, 16, 4)
