@@ -9,7 +9,9 @@ Format (one file per basis):
 
 with metadata {engineVersion, sturmBound, pivots} in <file>.meta.json.
 A file is read back, or truncated, only through the engine's echelon
-contract (msengine.echelon_basis); Hecke stability is not certified here.
+contract (msengine.echelon_basis), and a sidecar, when present, must carry
+the file's pivots, this engine's version and the space's Sturm bound;
+Hecke stability is not certified here.
 Each file is written to a temporary file beside it and moved into place
 with os.replace, so a reader never sees a partly written file.
 """
@@ -101,8 +103,11 @@ def _parse_basis(path: Path) -> SpaceBasis:
         meta = json.loads(meta_path.read_text())
         if not isinstance(meta, dict):
             raise EngineError(f"sidecar of {path} is not a JSON object")
-        if meta.get("pivots") != list(basis.pivots):
-            raise EngineError(f"sidecar pivots {meta.get('pivots')} disagree with rows {list(basis.pivots)}")
+        want = {"pivots": list(basis.pivots), "engineVersion": ENGINE_VERSION,
+                "sturmBound": sturm_bound(level, weight)}
+        for key, value in want.items():
+            if meta.get(key) != value:
+                raise EngineError(f"sidecar of {path} has {key} {meta.get(key)!r}, not {value!r}")
     return basis
 
 

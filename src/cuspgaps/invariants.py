@@ -20,18 +20,20 @@ pair, and since the elliptic counts are multiplicative over coprime levels,
 eps2(pN) = eps2(N) (1 + (-4/p)) and eps3(pN) = eps3(N) (1 + (-3/p)), where
 (-4/.) and (-3/.) are characters mod 4 and mod 3.  One uncached core,
 ``_residue_core(N, k, r)``, evaluates the master LHS, the alpha pair, the
-quadrant and the reduced certificate of a residue class; a scan evaluates it
+quadrant and the reduced certificate of a residue class, and certifies
+that the order bound is an integer for every p in it; a scan evaluates it
 once per (N, k, p mod 12) and keeps it only while it classifies that
 (N, k).  One evaluator, ``_classify_level(N, k, primes)``, builds every
-CaseReport: per triple only the order bound and dim S_k(pN) remain, and the
-dimension is read from the terms of pN's own factorization, so the
-reduction identity checks the residue formula.  A report costs only those
-fields: its instance dict takes the per-triple values as item stores and
-the core's fields as one merge of a dict built once per residue class.  The
-evaluator trusts its arguments:
-``classify_triple`` validates its one triple, and ``scan_triples``
-validates its ScanConfig once and generates only admissible triples, none
-of them checked one by one.
+CaseReport: per triple only the order bound, an int, and dim S_k(pN)
+remain, and the dimension is read from the terms of pN's own
+factorization, so the reduction identity checks the residue formula.  The
+only Fractions built are the core's two LHS values, once per residue
+class, never per triple.  A report costs only those fields: its instance
+dict takes the per-triple values as item stores and the core's fields as
+one merge of a dict built once per residue class.  The evaluator trusts
+its arguments: ``classify_triple`` validates its one triple, and
+``scan_triples`` validates its ScanConfig once and generates only
+admissible triples, none of them checked one by one.
 
 CSV_COLUMNS alone states the `cuspgaps scan --csv` schema; vanishing_levels
 scans only the levels N <= 12/(k-2) that the dimension formula lets vanish.
@@ -247,7 +249,7 @@ class CaseReport:
     certificate_lhs: Fraction
     master_lhs: Fraction
     dim_upper: int
-    order_bound: Fraction
+    order_bound: int
     inequality_holds: bool
     certificate_matches_master: bool
     identity_holds: bool
@@ -303,6 +305,13 @@ def _residue_core(level: int, weight: int, r: int) -> tuple[int, int, int, dict]
                     + (12[k/3] - 4(k-1)) eps3(pN) + 6 alpha2 + 4 alpha3
         12 bound  = K I(N) - tail12,  tail12 = 6 alpha2 + 4 alpha3 + 12 eps_inf(N) - 12
 
+    The bound is an integer, that is 12 | 12 bound, for every p == r:
+    K is even and K == (k-1) r + 1 mod 12; by the genus formula
+    I = 12(g-1) + 3 eps2 + 4 eps3 + 6 eps_inf, K I == 3K eps2 + 4K eps3
+    mod 12; and for every even K mod 12 the alpha table has
+    6 alpha2 == 3K eps2 and 4 alpha3 == 4K eps3 mod 12.  That is checked
+    here once for all those p, and a failure raises EngineError.
+
     The quadrant is (alpha2 == 0?, alpha3 == 0?).  Where both vanish,
     K is 0 mod 4 if eps2(N) > 0 and 0 mod 3 if eps3(N) > 0, so
     eps2(pN) = 2 eps2(N) when k == 0 mod 4 (then p == 1 mod 4) and 0
@@ -349,18 +358,23 @@ def _residue_core(level: int, weight: int, r: int) -> tuple[int, int, int, dict]
         certificate=cert, certificate_lhs=cert_lhs, master_lhs=master,
         inequality_holds=master12 >= 12, certificate_matches_master=cert12 == master12,
     )
-    return i, 6 * a2 + 4 * a3 + 12 * ein - 12, master12, fields
+    tail12 = 6 * a2 + 4 * a3 + 12 * ein - 12
+    if (big_k12 * i - tail12) % 12:
+        raise EngineError(f"order bound is not an integer at ({level}, {k}) for p == {r} mod 12")
+    return i, tail12, master12, fields
 
 
-def vanishing_order_bound(level: int, weight: int, p: int) -> Fraction:
+def vanishing_order_bound(level: int, weight: int, p: int) -> int:
     """Sharp upper bound for ord_infinity(f), valid for f in S_k(pN) with
     v_p(f) = 0 and v_p(f|W_p) >= 1 - k/2 (Ahlgren--Masri--Rouse):
 
-        ((k-1)p+1)/12 * I(N) - alpha2/2 - alpha3/3 - eps_inf(N) + 1
-    """
+        ((k-1)p+1)/12 * I(N) - alpha2/2 - alpha3/3 - eps_inf(N) + 1,
+
+    an integer: the residue core of p mod 12 certifies that 12 divides
+    twelve times it."""
     check_triple(level, weight, p)
     i, tail12, _, _ = _residue_core(level, weight, p % 12)
-    return Fraction(((weight - 1) * p + 1) * i - tail12, 12)
+    return (((weight - 1) * p + 1) * i - tail12) // 12
 
 
 def master_inequality_lhs(level: int, weight: int, p: int) -> Fraction:
@@ -380,8 +394,9 @@ def _classify_level(level: int, weight: int, primes) -> Iterator[CaseReport]:
     every p as admissible.
 
     The residue core is evaluated once per p mod 12 present and held only
-    for this call; per p remain K, 12 * the order bound and dim S_k(pN), the
-    latter from the terms of pN's own factorization, never from the core's
+    for this call; per p remain K, the order bound, an int since the core
+    certified that 12 divides it in twelfths, and dim S_k(pN), the latter
+    from the terms of pN's own factorization, never from the core's
     (1 + (-4/r)) shortcut.  Each report's instance dict is filled directly,
     which skips the frozen __init__'s object.__setattr__ per field: four item
     stores, one update from the core's field dict, three more stores.  The
@@ -412,7 +427,7 @@ def _classify_level(level: int, weight: int, primes) -> Iterator[CaseReport]:
         f["big_weight"] = big_k
         f.update(core_fields)
         f["dim_upper"] = d
-        f["order_bound"] = Fraction(bound12, 12)
+        f["order_bound"] = bound12 // 12
         f["identity_holds"] = 12 * d - bound12 == margin12
         yield report
 

@@ -11,6 +11,7 @@ divide once per entry.  Nothing here touches floating point.
 
 from __future__ import annotations
 
+from bisect import insort
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -34,17 +35,14 @@ def clear_denominators(rows) -> tuple[list[list[int]], int]:
 def make_primitive(row) -> list[int]:
     """Scale a rational row to a primitive integer row with positive lead;
     the result is always a new list."""
-    if all(type(x) is int for x in row):
-        ints = list(row)
-    else:
-        (ints,), _ = clear_denominators([row])
-    ints = _strip_content(ints)
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return ints
+    try:
+        g = gcd(*row)
+    except TypeError:  # a Fraction entry: clear the denominators first
+        (row,), _ = clear_denominators([row])
+        g = gcd(*row)
+    if next((x for x in row if x), 0) < 0:
+        g = -g
+    return list(row) if g in (0, 1) else [x // g for x in row]
 
 
 class Echelonizer:
@@ -56,6 +54,7 @@ class Echelonizer:
 
     def __init__(self):
         self.pivot_rows: dict[int, list[int]] = {}  # pivot column -> primitive row
+        self._cols: list[int] = []  # the pivot columns, kept sorted
 
     @property
     def rank(self) -> int:
@@ -65,10 +64,13 @@ class Echelonizer:
         """Reduce a row against the current echelon; returns the primitive
         remainder (all-zero if the row was in the span)."""
         work = make_primitive(list(row))
-        for col in sorted(self.pivot_rows):
-            if work[col] != 0:
+        for col in self._cols:
+            b = work[col]
+            if b != 0:
                 piv = self.pivot_rows[col]
-                a, b = piv[col], work[col]
+                a = piv[col]
+                g = gcd(a, b)
+                a, b = a // g, b // g
                 work = _strip_content([a * x - b * y for x, y in zip(work, piv)])
         return make_primitive(work)
 
@@ -78,6 +80,7 @@ class Echelonizer:
         for col, x in enumerate(work):
             if x != 0:
                 self.pivot_rows[col] = work
+                insort(self._cols, col)
                 return col
         return None
 
@@ -85,12 +88,12 @@ class Echelonizer:
         return all(x == 0 for x in self.reduce(row))
 
     def pivots(self) -> list[int]:
-        return sorted(self.pivot_rows)
+        return list(self._cols)
 
     def reduced_rows(self) -> list[list[int]]:
         """Fully back-reduced rows, ordered by pivot: each is the primitive
         integer multiple, with positive lead, of its RREF row over Q."""
-        cols = self.pivots()
+        cols = self._cols
         rows = [self.pivot_rows[c] for c in cols]
         for i in reversed(range(len(cols))):
             c, piv = cols[i], rows[i]

@@ -412,6 +412,30 @@ def test_cache_failures_exit_with_their_code(tmp_path, capsys, corrupt, code, me
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("engineVersion", "0.0.9", f"has engineVersion '0.0.9', not {cache_mod.ENGINE_VERSION!r}"),
+        ("sturmBound", 3, "has sturmBound 3, not 2"),
+        ("pivots", [2], "has pivots [2], not [1]"),
+    ],
+    ids=["engine-version", "sturm-bound", "pivots"],
+)
+def test_cache_rejects_a_sidecar_of_other_provenance(tmp_path, capsys, key, value, message):
+    """A sidecar must name the rows' pivots, this engine's version and the
+    space's Sturm bound; one that names others is corrupt, though the rows
+    pass the echelon contract, and the CLI exits 3."""
+    path = write_basis(qexpansion_basis(1, 12, 20), tmp_path)
+    meta_path = path.with_name(path.name + ".meta.json")
+    meta = json.loads(meta_path.read_text())
+    assert meta[key] != value
+    meta_path.write_text(json.dumps({**meta, key: value}))
+    with pytest.raises(EngineError, match=re.escape(message)):
+        read_basis(path)
+    code, out, err = run_cli(capsys, "basis", "1", "12", "--prec", "20", "--cache", str(tmp_path))
+    assert (code, out) == (3, "") and err.startswith("engine error: ") and message in err
+
+
 def test_basis_rejects_precision_zero(capsys):
     code, out, err = run_cli(capsys, "basis", "11", "2", "--prec", "0")
     assert code == 2 and out == ""

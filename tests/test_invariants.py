@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -412,10 +413,17 @@ def admissible_triples(draw):
 @settings(max_examples=300, deadline=None)
 @given(admissible_triples())
 def test_case_analysis_matches_fraction_reference(triple):
+    """The core agrees with the Fraction reference field for field and type
+    for type; the reference's order bound is an integer, which the core
+    carries as an int."""
     n, k, p = triple
     want = fraction_case_analysis(n, k, p)
+    bound = want["order_bound"]
+    assert bound.denominator == 1
+    want["order_bound"] = int(bound)
     assert inv.master_inequality_lhs(n, k, p) == want["master_lhs"]
     assert inv.vanishing_order_bound(n, k, p) == want["order_bound"]
+    assert type(inv.vanishing_order_bound(n, k, p)) is int
     report = inv.classify_triple(n, k, p)
     for field in dataclasses.fields(report):
         got = getattr(report, field.name)
@@ -463,6 +471,42 @@ def test_residue_core_master_matches_direct_formula(triple):
         + 4 * a3
     )
     assert inv._residue_core(n, k, p % 12)[2] == direct
+
+
+# (K mod 12, k, r) with K = (k-1) r + 1: one residue core per alpha-table row
+ALPHA_ROWS = [(0, 12, 1), (2, 12, 11), (4, 4, 1), (6, 12, 7), (8, 12, 5), (10, 4, 7)]
+
+
+@pytest.mark.parametrize("big_k12, weight, r", ALPHA_ROWS)
+def test_residue_core_certifies_an_integral_order_bound(monkeypatch, big_k12, weight, r):
+    """At N = 1, where I = eps2 = eps3 = eps_inf = 1, 12 bound = K - 6 alpha2
+    - 4 alpha3, so a wrong alpha2 multiple in any row of the table leaves a
+    remainder of 6 mod 12, and the core refuses it.  Row 2 with alpha2
+    dropped, (1, 2) -> (0, 2), is served by p == 11 mod 12 at weight 12."""
+    assert ((weight - 1) * r + 1) % 12 == big_k12
+    inv._residue_core(1, weight, r)
+    m2, m3 = inv._ALPHA_MULTIPLES[big_k12]
+    monkeypatch.setitem(inv._ALPHA_MULTIPLES, big_k12, (1 - m2, m3))
+    message = f"order bound is not an integer at (1, {weight}) for p == {r} mod 12"
+    with pytest.raises(EngineError, match=f"^{re.escape(message)}$"):
+        inv._residue_core(1, weight, r)
+
+
+def test_scan_builds_no_fraction_per_triple(monkeypatch):
+    """A scan builds at most two Fractions per residue core, its master and
+    certificate LHS, and none per triple: the order bound is an int."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(inv, "Fraction", counting)
+    reports = list(inv.scan_triples(inv.ScanConfig(kmin=4, kmax=8, nmax=30, pmax=97)))
+    cores = {(r.level, r.weight, r.prime % 12) for r in reports}
+    assert len(reports) > 2 * len(cores)
+    assert 0 < len(built) <= 2 * len(cores)
+    assert all(type(r.order_bound) is int for r in reports)
 
 
 def test_fast_built_report_is_a_frozen_dataclass():
